@@ -350,6 +350,22 @@ fn write_bench_json(path: &str, json: &str) -> std::io::Result<()> {
     std::fs::write(path, json)
 }
 
+/// The value of a numeric flag. A missing or unparsable value is a usage
+/// error (exit 2): silently running the default instead would report on
+/// a workload nobody asked for.
+fn integer_arg<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
+    match value {
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} needs an integer, got {v:?}");
+            std::process::exit(2);
+        }),
+        None => {
+            eprintln!("{flag} needs an integer");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("trace-check") {
@@ -379,24 +395,9 @@ fn main() {
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--commits" => {
-                profile.commits = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(profile.commits);
-            }
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(profile.seed);
-            }
-            "--workers" => {
-                driver.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(driver.workers);
-            }
+            "--commits" => profile.commits = integer_arg("--commits", it.next()),
+            "--seed" => profile.seed = integer_arg("--seed", it.next()),
+            "--workers" => driver.workers = integer_arg("--workers", it.next()),
             "--full" => profile.commits = 12_000,
             "--allmodconfig" => driver.jmake.use_allmodconfig = true,
             "--coverage" => driver.jmake.use_coverage_configs = true,
@@ -407,13 +408,7 @@ fn main() {
                 };
                 portfolio_k = Some(k);
             }
-            "--rand-seed" => {
-                let Some(seed) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--rand-seed needs an integer");
-                    std::process::exit(2);
-                };
-                rand_seed = seed;
-            }
+            "--rand-seed" => rand_seed = integer_arg("--rand-seed", it.next()),
             "--no-shared-cache" => driver.shared_cache = false,
             "--no-object-cache" => driver.object_cache = false,
             "--no-work-stealing" => driver.work_stealing = false,
@@ -460,13 +455,7 @@ fn main() {
                     }
                 };
             }
-            "--fault-seed" => {
-                let Some(seed) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--fault-seed needs an integer");
-                    std::process::exit(2);
-                };
-                fault_seed = seed;
-            }
+            "--fault-seed" => fault_seed = integer_arg("--fault-seed", it.next()),
             "--reach" => do_reach = true,
             "--cross-check" => do_cross_check = true,
             "--fix" => do_fix = true,

@@ -9,7 +9,7 @@
 //! prepared configuration under `arch/<a>/configs/`, one such file (chosen
 //! deterministically) is tried too.
 
-use jmake_kbuild::{ArchRegistry, ConfigKind, ObjGraph, SourceTree};
+use jmake_kbuild::{ConfigKind, ConfigScan, ObjGraph, SourceTree};
 use std::collections::BTreeMap;
 
 /// One (architecture, configuration) pair to try.
@@ -49,47 +49,43 @@ pub struct ArchSelector {
 }
 
 impl ArchSelector {
-    /// Scan `tree` and build the index.
+    /// Scan `tree` and build the index. Walks only `arch/`, and reads
+    /// each file's configuration variables from its blob's memoized
+    /// scan, so the text of a file is scanned once per process.
     pub fn new(tree: &SourceTree) -> Self {
-        let registry = ArchRegistry::new();
         let mut sel = ArchSelector::default();
-        let mut arches: Vec<String> = tree
-            .paths()
-            .filter_map(|p| {
-                p.strip_prefix("arch/")
-                    .and_then(|r| r.split('/').next())
-                    .map(str::to_string)
-            })
-            .collect();
-        arches.sort();
-        arches.dedup();
-        // Host first, then arm (the paper's observed second-most-useful),
-        // then the rest alphabetically.
-        arches.sort_by_key(|a| (a != "x86_64", a != "arm", a.clone()));
-        sel.arches = arches;
-
-        let _ = registry; // consulted by callers; index is registry-agnostic
-        for (path, content) in tree.iter() {
-            let Some(rest) = path.strip_prefix("arch/") else {
-                continue;
+        for (path, blob) in tree.blobs_under("arch") {
+            let rest = &path["arch/".len()..];
+            let arch = rest.split('/').next().unwrap_or_default();
+            if sel.arches.last().map(String::as_str) != Some(arch) {
+                sel.arches.push(arch.to_string());
+            }
+            let is_defconfig = rest[arch.len()..].starts_with("/configs/");
+            let scan = blob.config_scan_with(scan_config_vars);
+            let kconfig = if path.ends_with("Kconfig") {
+                &scan.kconfig[..]
+            } else {
+                &[]
             };
-            let Some(arch) = rest.split('/').next() else {
-                continue;
-            };
-            let is_defconfig = rest.strip_prefix(&format!("{arch}/configs/")).is_some();
-            for var in config_vars_in(content, path.ends_with("Kconfig")) {
-                let arches = sel.mentions.entry(var.clone()).or_default();
-                if !arches.contains(&arch.to_string()) {
+            for var in scan.refs.iter().chain(kconfig) {
+                let arches = sel.mentions.entry(var.to_string()).or_default();
+                if !arches.iter().any(|a| a == arch) {
                     arches.push(arch.to_string());
                 }
                 if is_defconfig {
-                    let paths = sel.defconfigs.entry(var).or_default();
-                    if !paths.contains(&path.to_string()) {
+                    let paths = sel.defconfigs.entry(var.to_string()).or_default();
+                    if !paths.iter().any(|p| **p == **path) {
                         paths.push(path.to_string());
                     }
                 }
             }
         }
+        // Host first, then arm (the paper's observed second-most-useful),
+        // then the rest alphabetically. (`arch/arm-x/` sorts between
+        // `arch/arm` and `arch/arm/`, so one arch can recur above.)
+        sel.arches
+            .sort_by_key(|a| (a != "x86_64", a != "arm", a.clone()));
+        sel.arches.dedup();
         sel
     }
 
@@ -153,52 +149,51 @@ fn stable_index(key: &str, len: usize) -> usize {
 }
 
 /// Configuration variables referenced in a file: `CONFIG_X` tokens, plus
-/// bare `config X` declarations in Kconfig files.
-fn config_vars_in(content: &str, is_kconfig: bool) -> Vec<String> {
-    let mut out = Vec::new();
+/// the names a Kconfig file declares (`config X`, `menuconfig X`) or
+/// references (`depends on`, `select`) — the latter count only for files
+/// named `Kconfig`.
+fn scan_config_vars(content: &str) -> ConfigScan {
+    let mut scan = ConfigScan::default();
+    let push = |out: &mut Vec<Box<str>>, name: &str| {
+        if !out.iter().any(|n| &**n == name) {
+            out.push(name.into());
+        }
+    };
     let mut rest = content;
     while let Some(i) = rest.find("CONFIG_") {
         let tail = &rest[i + "CONFIG_".len()..];
         let end = tail
             .find(|c: char| c != '_' && !c.is_ascii_alphanumeric())
             .unwrap_or(tail.len());
-        if end > 0 && !out.contains(&tail[..end].to_string()) {
-            out.push(tail[..end].to_string());
+        if end > 0 {
+            push(&mut scan.refs, &tail[..end]);
         }
         rest = &tail[end..];
     }
-    if is_kconfig {
-        for line in content.lines() {
-            let t = line.trim();
-            if let Some(name) = t
-                .strip_prefix("config ")
-                .or_else(|| t.strip_prefix("menuconfig "))
-            {
-                let name = name.trim();
-                if !name.is_empty()
-                    && name.chars().all(|c| c == '_' || c.is_ascii_alphanumeric())
-                    && !out.contains(&name.to_string())
-                {
-                    out.push(name.to_string());
-                }
+    for line in content.lines() {
+        let t = line.trim();
+        if let Some(name) = t
+            .strip_prefix("config ")
+            .or_else(|| t.strip_prefix("menuconfig "))
+        {
+            let name = name.trim();
+            if !name.is_empty() && name.chars().all(|c| c == '_' || c.is_ascii_alphanumeric()) {
+                push(&mut scan.kconfig, name);
             }
-            // Dependencies referenced in arch Kconfig count as mentions.
-            if let Some(expr) = t
-                .strip_prefix("depends on ")
-                .or_else(|| t.strip_prefix("select "))
-            {
-                for word in expr.split(|c: char| !(c == '_' || c.is_ascii_alphanumeric())) {
-                    if !word.is_empty()
-                        && word.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                        && !out.contains(&word.to_string())
-                    {
-                        out.push(word.to_string());
-                    }
+        }
+        // Dependencies referenced in arch Kconfig count as mentions.
+        if let Some(expr) = t
+            .strip_prefix("depends on ")
+            .or_else(|| t.strip_prefix("select "))
+        {
+            for word in expr.split(|c: char| !(c == '_' || c.is_ascii_alphanumeric())) {
+                if word.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
+                    push(&mut scan.kconfig, word);
                 }
             }
         }
     }
-    out
+    scan
 }
 
 #[cfg(test)]
@@ -314,5 +309,30 @@ mod tests {
             assert_eq!(a, stable_index("CONFIG_FOO", len));
             assert!(a < len);
         }
+    }
+
+    #[test]
+    fn arches_are_distinct_when_names_share_a_prefix() {
+        // `arch/arm-x/` sorts between the file `arch/arm` and `arch/arm/`.
+        let mut t = tree();
+        t.insert("arch/arm-x/Kconfig", "config ARM_X\n\tdef_bool y\n");
+        t.insert("arch/arm", "stray\n");
+        let sel = ArchSelector::new(&t);
+        assert_eq!(sel.arches(), ["x86_64", "arm", "arm-x", "powerpc"]);
+    }
+
+    #[test]
+    fn kconfig_lines_count_only_in_kconfig_files() {
+        let mut t = tree();
+        // The same text as a Kconfig and as a plain file: the blob's
+        // memoized scan serves both, the path decides what counts.
+        let text = "config PPC_EXTRA\n\tselect PL330_DMA\n";
+        t.insert("arch/powerpc/notes.txt", text);
+        let sel = ArchSelector::new(&t);
+        assert!(!sel.mentions.contains_key("PPC_EXTRA"));
+        t.insert("arch/powerpc/platforms/Kconfig", text);
+        let sel = ArchSelector::new(&t);
+        assert!(sel.mentions["PPC_EXTRA"].contains(&"powerpc".to_string()));
+        assert!(sel.mentions["PL330_DMA"].contains(&"powerpc".to_string()));
     }
 }

@@ -348,6 +348,10 @@ pub struct IFile {
     pub includes: Vec<String>,
 }
 
+/// The heavy file: compiling it triggers compilation of the entire
+/// kernel (paper §V.C).
+const HEAVY_FILE: &str = "arch/powerpc/kernel/prom_init.c";
+
 /// Resolver over a [`SourceTree`] with kernel-style include paths.
 struct TreeResolver<'t> {
     tree: &'t SourceTree,
@@ -428,10 +432,8 @@ impl BuildEngine {
     pub fn new(tree: SourceTree) -> Self {
         let bootstrap = bootstrap_files_of(&tree);
         let mut heavy = BTreeSet::new();
-        for p in tree.paths() {
-            if p == "arch/powerpc/kernel/prom_init.c" {
-                heavy.insert(p.to_string());
-            }
+        if tree.contains(HEAVY_FILE) {
+            heavy.insert(HEAVY_FILE.to_string());
         }
         BuildEngine {
             base: tree,
@@ -453,12 +455,13 @@ impl BuildEngine {
     /// Create an engine over `tree` that shares solved configurations
     /// with every other engine holding the same [`ConfigCache`].
     ///
-    /// The tree's Kconfig/defconfig content is fingerprinted once here;
-    /// cache hits require an exact content match, so sharing across
-    /// patches is sound (a patch touching any Kconfig or defconfig file
-    /// gets a fresh solve). Hits still charge the virtual clock the full
-    /// configuration-creation cost — simulated timing, including the
-    /// Figure 4a CDF, is identical with or without sharing.
+    /// The tree's Kconfig/defconfig fingerprint is read here (the tree
+    /// maintains it, so this is O(1)); cache hits require an exact
+    /// content match, so sharing across patches is sound (a patch
+    /// touching any Kconfig or defconfig file gets a fresh solve). Hits
+    /// still charge the virtual clock the full configuration-creation
+    /// cost — simulated timing, including the Figure 4a CDF, is
+    /// identical with or without sharing.
     pub fn with_shared_cache(tree: SourceTree, cache: Arc<ConfigCache>) -> Self {
         let fingerprint = ConfigCache::fingerprint_tree(&tree);
         let mut engine = BuildEngine::new(tree);
@@ -1036,29 +1039,29 @@ impl BuildEngine {
 /// Bootstrap files of `tree`: everything under `scripts/`, plus
 /// `kernel/bounds.c` and each `arch/*/kernel/asm-offsets.c` when present
 /// (paper §V.D — the build system compiles these before any target).
+/// Range walks over `scripts/` and `arch/` plus one point lookup: the
+/// rest of the tree is never visited.
 pub fn bootstrap_files_of(tree: &SourceTree) -> BTreeSet<String> {
     let mut bootstrap: BTreeSet<String> = tree
         .files_under("scripts")
         .filter(|p| p.ends_with(".c") || p.ends_with(".h"))
         .map(str::to_string)
         .collect();
-    for candidate in ["kernel/bounds.c"] {
-        if tree.contains(candidate) {
-            bootstrap.insert(candidate.to_string());
-        }
+    if tree.contains("kernel/bounds.c") {
+        bootstrap.insert("kernel/bounds.c".to_string());
     }
-    for p in tree.paths() {
-        if p.starts_with("arch/") && p.ends_with("/kernel/asm-offsets.c") {
-            bootstrap.insert(p.to_string());
-        }
-    }
+    bootstrap.extend(
+        tree.files_under("arch")
+            .filter(|p| p.ends_with("/kernel/asm-offsets.c"))
+            .map(str::to_string),
+    );
     bootstrap
 }
 
 /// Build the cross-patch include memo for preprocessing runs over
 /// `tree` — one per make invocation, shared by every file in the group
-/// (the tree clone inside is Arc-shared blob pointers; it pins the
-/// epoch the closure-fingerprint memo keys on).
+/// (the tree clone inside is one pointer copy; it pins the epoch the
+/// closure-fingerprint memo keys on).
 pub(crate) fn tree_memo(
     tree: &SourceTree,
     cfg: &BuildConfig,

@@ -205,24 +205,11 @@ impl ConfigCache {
     ///
     /// Two trees with equal fingerprints solve to identical
     /// configurations for every `(arch, kind)`, so solved configs are
-    /// safely shared across patches that do not touch those files.
+    /// safely shared across patches that do not touch those files. The
+    /// tree maintains this digest as files come and go, so reading it is
+    /// O(1), and it does not depend on the order files were inserted in.
     pub fn fingerprint_tree(tree: &SourceTree) -> u64 {
-        let mut paths: Vec<&str> = tree
-            .paths()
-            .filter(|p| {
-                p.rsplit('/').next().is_some_and(|name| name.contains("Kconfig"))
-                    || (p.starts_with("arch/") && p.contains("/configs/"))
-            })
-            .collect();
-        paths.sort_unstable();
-        let mut h = Fnv::new();
-        for p in paths {
-            h.write(p.as_bytes());
-            h.write(&[0]);
-            h.write(tree.get(p).unwrap_or_default().as_bytes());
-            h.write(&[0xff]);
-        }
-        h.finish()
+        tree.config_digest()
     }
 
     /// Fingerprint arbitrary bytes (used to widen custom-config keys).
@@ -252,20 +239,53 @@ mod tests {
     fn fingerprint_tracks_kconfig_and_defconfig_content_only() {
         let base = tiny_tree();
         let fp = ConfigCache::fingerprint_tree(&base);
+        // The fingerprint after writing `content` to `path` (None removes).
+        let edited = |tree: &SourceTree, path: &str, content: Option<&str>| {
+            let mut t = tree.clone();
+            match content {
+                Some(c) => t.insert(path, c),
+                None => drop(t.remove(path)),
+            }
+            ConfigCache::fingerprint_tree(&t)
+        };
 
-        // Touching a .c file leaves the fingerprint alone…
-        let mut c_change = base.clone();
-        c_change.insert("kernel/core.c", "int core_v2;\n");
-        assert_eq!(fp, ConfigCache::fingerprint_tree(&c_change));
+        // Edits to .c, .h and Makefiles leave the fingerprint alone…
+        for (path, content) in [
+            ("kernel/core.c", Some("int core_v2;\n")),
+            ("kernel/core.c", None),
+            ("include/linux/core.h", Some("#define CORE 1\n")),
+            ("kernel/Makefile", Some("obj-y += core.o x.o\n")),
+        ] {
+            assert_eq!(fp, edited(&base, path, content), "{path}");
+        }
+        // …while adding, editing or removing a Kconfig or defconfig
+        // changes it.
+        let defconfig = "arch/x86_64/configs/tiny_defconfig";
+        for (path, content) in [
+            ("Kconfig", Some("config NET\n\tbool \"network\"\n")),
+            ("net/Kconfig", Some("config INET\n\tbool\n")),
+            ("arch/x86_64/Kconfig", None),
+            (defconfig, Some("CONFIG_NET=y\n")),
+        ] {
+            assert_ne!(fp, edited(&base, path, content), "{path}");
+        }
+        let mut with_defconfig = base;
+        with_defconfig.insert(defconfig, "CONFIG_NET=y\n");
+        let dfp = ConfigCache::fingerprint_tree(&with_defconfig);
+        let edit = Some("CONFIG_NET=n\n");
+        assert_ne!(dfp, edited(&with_defconfig, defconfig, edit));
+        assert_eq!(fp, edited(&with_defconfig, defconfig, None));
 
-        // …while touching Kconfig or a defconfig changes it.
-        let mut k_change = base.clone();
-        k_change.insert("Kconfig", "config NET\n\tbool \"network\"\n");
-        assert_ne!(fp, ConfigCache::fingerprint_tree(&k_change));
-
-        let mut d_change = base;
-        d_change.insert("arch/x86_64/configs/tiny_defconfig", "CONFIG_NET=y\n");
-        assert_ne!(fp, ConfigCache::fingerprint_tree(&d_change));
+        // The value is a function of content, not of insertion order.
+        let files: Vec<(String, String)> = with_defconfig
+            .iter()
+            .map(|(p, c)| (p.to_string(), c.to_string()))
+            .collect();
+        let reversed: SourceTree = files.iter().rev().cloned().collect();
+        assert_eq!(dfp, ConfigCache::fingerprint_tree(&reversed));
+        let mut rotated: SourceTree = files[2..].iter().cloned().collect();
+        rotated.extend(files[..2].iter().cloned());
+        assert_eq!(dfp, ConfigCache::fingerprint_tree(&rotated));
     }
 
     #[test]

@@ -1572,6 +1572,55 @@ mod tests {
         }
     }
 
+    /// The tree fingerprint as builds before the tree-maintained config
+    /// digest computed it: FNV over the sorted Kconfig/defconfig paths
+    /// and their content.
+    fn fnv_tree_fingerprint(tree: &SourceTree) -> u64 {
+        let mut h = Fnv::new();
+        for (p, c) in tree.iter() {
+            let name = p.rsplit('/').next().unwrap_or(p);
+            if name.contains("Kconfig") || (p.starts_with("arch/") && p.contains("/configs/")) {
+                h.write(p.as_bytes());
+                h.write(&[0]);
+                h.write(c.as_bytes());
+                h.write(&[0xff]);
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn configs_keyed_by_an_older_tree_fingerprint_load_but_only_miss() {
+        let dir = tempdir("old-fingerprint");
+        let disk = DiskCache::open(&dir).unwrap();
+        let tree = tiny_tree();
+        let old_fp = fnv_tree_fingerprint(&tree);
+        assert_ne!(old_fp, ConfigCache::fingerprint_tree(&tree));
+        let configs = ConfigCache::new();
+        let cfg = solved_config();
+        configs.insert(old_fp, &cfg.key().clone(), 0, cfg);
+        disk.store(&ObjectCache::new(), &configs, &PreprocCache::new())
+            .unwrap();
+
+        // The tier loads cleanly; the entry is never served to the tree
+        // it was solved for, so the config is solved afresh.
+        let loaded = Arc::new(ConfigCache::new());
+        let stats = disk
+            .load(
+                &ObjectCache::new(),
+                &loaded,
+                &PreprocCache::new(),
+                &Faults::disabled(),
+            )
+            .unwrap();
+        assert_eq!((stats.configs_loaded, stats.entries_quarantined), (1, 0));
+        let mut engine = BuildEngine::with_shared_cache(tree, Arc::clone(&loaded));
+        engine.make_config("x86_64", &ConfigKind::AllYes).unwrap();
+        let s = loaded.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 1, 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "jmake-diskcache-{tag}-{}",

@@ -60,4 +60,4 @@ pub use objcache::{
 pub use intern::{ArchId, PathId, TokenId};
 pub use objgraph::ObjGraph;
 pub use ppcache::{PreprocCache, PreprocCacheStats};
-pub use tree::{Blob, SourceTree};
+pub use tree::{Blob, ConfigScan, SourceTree, TreeChange};

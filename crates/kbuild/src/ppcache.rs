@@ -180,8 +180,8 @@ impl PreprocCache {
 }
 
 /// [`IncludeMemo`] adapter binding one (tree, architecture) pair to a
-/// shared [`PreprocCache`]. Cloning the tree is cheap (`Arc`-shared
-/// blobs) and pins the epoch the closure memo keys on.
+/// shared [`PreprocCache`]. Cloning the tree copies one pointer and pins
+/// the epoch the closure memo keys on.
 pub struct TreeMemo {
     tree: SourceTree,
     arch: &'static str,

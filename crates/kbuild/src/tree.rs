@@ -1,8 +1,7 @@
 //! The in-memory source tree.
 
-use crate::hash::ContentHash;
+use crate::hash::{ContentHash, Fnv};
 use crate::makefile::Makefile;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -28,18 +27,32 @@ pub struct IncludeScan {
     pub uncacheable: bool,
 }
 
+/// The configuration variables one file mentions, pre-scanned for
+/// architecture selection (`jmake_core::ArchSelector`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ConfigScan {
+    /// `X` for every `CONFIG_X` token, in first-occurrence order.
+    pub refs: Vec<Box<str>>,
+    /// Names on `config`, `menuconfig`, `depends on` and `select` lines,
+    /// in first-occurrence order. They count as mentions only when the
+    /// file is a Kconfig file, which its path (not its content) decides.
+    pub kconfig: Vec<Box<str>>,
+}
+
 /// One file's content plus lazily-computed derived state.
 ///
 /// Blobs always live behind `Arc` and are shared: between the version
 /// store and every checkout, between a tree and its clones, and between a
 /// patch's base and mutated trees. The derived state (content hash,
-/// parsed makefile, include scan) is therefore computed once per distinct
-/// content per process, no matter how many trees or patches touch it.
+/// parsed makefile, include scan, configuration-variable scan) is
+/// therefore computed once per distinct content per process, no matter
+/// how many trees or patches touch it.
 pub struct Blob {
     text: Arc<str>,
     hash: OnceLock<ContentHash>,
     makefile: OnceLock<Arc<Makefile>>,
     includes: OnceLock<IncludeScan>,
+    config_vars: OnceLock<ConfigScan>,
 }
 
 impl Blob {
@@ -50,6 +63,7 @@ impl Blob {
             hash: OnceLock::new(),
             makefile: OnceLock::new(),
             includes: OnceLock::new(),
+            config_vars: OnceLock::new(),
         })
     }
 
@@ -97,6 +111,12 @@ impl Blob {
     pub fn include_scan_with(&self, scan: impl FnOnce(&str) -> IncludeScan) -> &IncludeScan {
         self.includes.get_or_init(|| scan(&self.text))
     }
+
+    /// The blob's configuration-variable scan, computed by `scan` once
+    /// per blob.
+    pub fn config_scan_with(&self, scan: impl FnOnce(&str) -> ConfigScan) -> &ConfigScan {
+        self.config_vars.get_or_init(|| scan(&self.text))
+    }
 }
 
 impl std::fmt::Debug for Blob {
@@ -116,28 +136,102 @@ impl PartialEq for Blob {
 
 impl Eq for Blob {}
 
+/// Most entries one leaf holds; an insert that overflows a leaf splits it
+/// in half. A write to a shared leaf copies it, so the cap bounds that
+/// copy (64 path/blob pointer pairs, about a kilobyte), while a
+/// 2,433-file tree still fits in a root array of under a hundred leaves.
+const LEAF_CAP: usize = 64;
+
+/// One file of a tree: its path and its shared content.
+type Entry = (Arc<str>, Arc<Blob>);
+
+/// A run of consecutive entries in path order. Every tree that has not
+/// written to a leaf shares it by pointer.
+type Leaf = Arc<Vec<Entry>>;
+
 /// A kernel source tree held entirely in memory, path → content.
 ///
 /// Paths are `/`-separated and relative to the tree root
 /// (`drivers/net/e1000.c`). The paper's evaluation kept 25 clones of the
 /// kernel tree in a tmpfs for the same reason: eliminate disk access.
-/// Contents are [`Blob`]s behind `Arc`, so cloning a tree copies pointers,
-/// not file text.
-#[derive(Debug, Clone)]
+///
+/// The tree is persistent: a root array of sorted leaves, each holding at
+/// most 64 entries, all behind `Arc`. `clone` copies one pointer. A write
+/// copies the root's pointer array and the one leaf it lands in when
+/// another tree still shares them, so a tree derived from another by `k`
+/// edits costs `O(k)` leaves and shares the rest — which is what lets
+/// [`SourceTree::diff`] skip everything two trees share.
+#[derive(Clone)]
 pub struct SourceTree {
-    files: BTreeMap<Arc<str>, Arc<Blob>>,
+    /// Non-empty leaves in path order: every path in leaf `i` sorts
+    /// before every path in leaf `i + 1`.
+    leaves: Arc<Vec<Leaf>>,
+    len: usize,
     bytes: u64,
+    config_digest: u64,
     epoch: u64,
+}
+
+/// One path whose content differs between two trees, as reported by
+/// [`SourceTree::diff`].
+#[derive(Debug, Clone, Copy)]
+pub struct TreeChange<'a> {
+    /// The path.
+    pub path: &'a Arc<str>,
+    /// Its blob in the old tree; `None` when the new tree created it.
+    pub old: Option<&'a Arc<Blob>>,
+    /// Its blob in the new tree; `None` when the new tree deleted it.
+    pub new: Option<&'a Arc<Blob>>,
 }
 
 impl SourceTree {
     /// An empty tree.
     pub fn new() -> Self {
         SourceTree {
-            files: BTreeMap::new(),
+            leaves: Arc::new(Vec::new()),
+            len: 0,
             bytes: 0,
+            config_digest: 0,
             epoch: next_epoch(),
         }
+    }
+
+    /// Where `path` is or would go: the leaf to search (the last leaf
+    /// whose first path sorts at or before `path`, else leaf 0) and the
+    /// binary-search result within it. `None` for an empty tree.
+    fn locate(&self, path: &str) -> Option<(usize, Result<usize, usize>)> {
+        if self.leaves.is_empty() {
+            return None;
+        }
+        let li = self
+            .leaves
+            .partition_point(|leaf| &*leaf[0].0 <= path)
+            .saturating_sub(1);
+        Some((
+            li,
+            self.leaves[li].binary_search_by(|(p, _)| (**p).cmp(path)),
+        ))
+    }
+
+    fn entry(&self, path: &str) -> Option<&Entry> {
+        match self.locate(path)? {
+            (li, Ok(i)) => Some(&self.leaves[li][i]),
+            _ => None,
+        }
+    }
+
+    /// The position of the first entry whose path sorts at or after
+    /// `key`, as (leaf, index); `(leaves, 0)` when there is none.
+    fn lower_bound(&self, key: &str) -> (usize, usize) {
+        let li = self.leaves.partition_point(|leaf| &*leaf[0].0 < key);
+        if li > 0 {
+            let prev = &self.leaves[li - 1];
+            let i = prev.partition_point(|(p, _)| &**p < key);
+            if i < prev.len() {
+                return (li - 1, i);
+            }
+        }
+        (li, 0)
     }
 
     /// Insert or replace a file.
@@ -149,61 +243,112 @@ impl SourceTree {
     /// Insert or replace a file as a pre-built (possibly shared) blob.
     pub fn insert_blob(&mut self, path: Arc<str>, blob: Arc<Blob>) {
         self.bytes += blob.len() as u64;
-        if let Some(old) = self.files.insert(path, blob) {
-            self.bytes -= old.len() as u64;
-        }
+        self.config_digest = self.config_digest.wrapping_add(config_term(&path, &blob));
         self.epoch = next_epoch();
+        let Some((li, found)) = self.locate(&path) else {
+            Arc::make_mut(&mut self.leaves).push(Arc::new(vec![(path, blob)]));
+            self.len = 1;
+            return;
+        };
+        let leaves = Arc::make_mut(&mut self.leaves);
+        let leaf = Arc::make_mut(&mut leaves[li]);
+        match found {
+            Ok(i) => {
+                let old = std::mem::replace(&mut leaf[i].1, blob);
+                self.bytes -= old.len() as u64;
+                self.config_digest = self.config_digest.wrapping_sub(config_term(&path, &old));
+            }
+            Err(i) => {
+                leaf.insert(i, (path, blob));
+                self.len += 1;
+                if leaf.len() > LEAF_CAP {
+                    let right = leaf.split_off(leaf.len() / 2);
+                    leaves.insert(li + 1, Arc::new(right));
+                }
+            }
+        }
     }
 
     /// Remove a file; returns its content if present.
     pub fn remove(&mut self, path: &str) -> Option<String> {
-        let old = self.files.remove(path)?;
+        let (li, Ok(i)) = self.locate(path)? else {
+            return None;
+        };
+        let leaves = Arc::make_mut(&mut self.leaves);
+        let leaf = Arc::make_mut(&mut leaves[li]);
+        let (path, old) = leaf.remove(i);
+        if leaf.is_empty() {
+            leaves.remove(li);
+        }
+        self.len -= 1;
         self.bytes -= old.len() as u64;
+        self.config_digest = self.config_digest.wrapping_sub(config_term(&path, &old));
         self.epoch = next_epoch();
         Some(old.text().to_string())
     }
 
     /// Content of `path`.
     pub fn get(&self, path: &str) -> Option<&str> {
-        self.files.get(path).map(|b| b.text())
+        self.entry(path).map(|(_, b)| b.text())
     }
 
     /// The blob of `path`.
     pub fn get_blob(&self, path: &str) -> Option<&Arc<Blob>> {
-        self.files.get(path)
+        self.entry(path).map(|(_, b)| b)
     }
 
     /// True when `path` exists.
     pub fn contains(&self, path: &str) -> bool {
-        self.files.contains_key(path)
+        self.entry(path).is_some()
     }
 
     /// Iterate over `(path, content)` in path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.files.iter().map(|(p, c)| (&**p, c.text()))
+        self.iter_blobs().map(|(p, b)| (&**p, b.text()))
     }
 
     /// Iterate over `(path, blob)` in path order.
     pub fn iter_blobs(&self) -> impl Iterator<Item = (&Arc<str>, &Arc<Blob>)> {
-        self.files.iter()
+        self.leaves
+            .iter()
+            .flat_map(|leaf| leaf.iter().map(|(p, b)| (p, b)))
+    }
+
+    /// Iterate over `(path, blob)` under `prefix` (a directory path
+    /// without a trailing slash, or `""` for the whole tree), in path
+    /// order. A range walk: it touches only the entries it yields.
+    pub fn blobs_under<'a>(
+        &'a self,
+        prefix: &str,
+    ) -> impl Iterator<Item = (&'a Arc<str>, &'a Arc<Blob>)> + 'a {
+        let dir = if prefix.is_empty() {
+            String::new()
+        } else {
+            format!("{prefix}/")
+        };
+        let (li, start) = self.lower_bound(&dir);
+        self.leaves[li..]
+            .iter()
+            .enumerate()
+            .flat_map(move |(k, leaf)| leaf[if k == 0 { start } else { 0 }..].iter())
+            .take_while(move |(p, _)| p.starts_with(dir.as_str()))
+            .map(|(p, b)| (p, b))
     }
 
     /// Iterate over paths under `prefix` (a directory path without a
     /// trailing slash, or `""` for the whole tree).
-    pub fn files_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.files.keys().map(|p| &**p).filter(move |p| {
-            prefix.is_empty() || p.strip_prefix(prefix).is_some_and(|r| r.starts_with('/'))
-        })
+    pub fn files_under<'a>(&'a self, prefix: &str) -> impl Iterator<Item = &'a str> + 'a {
+        self.blobs_under(prefix).map(|(p, _)| &**p)
     }
 
     /// Number of files.
     pub fn len(&self) -> usize {
-        self.files.len()
+        self.len
     }
 
     /// True when the tree has no files.
     pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
+        self.len == 0
     }
 
     /// Total bytes of content — the virtual clock's whole-kernel compile
@@ -212,9 +357,20 @@ impl SourceTree {
         self.bytes
     }
 
+    /// Digest of everything configuration solving reads: every file
+    /// whose name mentions `Kconfig` and every prepared configuration
+    /// under `arch/*/configs/`, with its content. An order-independent
+    /// sum of one mixed hash of (path, content hash) per such file,
+    /// maintained by `insert_blob` and `remove` like
+    /// [`SourceTree::total_bytes`], so reading it is O(1). Equal trees
+    /// have equal digests whatever order their files were inserted in.
+    pub(crate) fn config_digest(&self) -> u64 {
+        self.config_digest
+    }
+
     /// Paths of every file, in order.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(|p| &**p)
+        self.iter_blobs().map(|(p, _)| &**p)
     }
 
     /// The tree's content epoch: globally unique per mutation, copied by
@@ -222,6 +378,133 @@ impl SourceTree {
     /// functions of tree content may memoize on `(epoch, …)` keys.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Every path whose content differs between `self` (the old tree)
+    /// and `new`, in path order. Two blobs count as equal when they are
+    /// the same `Arc` or have the same content hash. Leaves the two
+    /// trees share by pointer are skipped whole, so diffing a tree
+    /// against one derived from it by `k` edits costs `O(k)` leaves plus
+    /// one pass over the root arrays.
+    pub fn diff<'a>(&'a self, new: &'a SourceTree) -> Vec<TreeChange<'a>> {
+        let mut out = Vec::new();
+        if Arc::ptr_eq(&self.leaves, &new.leaves) {
+            return out;
+        }
+        let (mut a, mut b) = (Cursor::new(&self.leaves), Cursor::new(&new.leaves));
+        loop {
+            while let (Some(x), Some(y)) = (a.leaf_start(), b.leaf_start()) {
+                if !Arc::ptr_eq(x, y) {
+                    break;
+                }
+                a.leaf += 1;
+                b.leaf += 1;
+            }
+            let (path, old, new) = match (a.peek(), b.peek()) {
+                (None, None) => break,
+                (Some((p, x)), None) => {
+                    a.advance();
+                    (p, Some(x), None)
+                }
+                (None, Some((p, y))) => {
+                    b.advance();
+                    (p, None, Some(y))
+                }
+                (Some((pa, x)), Some((pb, y))) => match pa.cmp(pb) {
+                    std::cmp::Ordering::Less => {
+                        a.advance();
+                        (pa, Some(x), None)
+                    }
+                    std::cmp::Ordering::Greater => {
+                        b.advance();
+                        (pb, None, Some(y))
+                    }
+                    std::cmp::Ordering::Equal => {
+                        a.advance();
+                        b.advance();
+                        if Arc::ptr_eq(x, y) || x.hash() == y.hash() {
+                            continue;
+                        }
+                        (pb, Some(x), Some(y))
+                    }
+                },
+            };
+            out.push(TreeChange { path, old, new });
+        }
+        out
+    }
+}
+
+/// A position in a tree's leaves, for [`SourceTree::diff`].
+struct Cursor<'a> {
+    leaves: &'a [Leaf],
+    leaf: usize,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(leaves: &'a [Leaf]) -> Self {
+        Cursor {
+            leaves,
+            leaf: 0,
+            pos: 0,
+        }
+    }
+
+    /// The current leaf when the cursor sits on its first entry.
+    fn leaf_start(&self) -> Option<&'a Leaf> {
+        if self.pos == 0 {
+            self.leaves.get(self.leaf)
+        } else {
+            None
+        }
+    }
+
+    fn peek(&self) -> Option<&'a Entry> {
+        self.leaves.get(self.leaf).map(|leaf| &leaf[self.pos])
+    }
+
+    fn advance(&mut self) {
+        self.pos += 1;
+        if self.pos == self.leaves[self.leaf].len() {
+            self.leaf += 1;
+            self.pos = 0;
+        }
+    }
+}
+
+/// True for the paths configuration solving reads: every file whose name
+/// mentions `Kconfig` (the top-level and per-arch files plus everything
+/// `source` directives chase, which kernel convention names `Kconfig*`),
+/// and every prepared configuration under `arch/*/configs/`.
+pub(crate) fn feeds_config(path: &str) -> bool {
+    file_name(path).contains("Kconfig") || (path.starts_with("arch/") && path.contains("/configs/"))
+}
+
+/// One entry's share of [`SourceTree::config_digest`]: zero unless
+/// [`feeds_config`] selects the path, else a well-mixed hash of the path
+/// and the blob's (memoized) content hash.
+fn config_term(path: &str, blob: &Blob) -> u64 {
+    if !feeds_config(path) {
+        return 0;
+    }
+    let content = blob.hash();
+    let mut h = Fnv::new();
+    h.write(path.as_bytes());
+    h.write(&[0]);
+    h.write(&content.hi().to_le_bytes());
+    h.write(&content.lo().to_le_bytes());
+    // The splitmix64 finalizer: FNV's low bits mix poorly, and the
+    // digest adds terms, so each term must be uniform on its own.
+    let mut x = h.finish();
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+impl std::fmt::Debug for SourceTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter_blobs()).finish()
     }
 }
 
@@ -233,12 +516,12 @@ impl Default for SourceTree {
 
 impl PartialEq for SourceTree {
     fn eq(&self, other: &Self) -> bool {
-        self.files.len() == other.files.len()
-            && self
-                .files
-                .iter()
-                .zip(other.files.iter())
-                .all(|((pa, ba), (pb, bb))| pa == pb && (Arc::ptr_eq(ba, bb) || ba == bb))
+        Arc::ptr_eq(&self.leaves, &other.leaves)
+            || self.len == other.len
+                && self
+                    .iter_blobs()
+                    .zip(other.iter_blobs())
+                    .all(|((pa, ba), (pb, bb))| pa == pb && (Arc::ptr_eq(ba, bb) || ba == bb))
     }
 }
 
@@ -374,5 +657,73 @@ mod tests {
         let b = Arc::as_ptr(blob.makefile());
         assert_eq!(a, b);
         assert_eq!(blob.makefile().objs.len(), 1);
+    }
+
+    #[test]
+    fn diff_reports_each_changed_path_in_order() {
+        let old = sample();
+        let mut new = old.clone();
+        new.insert("drivers/net/ab.c", "int ab2;\n");
+        new.insert("drivers/net/new.c", "int n;\n");
+        new.remove("Makefile");
+        // The same content as a fresh blob is not a change.
+        new.insert("drivers/nvme/b.c", "int b;\n");
+        let changes: Vec<(&str, bool, bool)> = old
+            .diff(&new)
+            .iter()
+            .map(|c| (&**c.path, c.old.is_some(), c.new.is_some()))
+            .collect();
+        assert_eq!(
+            changes,
+            vec![
+                ("Makefile", true, false),
+                ("drivers/net/ab.c", true, true),
+                ("drivers/net/new.c", false, true),
+            ]
+        );
+        assert!(old.diff(&old.clone()).is_empty());
+    }
+
+    #[test]
+    fn diff_skips_shared_leaves_of_a_wide_tree() {
+        let mut old = SourceTree::new();
+        for i in 0..1000 {
+            old.insert(format!("d{:02}/f{i:04}.c", i % 37), format!("int v{i};\n"));
+        }
+        let mut new = old.clone();
+        new.insert("d05/f0005.c", "int changed;\n");
+        new.insert("d36/zz.c", "int created;\n");
+        let paths: Vec<String> = old.diff(&new).iter().map(|c| c.path.to_string()).collect();
+        assert_eq!(paths, vec!["d05/f0005.c", "d36/zz.c"]);
+        // Every leaf but the two written ones is still shared.
+        let shared = old
+            .leaves
+            .iter()
+            .filter(|l| new.leaves.iter().any(|m| Arc::ptr_eq(l, m)))
+            .count();
+        assert!(old.leaves.len() > 10, "{} leaves", old.leaves.len());
+        assert!(
+            shared >= old.leaves.len() - 2,
+            "{shared} of {}",
+            old.leaves.len()
+        );
+    }
+
+    #[test]
+    fn config_digest_tracks_only_config_inputs() {
+        let mut t = sample();
+        assert_eq!(t.config_digest(), 0);
+        t.insert("Kconfig", "config NET\n\tbool\n");
+        let with_kconfig = t.config_digest();
+        assert_ne!(with_kconfig, 0);
+        t.insert("drivers/net/a.c", "int a2;\n");
+        assert_eq!(t.config_digest(), with_kconfig);
+        t.insert("arch/arm/configs/x_defconfig", "CONFIG_NET=y\n");
+        assert_ne!(t.config_digest(), with_kconfig);
+        t.remove("arch/arm/configs/x_defconfig");
+        assert_eq!(t.config_digest(), with_kconfig);
+        assert!(feeds_config("drivers/net/Kconfig.debug"));
+        assert!(!feeds_config("configs/arm/x_defconfig"));
+        assert!(!feeds_config("Kconfig.d/readme"));
     }
 }

@@ -33,11 +33,10 @@ impl BlobId {
 
 /// Deduplicating blob store.
 ///
-/// Blobs are held behind `Arc` and shared into every checkout, so one
-/// commit sequence materializes each distinct content exactly once —
-/// checkouts copy pointers, and per-blob derived state (content hash,
-/// parsed makefile, include scan) accumulates on the stored blob for all
-/// trees that reference it.
+/// Blobs are held behind `Arc` and shared into every commit's tree, so
+/// one commit sequence materializes each distinct content exactly once,
+/// and per-blob derived state (content hash, parsed makefile, include
+/// scan) accumulates on the stored blob for all trees that reference it.
 #[derive(Debug, Clone, Default)]
 pub struct BlobStore {
     blobs: HashMap<BlobId, Arc<Blob>>,
@@ -58,21 +57,21 @@ impl BlobStore {
         id
     }
 
-    /// Store an existing (possibly shared) blob, returning its id.
-    pub fn put_blob(&mut self, blob: &Arc<Blob>) -> BlobId {
-        let id = BlobId(blob.hash());
-        self.blobs.entry(id).or_insert_with(|| Arc::clone(blob));
-        id
+    /// Store an existing blob and return the stored handle for its
+    /// content: `blob` itself the first time the content is seen, the
+    /// earlier blob after that, so every tree holding this content shares
+    /// one blob and its memoized derived state.
+    pub fn intern(&mut self, blob: &Arc<Blob>) -> Arc<Blob> {
+        Arc::clone(
+            self.blobs
+                .entry(BlobId(blob.hash()))
+                .or_insert_with(|| Arc::clone(blob)),
+        )
     }
 
     /// Retrieve a blob's content.
     pub fn get(&self, id: BlobId) -> Option<&str> {
         self.blobs.get(&id).map(|b| b.text())
-    }
-
-    /// Retrieve a blob as a shareable handle.
-    pub fn get_blob(&self, id: BlobId) -> Option<&Arc<Blob>> {
-        self.blobs.get(&id)
     }
 
     /// Number of distinct blobs.
@@ -101,6 +100,18 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(a), Some("int x;\n"));
         assert_eq!(s.get(c), Some("int y;\n"));
+    }
+
+    #[test]
+    fn intern_returns_the_first_blob_of_each_content() {
+        let mut s = BlobStore::new();
+        let first = Blob::new("int x;\n");
+        let again = Blob::new("int x;\n");
+        assert!(Arc::ptr_eq(&s.intern(&first), &first));
+        assert!(Arc::ptr_eq(&s.intern(&again), &first));
+        let other = Blob::new("int y;\n");
+        assert!(Arc::ptr_eq(&s.intern(&other), &other));
+        assert_eq!(s.len(), 2);
     }
 
     #[test]

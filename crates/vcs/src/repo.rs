@@ -1,12 +1,12 @@
 //! Commits, tags, log, show, checkout.
 
-use crate::object::{BlobId, BlobStore};
+use crate::object::BlobStore;
 use jmake_diff::{diff_to_patch, ChangeKind, DiffOptions, FilePatch, Patch};
 use jmake_kbuild::SourceTree;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identity of a commit (index into the repository's commit sequence,
 /// displayed as a short hex id like git abbreviates hashes).
@@ -41,9 +41,10 @@ pub struct Commit {
     pub author: String,
     /// Commit message subject.
     pub message: String,
-    /// Snapshot: path → blob. Paths are shared handles so checkouts
-    /// clone pointers, not strings.
-    pub tree: BTreeMap<Arc<str>, BlobId>,
+    /// Snapshot. Trees are persistent, so a commit shares every leaf its
+    /// edit left alone with its parent: storing one costs O(changed
+    /// files), and checking one out is a pointer copy.
+    pub tree: SourceTree,
 }
 
 impl Commit {
@@ -72,6 +73,12 @@ impl fmt::Display for RepoError {
 }
 
 impl Error for RepoError {}
+
+/// The tree a parentless commit is diffed against.
+fn empty_tree() -> &'static SourceTree {
+    static EMPTY: OnceLock<SourceTree> = OnceLock::new();
+    EMPTY.get_or_init(SourceTree::new)
+}
 
 /// Options for [`Repo::log`], mirroring the paper's
 /// `git log -w --diff-filter=M --no-merges v4.3..v4.4` (§V.A).
@@ -121,7 +128,9 @@ impl Repo {
         Repo::default()
     }
 
-    /// Record a commit of `tree` with the given parents.
+    /// Record a commit of `tree` with the given parents. The commit keeps
+    /// a clone of `tree` (a pointer copy); only the files that differ
+    /// from the first parent are content-addressed into the blob store.
     pub fn commit(
         &mut self,
         parents: &[CommitId],
@@ -130,10 +139,22 @@ impl Repo {
         tree: &SourceTree,
     ) -> CommitId {
         let id = CommitId(self.commits.len() as u32);
-        let snapshot = tree
-            .iter_blobs()
-            .map(|(p, b)| (Arc::clone(p), self.blobs.put_blob(b)))
-            .collect();
+        let parent = parents
+            .first()
+            .and_then(|p| self.commits.get(p.0 as usize))
+            .map_or(empty_tree(), |c| &c.tree);
+        // Content-address only what this commit introduces. An edit that
+        // restores known content gets the stored blob, so its derived
+        // state is shared with every earlier tree holding it.
+        let mut snapshot = tree.clone();
+        for change in parent.diff(tree) {
+            if let Some(blob) = change.new {
+                let stored = self.blobs.intern(blob);
+                if !Arc::ptr_eq(&stored, blob) {
+                    snapshot.insert_blob(Arc::clone(change.path), stored);
+                }
+            }
+        }
         self.commits.push(Commit {
             id,
             parents: parents.to_vec(),
@@ -191,13 +212,7 @@ impl Repo {
     ///
     /// [`RepoError::NoSuchCommit`].
     pub fn checkout(&self, id: CommitId) -> Result<SourceTree, RepoError> {
-        let commit = self.get(id)?;
-        let mut tree = SourceTree::new();
-        for (p, b) in &commit.tree {
-            let blob = self.blobs.get_blob(*b).expect("commit references stored blob");
-            tree.insert_blob(Arc::clone(p), Arc::clone(blob));
-        }
-        Ok(tree)
+        Ok(self.get(id)?.tree.clone())
     }
 
     /// `git show <id>`: the patch this commit applies relative to its
@@ -210,65 +225,46 @@ impl Repo {
         self.show_with(id, &DiffOptions::default())
     }
 
-    /// [`Repo::show`] with explicit diff options (`-w` etc.).
+    /// [`Repo::show`] with explicit diff options (`-w` etc.). Costs
+    /// O(changed files): the structural diff skips every leaf the commit
+    /// shares with its parent.
     ///
     /// # Errors
     ///
     /// [`RepoError::NoSuchCommit`].
     pub fn show_with(&self, id: CommitId, opts: &DiffOptions) -> Result<Patch, RepoError> {
         let commit = self.get(id)?;
-        let parent_tree = match commit.parents.first() {
-            Some(p) => self.get(*p)?.tree.clone(),
-            None => BTreeMap::new(),
-        };
-        Ok(self.diff_trees(&parent_tree, &commit.tree, opts))
+        let mut files: Vec<FilePatch> = Vec::new();
+        for change in self.first_parent_tree(commit)?.diff(&commit.tree) {
+            let path = &**change.path;
+            let old = change.old.map_or("", |b| b.text());
+            let new = change.new.map_or("", |b| b.text());
+            let patch = diff_to_patch(path, old, new, opts);
+            let (new_path, kind) = match (change.old, change.new) {
+                (Some(_), Some(_)) => {
+                    // Content hashes differ but the -w diff may be empty.
+                    files.extend(patch.files.into_iter().next());
+                    continue;
+                }
+                (None, _) => (path, ChangeKind::Create),
+                (Some(_), None) => ("/dev/null", ChangeKind::Delete),
+            };
+            files.push(FilePatch {
+                old_path: path.to_string(),
+                new_path: new_path.to_string(),
+                kind,
+                hunks: patch.files.into_iter().flat_map(|f| f.hunks).collect(),
+            });
+        }
+        Ok(Patch { files })
     }
 
-    fn diff_trees(
-        &self,
-        old: &BTreeMap<Arc<str>, BlobId>,
-        new: &BTreeMap<Arc<str>, BlobId>,
-        opts: &DiffOptions,
-    ) -> Patch {
-        let mut files: Vec<FilePatch> = Vec::new();
-        let blob = |id: &BlobId| self.blobs.get(*id).expect("stored blob");
-        for (path, new_id) in new {
-            match old.get(path) {
-                None => {
-                    // Created file.
-                    let patch = diff_to_patch(path, "", blob(new_id), opts);
-                    let hunks = patch.files.into_iter().flat_map(|f| f.hunks).collect();
-                    files.push(FilePatch {
-                        old_path: path.to_string(),
-                        new_path: path.to_string(),
-                        kind: ChangeKind::Create,
-                        hunks,
-                    });
-                }
-                Some(old_id) if old_id != new_id => {
-                    let patch = diff_to_patch(path, blob(old_id), blob(new_id), opts);
-                    // Content hashes differ but the -w diff may be empty.
-                    if let Some(fp) = patch.files.into_iter().next() {
-                        files.push(fp);
-                    }
-                }
-                Some(_) => {}
-            }
+    /// The tree of `commit`'s first parent; the empty tree for a root.
+    fn first_parent_tree(&self, commit: &Commit) -> Result<&SourceTree, RepoError> {
+        match commit.parents.first() {
+            Some(p) => Ok(&self.get(*p)?.tree),
+            None => Ok(empty_tree()),
         }
-        for (path, old_id) in old {
-            if !new.contains_key(path) {
-                let patch = diff_to_patch(path, blob(old_id), "", opts);
-                let hunks = patch.files.into_iter().flat_map(|f| f.hunks).collect();
-                files.push(FilePatch {
-                    old_path: path.to_string(),
-                    new_path: "/dev/null".to_string(),
-                    kind: ChangeKind::Delete,
-                    hunks,
-                });
-            }
-        }
-        files.sort_by(|a, b| a.path().cmp(b.path()));
-        Patch { files }
     }
 
     /// `git log` with the given options; returns matching commit ids in
@@ -315,33 +311,22 @@ impl Repo {
         self.commits.iter()
     }
 
-    /// Paths touched by a commit relative to its first parent, decided by
-    /// blob identity alone — much cheaper than [`Repo::show`] when only
-    /// the file list matters (the janitor activity analysis runs this over
-    /// years of history).
+    /// Paths touched by a commit relative to its first parent, in path
+    /// order, decided by blob identity alone — much cheaper than
+    /// [`Repo::show`] when only the file list matters (the janitor
+    /// activity analysis runs this over years of history).
     ///
     /// # Errors
     ///
     /// [`RepoError::NoSuchCommit`].
     pub fn changed_paths(&self, id: CommitId) -> Result<Vec<String>, RepoError> {
         let commit = self.get(id)?;
-        let parent: BTreeMap<Arc<str>, BlobId> = match commit.parents.first() {
-            Some(p) => self.get(*p)?.tree.clone(),
-            None => BTreeMap::new(),
-        };
-        let mut out = Vec::new();
-        for (path, blob) in &commit.tree {
-            if parent.get(path) != Some(blob) {
-                out.push(path.to_string());
-            }
-        }
-        for path in parent.keys() {
-            if !commit.tree.contains_key(path) {
-                out.push(path.to_string());
-            }
-        }
-        out.sort();
-        Ok(out)
+        Ok(self
+            .first_parent_tree(commit)?
+            .diff(&commit.tree)
+            .into_iter()
+            .map(|change| change.path.to_string())
+            .collect())
     }
 }
 

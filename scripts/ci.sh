@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a PR must keep green.
 #
-#   ./scripts/ci.sh          # build + tests + clippy
+#   ./scripts/ci.sh          # build + tests + benchmark smoke + clippy
 #
 # Runs entirely offline — the workspace's only non-std dependencies are
 # the vendored path crates under vendor/.
@@ -13,6 +13,12 @@ cargo build --release --workspace
 
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
+
+echo "==> benchmark smoke test (benchmark/ builds against the crates' current API)"
+# benchmark/ is its own Cargo workspace, so the workspace build above does
+# not compile it: a crate API change that breaks benchmark/src/layers.rs
+# fails here instead of on the next benchmark run.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --all-targets -- -D warnings (workspace)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone \
