@@ -28,17 +28,14 @@
 //!   --no-object-cache  disable the content-addressed object cache
 //!                      (every .i/.o is preprocessed from scratch;
 //!                      slower wall-clock, identical reports)
-//!   --no-work-stealing disable the typed warm-packet scheduler (idle
-//!                      workers stop warming caches speculatively;
-//!                      identical reports either way)
 //!   --no-preproc-cache disable the cross-patch preprocess memo (every
 //!                      header inclusion is expanded live; slower
 //!                      wall-clock, identical reports)
 //!   --bench-json FILE  write a machine-readable benchmark summary
-//!                      (schema 4: patches/sec, per-stage host CPU µs,
-//!                      end-to-end wall µs, cache hit rates, scheduler
-//!                      stage counters, remediate-stage totals, portfolio
-//!                      coverage summary — see DESIGN.md) to FILE
+//!                      (schema 5: patches/sec, per-stage host CPU µs,
+//!                      end-to-end wall µs, cache hit rates,
+//!                      remediate-stage totals, portfolio coverage
+//!                      summary — see DESIGN.md) to FILE
 //!   --cache-dir DIR    persist the config and object caches under DIR
 //!                      (created if missing) and pre-load them from it,
 //!                      so a second run starts warm. Entries carry an
@@ -197,15 +194,15 @@ fn trace_check(path: &str) -> ! {
 /// Machine-readable benchmark summary for `--bench-json` (hand-rolled:
 /// the workspace carries no JSON serializer and the shape is fixed).
 ///
-/// Schema 4 (documented in DESIGN.md): `host_cpu_us` holds the
+/// Schema 5 (documented in DESIGN.md): `host_cpu_us` holds the
 /// per-stage host time *summed over workers* (schema 1 called this
 /// `host_wall_us`, which misread as end-to-end time); `wall_us` is the
-/// actual end-to-end evaluation wall clock; `preproc_cache_stats` and
-/// `scheduler` cover the cross-patch preprocess memo and the typed
-/// warm-packet scheduler; `remediate` reports the `--fix` pass (all
-/// zeros with `ran: false` when remediation was off); `portfolio`
-/// (schema 4) summarizes `--portfolio` selection and measured randconfig
-/// token attribution (all zeros with `ran: false` when off).
+/// actual end-to-end evaluation wall clock; `preproc_cache_stats` covers
+/// the cross-patch preprocess memo; `remediate` reports the `--fix` pass
+/// (all zeros with `ran: false` when remediation was off); `portfolio`
+/// summarizes `--portfolio` selection and measured randconfig token
+/// attribution (all zeros with `ran: false` when off). Schema 5 dropped
+/// schema 4's `scheduler` block and the flag that switched it.
 fn render_bench_json(
     profile: &WorkloadProfile,
     driver: &DriverOptions,
@@ -220,18 +217,6 @@ fn render_bench_json(
     } else {
         0.0
     };
-    let sched = s
-        .scheduler
-        .stages()
-        .iter()
-        .map(|(name, st)| {
-            format!(
-                "    \"{}\": {{ \"enqueued\": {}, \"executed\": {}, \"dropped\": {}, \"peak_depth\": {} }}",
-                name, st.enqueued, st.executed, st.dropped, st.peak_depth
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
     let (fix_ran, fix_host_us, fix_virtual_us, fix_missed, fix_emitted, fix_verified, fix_unfixable) =
         match fix {
             Some((f, host_us)) => (
@@ -264,13 +249,12 @@ fn render_bench_json(
     format!(
         concat!(
             "{{\n",
-            "  \"schema\": 4,\n",
+            "  \"schema\": 5,\n",
             "  \"commits\": {},\n",
             "  \"seed\": {},\n",
             "  \"workers\": {},\n",
             "  \"shared_config_cache\": {},\n",
             "  \"object_cache\": {},\n",
-            "  \"work_stealing\": {},\n",
             "  \"preproc_cache\": {},\n",
             "  \"patches\": {},\n",
             "  \"checked\": {},\n",
@@ -282,8 +266,7 @@ fn render_bench_json(
             "  \"object_cache_stats\": {{ \"hits\": {}, \"negative_hits\": {}, \"misses\": {}, \"entries\": {}, \"hit_rate\": {:.4} }},\n",
             "  \"preproc_cache_stats\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {}, \"hit_rate\": {:.4}, \"closure_hits\": {}, \"closure_misses\": {} }},\n",
             "  \"remediate\": {{ \"ran\": {}, \"host_us\": {}, \"virtual_us\": {}, \"missed\": {}, \"deltas_emitted\": {}, \"deltas_verified\": {}, \"unfixable\": {} }},\n",
-            "  \"portfolio\": {{ \"ran\": {}, \"requested\": {}, \"selected\": {}, \"rand_seed\": {}, \"covered_lines\": {}, \"covered_conditional_lines\": {}, \"dead_lines\": {}, \"unfixable_lines\": {}, \"cost_virtual_us\": {}, \"tokens_by_rand\": {} }},\n",
-            "  \"scheduler\": {{\n{}\n  }}\n",
+            "  \"portfolio\": {{ \"ran\": {}, \"requested\": {}, \"selected\": {}, \"rand_seed\": {}, \"covered_lines\": {}, \"covered_conditional_lines\": {}, \"dead_lines\": {}, \"unfixable_lines\": {}, \"cost_virtual_us\": {}, \"tokens_by_rand\": {} }}\n",
             "}}\n",
         ),
         profile.commits,
@@ -291,7 +274,6 @@ fn render_bench_json(
         driver.workers,
         driver.shared_cache,
         driver.object_cache,
-        driver.work_stealing,
         driver.preproc_cache,
         s.patches,
         s.checked,
@@ -334,7 +316,6 @@ fn render_bench_json(
         pf_unfix,
         pf_cost,
         pf_tokens,
-        sched,
     )
 }
 
@@ -411,7 +392,6 @@ fn main() {
             "--rand-seed" => rand_seed = integer_arg("--rand-seed", it.next()),
             "--no-shared-cache" => driver.shared_cache = false,
             "--no-object-cache" => driver.object_cache = false,
-            "--no-work-stealing" => driver.work_stealing = false,
             "--no-preproc-cache" => driver.preproc_cache = false,
             "--bench-json" => {
                 let Some(path) = it.next() else {

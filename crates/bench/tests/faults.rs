@@ -8,11 +8,12 @@
 
 use jmake_core::{run_evaluation, DriverOptions, EvaluationRun, PatchOutcome};
 use jmake_faults::{FaultKind, FaultSpec, Faults};
+use jmake_kbuild::ObjectCache;
 use jmake_synth::WorkloadProfile;
 use jmake_trace::{Stage, Tracer};
 use jmake_vcs::{CommitId, LogOptions};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn workload(commits: usize) -> (jmake_synth::SynthOutput, Vec<CommitId>) {
     let profile = WorkloadProfile {
@@ -50,7 +51,6 @@ fn eval(
             workers,
             shared_cache: caches,
             object_cache: caches,
-            work_stealing: caches,
             faults,
             tracer,
             ..DriverOptions::default()
@@ -144,15 +144,19 @@ fn corrupted_cache_entries_are_quarantined_without_changing_reports() {
         Faults::disabled(),
         Tracer::disabled(),
     );
+    // Corruption fires on cache hits, and a cold pass over distinct
+    // commits barely hits: fill the object cache with a clean pass first,
+    // then rerun against it with every served entry corrupted.
+    let objects = Arc::new(ObjectCache::new());
+    let driver = |faults| DriverOptions {
+        workers: 4,
+        object_cache_handle: Some(Arc::clone(&objects)),
+        faults,
+        ..DriverOptions::default()
+    };
+    run_evaluation(&workload.repo, &commits, &driver(Faults::disabled()));
     let spec = FaultSpec::default().with_rate(FaultKind::Corrupt, 1.0);
-    let run = eval(
-        &workload,
-        &commits,
-        4,
-        true,
-        Faults::new(spec, 7),
-        Tracer::disabled(),
-    );
+    let run = run_evaluation(&workload.repo, &commits, &driver(Faults::new(spec, 7)));
     assert_eq!(run.results, baseline.results);
     assert_eq!(run.samples, baseline.samples);
     assert!(

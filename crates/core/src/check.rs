@@ -8,12 +8,9 @@ use crate::report::{FileReport, FileStatus, PatchReport, UncoveredMutation};
 use crate::token::{MutationKind, MutationToken};
 use jmake_cpp::analyze;
 use jmake_diff::{changed_lines, ChangeKind, Patch};
-use jmake_kbuild::{
-    bootstrap_files_of, tree::file_name, ArchId, BuildEngine, BuildError, ConfigKind, ObjKind,
-    PathId, SourceTree,
-};
+use jmake_kbuild::{tree::file_name, BuildEngine, BuildError, ConfigKind, SourceTree};
 use jmake_trace::Stage;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Tunable behaviour of the pipeline.
 #[derive(Debug, Clone)]
@@ -242,7 +239,7 @@ impl JMake {
         // allyes/defconfig/allmod first, then each selected randconfig, so
         // attribution ("which config first covered this token") and report
         // bytes are independent of worker count and cache mode — the same
-        // global target order every phase (and warm-probe planning) uses.
+        // global target order every phase uses.
         if !self.options.portfolio.is_empty() {
             let arches: Vec<String> = out.iter().map(|t| t.arch.clone()).collect();
             for seed in &self.options.portfolio {
@@ -829,173 +826,3 @@ impl HeaderCandidateMemo {
             .clone()
     }
 }
-
-/// One speculative cache-warming unit: replay the preprocess (`I`, over
-/// the mutated tree) or compile (`O`, over the pristine tree) of one
-/// (file × arch × config) combination into the shared object cache, off
-/// the authoritative critical path. The work-stealing driver expands a
-/// patch into these on idle workers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarmProbe {
-    /// The `.c` file to probe.
-    pub file: String,
-    /// Architecture to probe under.
-    pub arch: String,
-    /// Configuration kind to probe under (never `Custom` — coverage
-    /// configs are synthesized per patch and not worth pre-warming;
-    /// portfolio `Rand` members *are* probed, since their seed names the
-    /// configuration globally).
-    pub kind: ConfigKind,
-    /// Preprocess the mutated tree (`I`) or compile the pristine one (`O`).
-    pub op: ObjKind,
-}
-
-impl JMake {
-    /// Expand `patch` into its mutated tree plus the speculative warm
-    /// probes an idle worker can run: every (file × arch × config) pair
-    /// the authoritative `check_patch` may preprocess or compile, in
-    /// roughly the order it would reach them. Pure planning — no engine,
-    /// no virtual-clock charge, no trace span. Over-planning is sound
-    /// (probes only populate the content-addressed cache); the returned
-    /// mutated tree is byte-identical to the one `check_patch` builds, so
-    /// probe keys match the authoritative lookups exactly.
-    pub fn plan_warm_probes(&self, base: &SourceTree, patch: &Patch) -> (SourceTree, Vec<WarmProbe>) {
-        struct PlanEntry {
-            path: String,
-            is_header: bool,
-            candidates: Vec<Target>,
-            hints: Vec<String>,
-            active: bool,
-        }
-        let selector = ArchSelector::new(base);
-        let bootstrap = bootstrap_files_of(base);
-        let mut mutated = base.clone();
-        let mut entries: Vec<PlanEntry> = Vec::new();
-        for fp in &patch.files {
-            if fp.kind != ChangeKind::Modify {
-                continue;
-            }
-            let path = fp.path().to_string();
-            let is_header = path.ends_with(".h");
-            if !is_header && !path.ends_with(".c") {
-                continue;
-            }
-            if self
-                .options
-                .skip_dirs
-                .iter()
-                .any(|d| path.starts_with(&format!("{d}/")))
-            {
-                continue;
-            }
-            let Some(content) = base.get(&path) else {
-                continue;
-            };
-            let new_len = content.lines().count() as u32;
-            let changed = changed_lines(fp, new_len);
-            let plan = if self.options.naive_mutations {
-                crate::mutation::mutate_naive(&path, content, &changed)
-            } else {
-                mutate(&path, content, &changed)
-            };
-            let boot = bootstrap.contains(&path);
-            if !boot {
-                mutated.insert(path.clone(), plan.mutated.clone());
-            }
-            let candidates = if is_header {
-                Vec::new()
-            } else {
-                self.filter_targets(selector.candidates(base, &path))
-            };
-            let hints = if self.options.use_header_hints {
-                plan.changed_macros.clone()
-            } else {
-                Vec::new()
-            };
-            entries.push(PlanEntry {
-                path,
-                is_header,
-                candidates,
-                hints,
-                active: !boot && !plan.is_trivial() && !plan.mutations.is_empty(),
-            });
-        }
-
-        let mut probes = Vec::new();
-        // Interned ids keep the dedup set Copy-cheap: no per-probe String
-        // clones just to test membership.
-        let mut seen: HashSet<(PathId, ArchId, ConfigKind, ObjKind)> = HashSet::new();
-        let mut push = |probes: &mut Vec<WarmProbe>, file: &str, target: &Target, op: ObjKind| {
-            if matches!(target.kind, ConfigKind::Custom { .. }) {
-                return;
-            }
-            if seen.insert((
-                PathId::intern(file),
-                ArchId::intern(&target.arch),
-                target.kind.clone(),
-                op,
-            )) {
-                probes.push(WarmProbe {
-                    file: file.to_string(),
-                    arch: target.arch.clone(),
-                    kind: target.kind.clone(),
-                    op,
-                });
-            }
-        };
-
-        // Mirror c_phase: global first-seen target order, then each
-        // pending file under that target.
-        let mut order: Vec<Target> = Vec::new();
-        for e in entries.iter().filter(|e| !e.is_header) {
-            for t in &e.candidates {
-                if !order.contains(t) {
-                    order.push(t.clone());
-                }
-            }
-        }
-        for target in &order {
-            for e in entries
-                .iter()
-                .filter(|e| !e.is_header && e.active && e.candidates.contains(target))
-            {
-                push(&mut probes, &e.path, target, ObjKind::I);
-                push(&mut probes, &e.path, target, ObjKind::O);
-            }
-        }
-
-        // Mirror h_phase: candidate .c files per header, targets derived
-        // from those candidates (allyesconfig only over the threshold).
-        let mut memo = HeaderCandidateMemo::default();
-        for e in entries.iter().filter(|e| e.is_header && e.active) {
-            let all = memo.get_or_compute(base, &e.path, &e.hints);
-            let over_threshold = all.len() > self.options.header_candidate_threshold;
-            let candidates: Vec<String> = all
-                .into_iter()
-                .take(self.options.max_header_candidates)
-                .collect();
-            let mut order: Vec<Target> = Vec::new();
-            for c in &candidates {
-                for t in self.filter_targets(selector.candidates(base, c)) {
-                    if over_threshold && !matches!(t.kind, ConfigKind::AllYes) {
-                        continue;
-                    }
-                    if !order.contains(&t) {
-                        order.push(t);
-                    }
-                }
-            }
-            for target in &order {
-                for c in &candidates {
-                    push(&mut probes, c, target, ObjKind::I);
-                    push(&mut probes, c, target, ObjKind::O);
-                }
-            }
-        }
-        (mutated, probes)
-    }
-}
-
-/// Keep `BTreeMap` import meaningful for future per-token bookkeeping.
-#[allow(dead_code)]
-type TokenOwner = BTreeMap<MutationToken, String>;

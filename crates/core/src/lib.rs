@@ -63,7 +63,7 @@ pub mod stats;
 pub mod token;
 
 pub use archsel::{ArchSelector, Target};
-pub use check::{JMake, Options, WarmProbe};
+pub use check::{JMake, Options};
 pub use classify::UncoveredReason;
 pub use covsel::{
     branch_wants, generate_cover_targets, select_portfolio, Portfolio, PortfolioMember, Want,
@@ -74,7 +74,6 @@ pub use crosscheck::{
 };
 pub use driver::{
     run_evaluation, DriverOptions, DriverStats, EvaluationRun, PatchOutcome, PatchResult,
-    SchedulerStats, StageQueueStats,
 };
 pub use mutation::{mutate, mutate_naive, MutationPlan};
 pub use precheck::{precheck, PrecheckKind, PrecheckWarning};

@@ -46,7 +46,7 @@ use jmake_core::{
 use jmake_diff::{ChangedLine, ChangedLines};
 use jmake_kbuild::{BuildEngine, ConfigCache, ConfigKind, ObjectCache, PreprocCache, SourceTree};
 use jmake_kconfig::Tristate;
-use jmake_reach::{Reach, ReachClass, ReachEnv, TreeReach, Witness};
+use jmake_reach::{Reach, ReachClass, ReachEnv, TreeReach, Truth, Witness};
 use jmake_trace::{Stage, Tracer};
 use jmake_vcs::Repo;
 use std::collections::{BTreeMap, BTreeSet};
@@ -62,6 +62,10 @@ pub enum StaticCause {
     /// The condition requires the `MODULE` macro, which no built-in
     /// compilation defines (`allmodconfig` territory).
     IfdefModule,
+    /// The condition requires `MODULE`, but the object is built in only
+    /// (`obj-y`), so no configuration — `allmodconfig` included —
+    /// compiles it as a module.
+    ModuleOnBuiltin,
     /// The condition requires a symbol declared nowhere in Kconfig.
     NeverDefined(String),
     /// Satisfiable, but not under `allyesconfig` — the delta-synthesis
@@ -85,6 +89,7 @@ impl StaticCause {
         match self {
             StaticCause::IfZero => "if-0".to_string(),
             StaticCause::IfdefModule => "ifdef-module".to_string(),
+            StaticCause::ModuleOnBuiltin => "module-on-builtin".to_string(),
             StaticCause::NeverDefined(s) => format!("never-defined:{s}"),
             StaticCause::UnsettableUnderAllyes => "unsettable-under-allyes".to_string(),
             StaticCause::ArchGated(a) => format!("arch-gated:{a}"),
@@ -108,7 +113,7 @@ impl StaticCause {
         }
         match self {
             StaticCause::IfZero => dynamic == R::IfZero,
-            StaticCause::IfdefModule => dynamic == R::IfdefModule,
+            StaticCause::IfdefModule | StaticCause::ModuleOnBuiltin => dynamic == R::IfdefModule,
             StaticCause::NeverDefined(_) => dynamic == R::IfdefNeverSetInKernel,
             StaticCause::UnsettableUnderAllyes => matches!(
                 dynamic,
@@ -626,14 +631,13 @@ fn static_cause(
             Plan::Nothing("unbalanced or out-of-range conditional stack".to_string()),
         );
     }
-    let raw_mentions_module = jmake_reach::analyze_file(actx.reach_src(&file.path))
-        .conds
-        .get(region as usize - 1)
-        .is_some_and(|raw| {
-            let mut atoms = BTreeSet::new();
-            raw.atoms(&mut atoms);
-            atoms.contains("MODULE")
-        });
+    let analysis = jmake_reach::analyze_file(actx.reach_src(&file.path));
+    let raw = analysis.conds.get(region as usize - 1);
+    let raw_mentions_module = raw.is_some_and(|raw| {
+        let mut atoms = BTreeSet::new();
+        raw.atoms(&mut atoms);
+        atoms.contains("MODULE")
+    });
     let class = token_class(actx.treach.files.get(&file.path), shapes, token.line);
     match class {
         None => (
@@ -648,10 +652,26 @@ fn static_cause(
                     Plan::Nothing(format!("symbol {s} is declared nowhere in Kconfig")),
                 )
             } else if proof == "constant-false" {
-                (
-                    StaticCause::IfZero,
-                    Plan::Nothing("the #if stack is constant-false".to_string()),
-                )
+                // Kbuild's MODULE truth is constant false for a built-in
+                // object, which folds `#ifdef MODULE` to constant-false.
+                // The MODULE guard is the cause unless the raw stack is
+                // false even with MODULE defined (`#if 0` around it).
+                let module_guarded = raw_mentions_module
+                    && raw.is_some_and(|raw| {
+                        let assign = BTreeMap::from([("MODULE".to_string(), true)]);
+                        raw.eval_assignment(&assign) != Truth::False
+                    });
+                if module_guarded {
+                    (
+                        StaticCause::ModuleOnBuiltin,
+                        Plan::Nothing("this object is never built as a module".to_string()),
+                    )
+                } else {
+                    (
+                        StaticCause::IfZero,
+                        Plan::Nothing("the #if stack is constant-false".to_string()),
+                    )
+                }
             } else {
                 (
                     StaticCause::DeadByProof(proof.clone()),

@@ -132,6 +132,42 @@ fn module_guard_gets_verified_allmod_environment() {
 }
 
 #[test]
+fn module_guard_on_builtin_object_is_module_on_builtin_and_unfixable() {
+    // lib/t.c is `obj-y`: MODULE is never defined for it, so the raw
+    // guard folds to constant-false, yet the miss is the MODULE guard's.
+    let (repo, commits) = one_commit(
+        "lib/t.c",
+        "int base;\n#ifdef MODULE\nint mod_path;\n#endif\n",
+    );
+    let run = run_on(&repo, &commits, 1);
+    let report = remediate(&repo, &run);
+    let r = remediation_for(&report, 2);
+    assert_eq!(r.cause, "module-on-builtin");
+    assert!(r.agrees, "{r:?}");
+    assert!(
+        matches!(&r.remedy, Remedy::Unfixable { reason } if reason.contains("never built as a module")),
+        "expected unfixable, got {:?}",
+        r.remedy
+    );
+    assert_eq!(report.deltas_emitted, 0);
+    assert!(report.is_clean(), "clean run expected: {report:?}");
+}
+
+#[test]
+fn if_zero_around_a_module_guard_stays_if_zero() {
+    // False even with MODULE defined: the outer `#if 0` is the cause.
+    let (repo, commits) = one_commit(
+        "lib/t.c",
+        "int base;\n#if 0\n#ifdef MODULE\nint mod_path;\n#endif\n#endif\n",
+    );
+    let run = run_on(&repo, &commits, 1);
+    let report = remediate(&repo, &run);
+    let r = remediation_for(&report, 3);
+    assert_eq!(r.cause, "if-0");
+    assert!(matches!(&r.remedy, Remedy::Unfixable { .. }));
+}
+
+#[test]
 fn forged_dynamic_label_is_flagged_as_disagreement() {
     let (repo, commits) = one_commit(
         "lib/t.c",

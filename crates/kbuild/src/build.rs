@@ -9,8 +9,7 @@ use crate::objgraph::ObjGraph;
 use crate::ppcache::{PreprocCache, TreeMemo};
 use crate::tree::SourceTree;
 use jmake_cpp::{
-    validate, CppError, IncludeResolver, MacroDef, MacroTable, PreprocessOutput, Preprocessor,
-    SyntaxError,
+    validate, IncludeResolver, MacroDef, MacroTable, PreprocessOutput, Preprocessor, SyntaxError,
 };
 use jmake_faults::{FaultKind, FaultSite, Faults};
 use jmake_kconfig::{Config, DeadSymbols, KconfigModel, Tristate};
@@ -164,14 +163,6 @@ impl BuildConfig {
     /// once per patch.
     pub fn dead_symbols(&self) -> &DeadSymbols {
         self.dead.get_or_init(|| DeadSymbols::compute(&self.model))
-    }
-
-    /// True when the dead-symbol lint is already computed for this
-    /// configuration (the cell is shared across clones). The warm
-    /// scheduler uses this to skip classify packets that would be
-    /// no-ops.
-    pub fn dead_symbols_ready(&self) -> bool {
-        self.dead.get().is_some()
     }
 
     /// Fingerprint of the preprocessor macro environment this
@@ -1071,9 +1062,7 @@ pub(crate) fn tree_memo(
 }
 
 /// Run the preprocessor on `file` with the configuration's macro
-/// environment and kernel include paths. Free-standing (no `&self`) so
-/// the engine's live path and the driver's speculative cache-warming
-/// path run the byte-identical computation.
+/// environment and kernel include paths.
 pub(crate) fn preprocess_file(
     tree: &SourceTree,
     cfg: &BuildConfig,
@@ -1171,62 +1160,6 @@ fn o_entry_from_pp(file: &str, pp: &PreprocessOutput) -> CachedObj {
         })
     };
     CachedObj::O { text_len, result }
-}
-
-/// Host-side cache warming for the work-stealing driver: compute and
-/// insert the [`ObjectCache`] entry `make_i`/`make_o` would create for
-/// `(cfg, tree, file, kind)`, touching no virtual clock, no tracer, and
-/// no cache hit/miss counter. A no-op when the engine would not reach
-/// the cache for this unit (bootstrap mutation in the tree, missing
-/// file, no Makefile / not enabled for `.o`, unfingerprintable include
-/// closure) or when the entry already exists.
-pub fn warm_object_entry(
-    cache: &ObjectCache,
-    cfg: &BuildConfig,
-    tree: &SourceTree,
-    file: &str,
-    kind: ObjKind,
-    preproc: Option<&Arc<PreprocCache>>,
-) {
-    if !tree.contains(file) {
-        return;
-    }
-    // The engine fails the whole invocation before caching anything when
-    // a bootstrap file carries a mutation glyph.
-    let mutated_bootstrap = bootstrap_files_of(tree)
-        .iter()
-        .any(|p| tree.get(p).is_some_and(|c| c.contains('\u{2261}')));
-    if mutated_bootstrap {
-        return;
-    }
-    let graph = ObjGraph::new(tree);
-    let gating = graph.gating_value(file, &cfg.config);
-    if kind == ObjKind::O && (!graph.has_makefile(file) || !gating.enabled()) {
-        return;
-    }
-    let module = gating == Tristate::M;
-    let Some(key) = object_key_for(tree, cfg, file, module, kind) else {
-        return;
-    };
-    if cache.peek(&key).is_some() {
-        return;
-    }
-    let memo = tree_memo(tree, cfg, preproc);
-    let pp = preprocess_file(tree, cfg, module, file, memo.as_ref());
-    let entry = match kind {
-        ObjKind::I => i_entry_from_pp(file, pp),
-        ObjKind::O => o_entry_from_pp(file, &pp),
-    };
-    cache.insert(key, Arc::new(entry));
-}
-
-/// Helpers for CppError conversion in messages.
-#[allow(dead_code)]
-fn first_error_text(errors: &[CppError]) -> String {
-    errors
-        .first()
-        .map(|e| e.to_string())
-        .unwrap_or_else(|| "unknown error".to_string())
 }
 
 #[cfg(test)]

@@ -113,10 +113,9 @@ impl ConfigCache {
         (found, outcome)
     }
 
-    /// Look up without touching the hit/miss counters. The speculative
-    /// cache-warming path uses this: its lookups are not part of the
-    /// authoritative run, so they must not perturb [`CacheStats`] (which
-    /// tracing reconciles per span, µs- and count-exact).
+    /// Look up without touching the hit/miss counters, so inspecting the
+    /// cache leaves [`CacheStats`] (which tracing reconciles per span,
+    /// µs- and count-exact) describing only the engines' lookups.
     pub fn peek(
         &self,
         fingerprint: u64,

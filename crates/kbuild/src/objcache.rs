@@ -272,9 +272,9 @@ impl ObjectCache {
         }
     }
 
-    /// Look without touching any counter — the speculative warm path uses
-    /// this so cache statistics describe only the authoritative run. A
-    /// quarantined shard answers `None`.
+    /// Look without touching any counter, so inspecting the cache leaves
+    /// its statistics describing only the engines' lookups. A quarantined
+    /// shard answers `None`.
     pub fn peek(&self, key: &ObjectKey) -> Option<Arc<CachedObj>> {
         let idx = self.shard_index(key);
         if self.quarantined[idx].load(Ordering::Acquire) {

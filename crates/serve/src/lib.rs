@@ -3,7 +3,7 @@
 //! A long-running service that answers evaluation requests over a Unix
 //! domain socket. Each request names a workload (commit count, seed,
 //! worker count, config-strategy flags) and a report section; the daemon
-//! runs it through the same work-stealing driver `jmake-eval` uses and
+//! runs it through the same parallel driver `jmake-eval` uses and
 //! sends back the rendered report — **byte-identical** to what a local
 //! `jmake-eval` run would print for the same parameters, because the
 //! shared config/object caches only affect host-side time, never the

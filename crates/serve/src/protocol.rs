@@ -40,7 +40,7 @@ pub struct EvalRequest {
     pub commits: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Worker threads inside the evaluation's work-stealing driver.
+    /// Worker threads inside the evaluation's parallel driver.
     pub workers: usize,
     /// Also try allmodconfig (the paper's Table IV remedy).
     pub allmodconfig: bool,

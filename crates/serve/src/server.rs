@@ -14,7 +14,7 @@
 //!   reader — the client's socket fills and the sender stalls, which is
 //!   the backpressure: the daemon never buffers unbounded work.
 //! - A fixed pool of eval workers pops jobs and runs each through the
-//!   same work-stealing driver `jmake-eval` uses, against **shared**
+//!   same parallel driver `jmake-eval` uses, against **shared**
 //!   config/object caches, so repeated portfolios start warm. Caches are
 //!   host-side only, so a served report is byte-identical to a cold local
 //!   run (the CI gate diffs them).
@@ -45,7 +45,7 @@ pub struct ServerOptions {
     /// is removed before binding.
     pub socket: PathBuf,
     /// Concurrent evaluations (each internally runs its requested number
-    /// of work-stealing driver workers).
+    /// of parallel driver workers).
     pub parallel: usize,
     /// Bounded-queue capacity; readers block when it is full.
     pub queue_capacity: usize,

@@ -148,15 +148,15 @@ pub fn parse(text: &str) -> Result<Vec<SpanRecord>, String> {
     Ok(records)
 }
 
-/// One line of an event log: a completed span, or a named counter (the
-/// driver emits scheduler queue-pressure counters at end of run).
+/// One line of an event log: a completed span, or a named counter
+/// (written by [`crate::Tracer::counter`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceLine {
     /// A completed [`SpanRecord`].
     Span(SpanRecord),
     /// A named monotonic counter value.
     Counter {
-        /// Counter name (e.g. `sched_compile_dropped`).
+        /// Counter name.
         name: String,
         /// Final value.
         value: u64,

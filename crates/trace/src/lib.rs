@@ -324,8 +324,7 @@ impl Tracer {
     /// Record a named counter: added into the metrics snapshot and
     /// written to the sink as its own JSONL line (`{"counter":…,
     /// "value":…}`). No-op when disabled. Counters carry host-side
-    /// bookkeeping (scheduler queue pressure, drop counts) that has no
-    /// span to live on.
+    /// bookkeeping that has no span to live on.
     pub fn counter(&self, name: &str, value: u64) {
         let Some(inner) = &self.inner else { return };
         {

@@ -34,13 +34,13 @@ echo "==> object-cache identity run (cached vs uncached reports)"
 CACHED_OUT="$(mktemp /tmp/jmake-eval-cached.XXXXXX.out)"
 UNCACHED_OUT="$(mktemp /tmp/jmake-eval-uncached.XXXXXX.out)"
 trap 'rm -f "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
-# Same window with every host-side acceleration on (object cache +
-# preprocess memo + work stealing, the defaults) and with all of them
+# Same window with every host-side acceleration on (config cache +
+# object cache + preprocess memo, the defaults) and with all of them
 # off: every table, figure, and summary line must be byte-identical —
 # the caches may only change wall-clock time.
 ./target/release/jmake-eval --commits 120 --workers 8 all > "$CACHED_OUT"
 ./target/release/jmake-eval --commits 120 --workers 1 \
-  --no-object-cache --no-work-stealing --no-shared-cache \
+  --no-object-cache --no-shared-cache \
   --no-preproc-cache all > "$UNCACHED_OUT"
 diff -u "$UNCACHED_OUT" "$CACHED_OUT"
 
@@ -54,7 +54,7 @@ trap 'rm -f "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
 # cache modes — it contains no wall-clock and no nondeterminism.
 ./target/release/jmake-eval --commits 120 --workers 8 --cross-check > "$CC_A"
 ./target/release/jmake-eval --commits 120 --workers 1 \
-  --no-object-cache --no-work-stealing --no-shared-cache --cross-check > "$CC_B"
+  --no-object-cache --no-shared-cache --cross-check > "$CC_B"
 diff -u "$CC_A" "$CC_B"
 grep -q '"clean": true' "$CC_A"
 
@@ -68,7 +68,7 @@ trap 'rm -f "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXI
 # report must be byte-identical across worker counts and cache modes.
 ./target/release/jmake-eval --commits 120 --workers 8 --fix > "$FIX_A"
 ./target/release/jmake-eval --commits 120 --workers 1 \
-  --no-object-cache --no-work-stealing --no-shared-cache \
+  --no-object-cache --no-shared-cache \
   --no-preproc-cache --fix > "$FIX_B"
 diff -u "$FIX_A" "$FIX_B"
 grep -q '"clean": true' "$FIX_A"
@@ -80,9 +80,21 @@ if grep -q 'FIX:' "$CACHED_OUT"; then
   exit 1
 fi
 
+echo "==> full-window oracle sweep (--cross-check --fix, 1,200 commits x 3 seeds)"
+SWEEP_OUT="$(mktemp /tmp/jmake-sweep.XXXXXX.json)"
+trap 'rm -f "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+# The 120-commit smoke runs above see too few patches to hit every
+# disagreement class; at full-window scale both oracles must still be
+# clean (exit 0) and every emitted delta must survive verification.
+for seed in 319123704645 1 2; do
+  ./target/release/jmake-eval --commits 1200 --seed "$seed" --workers 2 \
+    --cross-check --fix > "$SWEEP_OUT"
+  grep -q '"verification_failures": 0' "$SWEEP_OUT"
+done
+
 echo "==> trace smoke run (jmake-eval --trace + trace-check, object cache on)"
 TRACE_FILE="$(mktemp /tmp/jmake-trace.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE_FILE" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+trap 'rm -f "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
 ./target/release/jmake-eval --commits 120 --trace "$TRACE_FILE" --metrics summary > /dev/null
 # The file must parse line-by-line against the documented schema, and
 # every stage name must be one of the documented thirteen.
@@ -99,7 +111,7 @@ CACHE_DIR="$(mktemp -d /tmp/jmake-cache-dir.XXXXXX)"
 COLD_OUT="$(mktemp /tmp/jmake-eval-cold.XXXXXX.out)"
 WARM_OUT="$(mktemp /tmp/jmake-eval-warm.XXXXXX.out)"
 WARM_ERR="$(mktemp /tmp/jmake-eval-warm.XXXXXX.err)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+trap 'rm -rf "$CACHE_DIR"; rm -f "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
 # A cold run populates the disk tier; a warm run must load it, report a
 # non-zero object-cache hit count, and print byte-identical tables —
 # the tier may only move host-side time, never simulated results.
@@ -119,7 +131,7 @@ fi
 echo "==> jmake-serve smoke run (daemon report vs local jmake-eval, then drain)"
 SERVE_SOCK="$(mktemp -u /tmp/jmake-serve.XXXXXX.sock)"
 SERVED_OUT="$(mktemp /tmp/jmake-serve.XXXXXX.out)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+trap 'rm -rf "$CACHE_DIR"; rm -f "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
 ./target/release/jmake-serve --socket "$SERVE_SOCK" --parallel 2 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
@@ -132,7 +144,7 @@ wait "$SERVE_PID"
 
 echo "==> fault-injection smoke run (--faults transient:0.2 --fault-seed 7)"
 FAULT_ERR="$(mktemp /tmp/jmake-faults.XXXXXX.err)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$FAULT_ERR" "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+trap 'rm -rf "$CACHE_DIR"; rm -f "$FAULT_ERR" "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
 # Every commit must produce exactly one outcome even under injected
 # faults, and at a 20% transient rate bounded retry must recover every
 # single one — no patch may go unreported or degrade.
@@ -148,7 +160,7 @@ fi
 echo "==> portfolio smoke run (--portfolio 4: coverage beyond allyes, byte-identity)"
 PF_A="$(mktemp /tmp/jmake-portfolio-a.XXXXXX.json)"
 PF_B="$(mktemp /tmp/jmake-portfolio-b.XXXXXX.json)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$PF_A" "$PF_B" "$FAULT_ERR" "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+trap 'rm -rf "$CACHE_DIR"; rm -f "$PF_A" "$PF_B" "$FAULT_ERR" "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
 # A K=4 seeded portfolio must strictly beat the allyes-only baseline
 # (covered > allyes ⇔ covered_conditional > 0, and randconfig members
 # must certify tokens allyes missed), and the report must be
@@ -157,7 +169,7 @@ trap 'rm -rf "$CACHE_DIR"; rm -f "$PF_A" "$PF_B" "$FAULT_ERR" "$SERVE_SOCK" "$SE
 ./target/release/jmake-eval --commits 120 --workers 8 \
   --portfolio 4 --rand-seed 1 > "$PF_A"
 ./target/release/jmake-eval --commits 120 --workers 1 \
-  --no-object-cache --no-work-stealing --no-shared-cache \
+  --no-object-cache --no-shared-cache \
   --no-preproc-cache --portfolio 4 --rand-seed 1 > "$PF_B"
 diff -u "$PF_A" "$PF_B"
 extract_pf() { sed -n "s/.*\"$2\": \([0-9]*\).*/\1/p" "$1" | head -n 1; }
@@ -177,7 +189,7 @@ echo "    portfolio covers $PF_COND conditional line(s), $PF_RAND token(s) via r
 
 echo "==> bench-regression gate (patches/s vs committed BENCH_5.json, -10% floor)"
 BENCH_OUT="$(mktemp /tmp/jmake-bench.XXXXXX.json)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$BENCH_OUT" "$PF_A" "$PF_B" "$FAULT_ERR" "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+trap 'rm -rf "$CACHE_DIR"; rm -f "$BENCH_OUT" "$PF_A" "$PF_B" "$FAULT_ERR" "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
 # Re-run the standard 1,200-commit sweep (same seed/workers as the
 # committed baseline) and fail if throughput drops more than 10% below
 # the BENCH_5.json this repo ships. Wall-clock varies by machine, so
@@ -186,9 +198,19 @@ trap 'rm -rf "$CACHE_DIR"; rm -f "$BENCH_OUT" "$PF_A" "$PF_B" "$FAULT_ERR" "$SER
 # legitimately moves it.
 ./target/release/jmake-eval --commits 1200 --seed 319123704645 --workers 4 \
   --bench-json "$BENCH_OUT" summary > /dev/null
-# The artifact must carry the documented schema and the portfolio
-# summary block (with "ran": false on a portfolio-less sweep).
-grep -q '"schema": 4' "$BENCH_OUT"
+# The artifact must carry the documented schema — exactly these
+# top-level keys, in this order, so schema 4's retired blocks cannot
+# come back unnoticed — and the portfolio summary block (with "ran":
+# false on a portfolio-less sweep).
+grep -q '"schema": 5' "$BENCH_OUT"
+BENCH_KEYS="$(sed -n 's/^  "\([a-z_]*\)":.*/\1/p' "$BENCH_OUT" | tr '\n' ' ')"
+EXPECTED_KEYS="schema commits seed workers shared_config_cache object_cache preproc_cache patches checked wall_seconds patches_per_sec wall_us host_cpu_us config_cache_stats object_cache_stats preproc_cache_stats remediate portfolio "
+if [ "$BENCH_KEYS" != "$EXPECTED_KEYS" ]; then
+  echo "bench artifact keys differ from schema 5:" >&2
+  echo "  got:      $BENCH_KEYS" >&2
+  echo "  expected: $EXPECTED_KEYS" >&2
+  exit 1
+fi
 grep -q '"portfolio": { "ran": false' "$BENCH_OUT"
 extract_pps() { sed -n 's/.*"patches_per_sec": \([0-9.]*\).*/\1/p' "$1"; }
 BASELINE_PPS="$(extract_pps BENCH_5.json)"

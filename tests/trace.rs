@@ -152,20 +152,18 @@ fn jsonl_sink_round_trips_every_span() {
     let text = lines.join("\n");
     let parsed = jsonl::parse_all(&text).expect("every emitted line parses");
     assert_eq!(parsed.len(), lines.len());
-    // Counter lines (scheduler queue pressure) ride along; every other
-    // line is a span, and spans reconcile with the open/close balance.
+    // The driver emits no counter lines: every line is a span, and spans
+    // reconcile with the open/close balance.
     let mut records = Vec::new();
-    let mut counters = Vec::new();
     for line in parsed {
         match line {
             jsonl::TraceLine::Span(r) => records.push(r),
-            jsonl::TraceLine::Counter { name, value } => counters.push((name, value)),
+            jsonl::TraceLine::Counter { name, value } => {
+                panic!("unexpected counter line {name} = {value}")
+            }
         }
     }
     assert_eq!(records.len() as u64, balance.closed);
-    for (name, _) in &counters {
-        assert!(name.starts_with("sched_"), "unexpected counter {name}");
-    }
     let commits: std::collections::BTreeSet<String> = run
         .results
         .iter()
