@@ -375,7 +375,7 @@ fn driver_object_cache(c: &mut Criterion) {
 /// string formatting).
 fn config_key_lookup(c: &mut Criterion) {
     let (tree, _) = jmake_synth::generate_tree(&bench_profile());
-    let fingerprint = ConfigCache::fingerprint_tree(&tree);
+    let fingerprint = tree.config_digest();
     let cache = ConfigCache::new();
     let kinds = [ConfigKind::AllYes, ConfigKind::AllMod];
     let arches = ["x86_64", "arm", "powerpc", "mips"];
@@ -383,25 +383,24 @@ fn config_key_lookup(c: &mut Criterion) {
     for arch in arches {
         for kind in &kinds {
             let cfg = engine.make_config(arch, kind).unwrap();
-            cache.insert(
-                fingerprint,
-                &ConfigKey::new(arch, kind),
-                kind.content_fingerprint(),
-                cfg,
-            );
+            let key = ConfigKey::new(arch, kind);
+            cache.insert((fingerprint, key, kind.content_fingerprint()), cfg);
         }
     }
     let mut group = c.benchmark_group("config_cache");
     group.bench_function("lookup_interned_key", |b| {
-        let key = ConfigKey::new("powerpc", &ConfigKind::AllMod);
-        let content_fp = ConfigKind::AllMod.content_fingerprint();
-        b.iter(|| cache.peek(fingerprint, &key, content_fp))
+        let key = (
+            fingerprint,
+            ConfigKey::new("powerpc", &ConfigKind::AllMod),
+            ConfigKind::AllMod.content_fingerprint(),
+        );
+        b.iter(|| cache.peek(&key))
     });
     group.bench_function("lookup_with_key_construction", |b| {
         // What a caller pays when it has not interned the key yet.
         b.iter(|| {
             let key = ConfigKey::new("powerpc", &ConfigKind::AllMod);
-            cache.peek(fingerprint, &key, ConfigKind::AllMod.content_fingerprint())
+            cache.peek(&(fingerprint, key, ConfigKind::AllMod.content_fingerprint()))
         })
     });
     group.finish();

@@ -36,9 +36,10 @@
 //!                      end-to-end wall µs, cache hit rates,
 //!                      remediate-stage totals, portfolio coverage
 //!                      summary — see DESIGN.md) to FILE
-//!   --cache-dir DIR    persist the config and object caches under DIR
-//!                      (created if missing) and pre-load them from it,
-//!                      so a second run starts warm. Entries carry an
+//!   --cache-dir DIR    persist the config, object and preprocess
+//!                      caches under DIR (created if missing) and
+//!                      pre-load them from it, so a second run starts
+//!                      warm. Entries carry an
 //!                      integrity digest verified on load; corrupt or
 //!                      truncated files are quarantined under
 //!                      DIR/quarantine and recomputed live. Host-side
@@ -262,9 +263,9 @@ fn render_bench_json(
             "  \"patches_per_sec\": {:.2},\n",
             "  \"wall_us\": {},\n",
             "  \"host_cpu_us\": {{ \"checkout\": {}, \"show\": {}, \"check\": {}, \"total\": {} }},\n",
-            "  \"config_cache_stats\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {}, \"hit_rate\": {:.4} }},\n",
-            "  \"object_cache_stats\": {{ \"hits\": {}, \"negative_hits\": {}, \"misses\": {}, \"entries\": {}, \"hit_rate\": {:.4} }},\n",
-            "  \"preproc_cache_stats\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {}, \"hit_rate\": {:.4}, \"closure_hits\": {}, \"closure_misses\": {} }},\n",
+            "  \"config_cache_stats\": {{ {} }},\n",
+            "  \"object_cache_stats\": {{ {} }},\n",
+            "  \"preproc_cache_stats\": {{ {}, \"closure_hits\": {}, \"closure_misses\": {} }},\n",
             "  \"remediate\": {{ \"ran\": {}, \"host_us\": {}, \"virtual_us\": {}, \"missed\": {}, \"deltas_emitted\": {}, \"deltas_verified\": {}, \"unfixable\": {} }},\n",
             "  \"portfolio\": {{ \"ran\": {}, \"requested\": {}, \"selected\": {}, \"rand_seed\": {}, \"covered_lines\": {}, \"covered_conditional_lines\": {}, \"dead_lines\": {}, \"unfixable_lines\": {}, \"cost_virtual_us\": {}, \"tokens_by_rand\": {} }}\n",
             "}}\n",
@@ -284,21 +285,11 @@ fn render_bench_json(
         s.show_wall_us,
         s.check_wall_us,
         s.total_wall_us,
-        s.cache.hits,
-        s.cache.misses,
-        s.cache.entries,
-        s.cache.hit_rate(),
-        s.object.hits,
-        s.object.negative_hits,
-        s.object.misses,
-        s.object.entries,
-        s.object.hit_rate(),
-        s.preproc.hits,
-        s.preproc.misses,
-        s.preproc.entries,
-        s.preproc.hit_rate(),
-        s.preproc.closure_hits,
-        s.preproc.closure_misses,
+        s.cache.json_fields(false),
+        s.object.json_fields(true),
+        s.preproc.json_fields(false),
+        s.closure_memo.hits,
+        s.closure_memo.misses,
         fix_ran,
         fix_host_us,
         fix_virtual_us,
@@ -464,7 +455,7 @@ fn main() {
         driver.faults = Faults::new(*spec, fault_seed);
         eprintln!("fault injection enabled: {spec} (seed {fault_seed})");
     }
-    // Open the persistent tier and pre-load both caches before the run;
+    // Open the persistent tier and pre-load all three caches before the run;
     // corrupt entries quarantine on load and are recomputed live.
     let disk = cache_dir.as_ref().map(|dir| match DiskCache::open(dir) {
         Ok(d) => d,

@@ -46,8 +46,7 @@ use crate::check::{JMake, Options};
 use crate::report::PatchReport;
 use jmake_faults::{FaultKind, FaultSite, FaultStatsSnapshot, Faults};
 use jmake_kbuild::{
-    BuildEngine, CacheStats, ConfigCache, ContentHash, ObjectCache, ObjectCacheStats, PreprocCache,
-    PreprocCacheStats, Samples,
+    BuildEngine, ConfigCache, ContentHash, ObjectCache, PreprocCache, Samples, StoreStats,
 };
 use jmake_trace::{Stage, Tracer};
 use jmake_vcs::{CommitId, Repo};
@@ -204,11 +203,14 @@ pub struct DriverStats {
     /// `--faults`).
     pub faults: FaultStatsSnapshot,
     /// Shared configuration-cache counters (zero when sharing is off).
-    pub cache: CacheStats,
+    pub cache: StoreStats,
     /// Shared object-cache counters (zero when the object cache is off).
-    pub object: ObjectCacheStats,
+    pub object: StoreStats,
     /// Shared preprocess-cache counters (zero when the cache is off).
-    pub preproc: PreprocCacheStats,
+    pub preproc: StoreStats,
+    /// The preprocess cache's closure-fingerprint memo counters (zero
+    /// when the cache is off).
+    pub closure_memo: StoreStats,
     /// Wall-clock spent in `checkout`, summed across workers (µs).
     pub checkout_wall_us: u64,
     /// Wall-clock spent producing patches (`show`), summed (µs).
@@ -237,29 +239,19 @@ impl DriverStats {
             "  patches         {:>8}  (checked {}, checkout-failed {}, show-failed {}, panicked {})\n",
             self.patches, self.checked, self.checkout_failures, self.show_failures, self.panics
         ));
+        let memo = &self.closure_memo;
+        let memo = format!(", closure memo {}/{}", memo.hits, memo.hits + memo.misses);
         out.push_str(&format!(
-            "  config cache    {:>8.1}% hit rate  ({} hits, {} misses, {} entries)\n",
-            self.cache.hit_rate() * 100.0,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.entries
+            "  config cache    {}\n",
+            self.cache.render(false, "")
         ));
         out.push_str(&format!(
-            "  object cache    {:>8.1}% hit rate  ({} hits of which {} negative, {} misses, {} entries)\n",
-            self.object.hit_rate() * 100.0,
-            self.object.hits,
-            self.object.negative_hits,
-            self.object.misses,
-            self.object.entries
+            "  object cache    {}\n",
+            self.object.render(true, "")
         ));
         out.push_str(&format!(
-            "  preproc cache   {:>8.1}% hit rate  ({} hits, {} misses, {} entries, closure memo {}/{})\n",
-            self.preproc.hit_rate() * 100.0,
-            self.preproc.hits,
-            self.preproc.misses,
-            self.preproc.entries,
-            self.preproc.closure_hits,
-            self.preproc.closure_hits + self.preproc.closure_misses
+            "  preproc cache   {}\n",
+            self.preproc.render(false, &memo)
         ));
         out.push_str(&format!(
             "  stage wall      checkout {:.1} ms, show {:.1} ms, check {:.1} ms (summed over workers)\n",
@@ -601,6 +593,7 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
     }
     if let Some(preproc) = &preproc {
         stats.preproc = preproc.stats();
+        stats.closure_memo = preproc.closure_stats();
     }
     stats.faults = opts.faults.stats_snapshot();
     stats.total_wall_us = run_started.elapsed().as_micros() as u64;

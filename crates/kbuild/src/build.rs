@@ -7,6 +7,7 @@ use crate::hash::{ContentHash, Fnv};
 use crate::objcache::{include_fingerprint, CachedObj, ObjKind, ObjectCache, ObjectKey};
 use crate::objgraph::ObjGraph;
 use crate::ppcache::{PreprocCache, TreeMemo};
+use crate::store::Lookup;
 use crate::tree::SourceTree;
 use jmake_cpp::{
     validate, IncludeResolver, MacroDef, MacroTable, PreprocessOutput, Preprocessor, SyntaxError,
@@ -69,7 +70,9 @@ impl ConfigKind {
     pub fn content_fingerprint(&self) -> u64 {
         match self {
             ConfigKind::Custom { content, .. } => {
-                ConfigCache::fingerprint_bytes(content.as_bytes())
+                let mut h = Fnv::new();
+                h.write(content.as_bytes());
+                h.finish()
             }
             _ => 0,
         }
@@ -454,7 +457,7 @@ impl BuildEngine {
     /// cost — simulated timing, including the Figure 4a CDF, is
     /// identical with or without sharing.
     pub fn with_shared_cache(tree: SourceTree, cache: Arc<ConfigCache>) -> Self {
-        let fingerprint = ConfigCache::fingerprint_tree(&tree);
+        let fingerprint = tree.config_digest();
         let mut engine = BuildEngine::new(tree);
         engine.shared = Some((cache, fingerprint));
         engine
@@ -676,9 +679,9 @@ impl BuildEngine {
         // the virtual clock exactly what solving would have — simulated
         // timing does not depend on the cache.
         if let Some((cache, fingerprint)) = self.shared.clone() {
-            let (found, outcome) = cache.lookup(fingerprint, &key, content_fp);
-            span.set_cache(outcome);
-            if let Some(shared_cfg) = found {
+            let found = cache.lookup(&(fingerprint, key.clone(), content_fp), &self.faults);
+            span.set_cache(found.outcome());
+            if let Lookup::Hit(shared_cfg) = found {
                 self.charge_config_creation(shared_cfg.model.len() as u64, &arch_info);
                 self.config_cache.insert(key, Arc::clone(&shared_cfg));
                 return Ok(shared_cfg);
@@ -714,7 +717,7 @@ impl BuildEngine {
             macros: Arc::new([OnceLock::new(), OnceLock::new()]),
         });
         if let Some((cache, fingerprint)) = &self.shared {
-            cache.insert(*fingerprint, &key, content_fp, Arc::clone(&built));
+            cache.insert((*fingerprint, key.clone(), content_fp), Arc::clone(&built));
         }
         self.config_cache.insert(key, Arc::clone(&built));
         Ok(built)
@@ -818,16 +821,14 @@ impl BuildEngine {
                     .and_then(|_| object_key_for(tree, cfg, file, module, ObjKind::I));
                 let cached = match (&self.object, &key) {
                     (Some(cache), Some(k)) => {
-                        let v = cache.lookup_verified(k, &self.faults);
-                        if v.quarantined_now {
+                        let found = cache.lookup(k, &self.faults);
+                        if matches!(found, Lookup::Quarantined) {
                             let _ = self.tracer.span(Stage::Quarantine).with_file(file);
                         }
-                        if v.entry.is_some() {
-                            any_hit = true;
-                        } else {
-                            any_miss = true;
-                        }
-                        v.entry
+                        let entry = found.entry();
+                        any_hit |= entry.is_some();
+                        any_miss |= entry.is_none();
+                        entry
                     }
                     _ => None,
                 };
@@ -947,12 +948,12 @@ impl BuildEngine {
             .as_ref()
             .and_then(|_| object_key_for(tree, cfg, file, module, ObjKind::O));
         if let (Some(cache), Some(k)) = (&self.object, &key) {
-            let v = cache.lookup_verified(k, &self.faults);
-            span.set_cache(v.outcome);
-            if v.quarantined_now {
+            let found = cache.lookup(k, &self.faults);
+            span.set_cache(found.outcome());
+            if matches!(found, Lookup::Quarantined) {
                 let _ = self.tracer.span(Stage::Quarantine).with_file(file);
             }
-            if let Some(entry) = v.entry {
+            if let Lookup::Hit(entry) = found {
                 let CachedObj::O { text_len, result } = &*entry else {
                     unreachable!("kind is part of the key: an O key finds an O entry")
                 };

@@ -1,25 +1,25 @@
-//! Persistent, digest-verified on-disk tier behind [`ConfigCache`] and
-//! [`ObjectCache`].
+//! Persistent, digest-verified on-disk tier behind the [`ConfigCache`],
+//! [`ObjectCache`] and [`PreprocCache`] stores.
 //!
-//! Both in-memory caches are content-addressed and immutable per key, so
-//! persisting them is safe by construction: an entry loaded from a
-//! previous run answers a lookup if and only if the *key* — which pins
-//! everything the outcome depends on — matches, and a warm hit charges
-//! the virtual clock exactly what a cold miss would, keeping reports
-//! byte-identical cold vs. warm (the CI gate diffs them).
+//! Every store is content-addressed and immutable per key, so persisting
+//! it is safe by construction: an entry loaded from a previous run
+//! answers a lookup if and only if the *key* — which pins everything the
+//! outcome depends on — matches, and a warm hit charges the virtual clock
+//! exactly what a cold miss would, keeping reports byte-identical cold
+//! vs. warm (the CI gate diffs them).
 //!
 //! What the disk can do that memory cannot is rot. Every entry file
 //! carries an FNV-1a integrity digest of its payload, written at store
 //! time and re-verified on load; a mismatch (flipped bytes), a truncated
 //! payload, or an unparseable frame (torn concurrent write) routes the
-//! entry through the same quarantine discipline the PR-5 in-memory
-//! machinery applies to corrupted shards: the entry is moved to
+//! entry through the same quarantine discipline the in-memory store
+//! applies to corrupted shards: the entry is moved to
 //! `<root>/quarantine/`, never served, counted in [`DiskTierStats`] and —
 //! when fault injection is active — in the shared
 //! [`FaultStats`](jmake_faults::FaultStats). The `jmake-faults` layer can
 //! also corrupt disk loads deterministically ([`FaultSite::CacheLookup`]
-//! with [`FaultKind::Corrupt`]), exercising the same detection path
-//! end-to-end.
+//! with [`FaultKind::Corrupt`](jmake_faults::FaultKind::Corrupt)),
+//! exercising the same detection path end-to-end.
 //!
 //! ## On-disk layout
 //!
@@ -30,17 +30,20 @@
 //! <root>/quarantine/<filename>                    entries that failed verification
 //! ```
 //!
-//! `<hh>` is the first byte of the key digest in hex (256-way fan-out).
-//! Entry files are immutable once written: stores go to a temporary file
-//! in the same directory and `rename(2)` into place, and existing files
-//! are never rewritten (same name ⇒ same content-addressed key ⇒ same
-//! outcome). Eviction is by quarantine only — a corrupt entry is moved
-//! aside, everything healthy persists indefinitely.
+//! Each section directory, magic line and key digest comes from the
+//! section's [`Entry`] implementation; load and store are one loop over
+//! that trait. `<hh>` is the first byte of the key digest in hex
+//! (256-way fan-out). Entry files are immutable once written: stores go
+//! to a temporary file in the same directory and `rename(2)` into place,
+//! and existing files are never rewritten (same name ⇒ same
+//! content-addressed key ⇒ same outcome). Eviction is by quarantine only
+//! — a corrupt entry is moved aside, everything healthy persists
+//! indefinitely.
 //!
 //! ## Entry format
 //!
 //! ```text
-//! jmake-cache v1 <object|config>\n
+//! jmake-cache v1 <object|config|preproc>\n
 //! <16-hex digest of payload>\n
 //! <payload>
 //! ```
@@ -54,21 +57,17 @@ use crate::cache::ConfigCache;
 use crate::hash::{ContentHash, Fnv};
 use crate::objcache::{CachedObj, ObjKind, ObjectCache, ObjectKey};
 use crate::ppcache::PreprocCache;
+use crate::store::{served_digest, Entry, Store};
 use jmake_cpp::error::CppErrorKind;
 use jmake_cpp::{
     CppError, IncludeEffect, IncludeKey, MacroDef, MacroEvent, SyntaxError, Token, TokenKind,
 };
-use jmake_faults::{FaultKind, FaultSite, Faults};
+use jmake_faults::{FaultSite, Faults};
 use jmake_kconfig::{Config, Expr, KconfigModel, Symbol, SymbolType, Tristate};
-use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-const MAGIC_OBJECT: &str = "jmake-cache v1 object";
-const MAGIC_CONFIG: &str = "jmake-cache v1 config";
-const MAGIC_PREPROC: &str = "jmake-cache v1 preproc";
 
 /// Counters for one load or store pass over the disk tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,19 +90,6 @@ pub struct DiskTierStats {
     pub entries_quarantined: u64,
 }
 
-impl DiskTierStats {
-    /// Fold another pass's counters into this one.
-    pub fn merge(&mut self, other: &DiskTierStats) {
-        self.objects_loaded += other.objects_loaded;
-        self.configs_loaded += other.configs_loaded;
-        self.objects_stored += other.objects_stored;
-        self.configs_stored += other.configs_stored;
-        self.preproc_loaded += other.preproc_loaded;
-        self.preproc_stored += other.preproc_stored;
-        self.entries_quarantined += other.entries_quarantined;
-    }
-}
-
 /// Handle to one on-disk cache directory. See the module docs for layout
 /// and integrity rules.
 #[derive(Debug, Clone)]
@@ -115,10 +101,9 @@ impl DiskCache {
     /// Open (creating if needed) the cache rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<DiskCache> {
         let root = root.into();
-        std::fs::create_dir_all(root.join("objects"))?;
-        std::fs::create_dir_all(root.join("configs"))?;
-        std::fs::create_dir_all(root.join("preproc"))?;
-        std::fs::create_dir_all(root.join("quarantine"))?;
+        for dir in ["objects", "configs", "preproc", "quarantine"] {
+            std::fs::create_dir_all(root.join(dir))?;
+        }
         Ok(DiskCache { root })
     }
 
@@ -139,46 +124,41 @@ impl DiskCache {
         preproc: &PreprocCache,
         faults: &Faults,
     ) -> io::Result<DiskTierStats> {
-        let mut stats = DiskTierStats::default();
         let registry = ArchRegistry::new();
-        for path in self.entry_files("objects")? {
-            match self.read_verified(&path, MAGIC_OBJECT, faults) {
-                Ok(payload) => match decode_object_entry(&payload, &registry) {
-                    Ok((key, obj)) => {
-                        objects.insert(key, Arc::new(obj));
-                        stats.objects_loaded += 1;
-                    }
-                    Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-                },
-                Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-            }
-        }
-        for path in self.entry_files("configs")? {
-            match self.read_verified(&path, MAGIC_CONFIG, faults) {
-                Ok(payload) => match decode_config_entry(&payload, &registry) {
-                    Ok((fingerprint, content_fp, cfg)) => {
-                        let key = cfg.key().clone();
-                        configs.insert(fingerprint, &key, content_fp, Arc::new(cfg));
-                        stats.configs_loaded += 1;
-                    }
-                    Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-                },
-                Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-            }
-        }
-        for path in self.entry_files("preproc")? {
-            match self.read_verified(&path, MAGIC_PREPROC, faults) {
-                Ok(payload) => match decode_preproc_entry(&payload) {
-                    Ok((key, effect)) => {
-                        preproc.insert(key, Arc::new(effect));
-                        stats.preproc_loaded += 1;
-                    }
-                    Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-                },
-                Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-            }
-        }
+        let mut stats = DiskTierStats::default();
+        let quarantined = &mut stats.entries_quarantined;
+        stats.objects_loaded = self.load_section(objects, &registry, faults, quarantined)?;
+        stats.configs_loaded = self.load_section(configs, &registry, faults, quarantined)?;
+        stats.preproc_loaded = self.load_section(preproc, &registry, faults, quarantined)?;
         Ok(stats)
+    }
+
+    /// Load one section into `store`; returns the number of entries
+    /// loaded and counts each quarantined one in `quarantined`.
+    fn load_section<E: Entry>(
+        &self,
+        store: &Store<E>,
+        registry: &ArchRegistry,
+        faults: &Faults,
+        quarantined: &mut u64,
+    ) -> io::Result<u64> {
+        let mut loaded = 0;
+        for path in self.entry_files(E::SECTION)? {
+            let decoded = self
+                .read_verified(&path, E::MAGIC, faults)
+                .and_then(|payload| E::decode(&payload, registry));
+            match decoded {
+                Ok((key, value)) => {
+                    store.insert(key, Arc::new(value));
+                    loaded += 1;
+                }
+                Err(_) => {
+                    *quarantined += 1;
+                    self.quarantine(&path, faults);
+                }
+            }
+        }
+        Ok(loaded)
     }
 
     /// Persist every entry currently held by `objects`, `configs`, and
@@ -191,27 +171,24 @@ impl DiskCache {
         configs: &ConfigCache,
         preproc: &PreprocCache,
     ) -> io::Result<DiskTierStats> {
-        let mut stats = DiskTierStats::default();
-        for (key, obj) in objects.snapshot() {
-            let payload = encode_object_entry(&key, &obj);
-            if self.write_entry("objects", object_key_digest(&key), MAGIC_OBJECT, &payload)? {
-                stats.objects_stored += 1;
+        Ok(DiskTierStats {
+            objects_stored: self.store_section(objects)?,
+            configs_stored: self.store_section(configs)?,
+            preproc_stored: self.store_section(preproc)?,
+            ..DiskTierStats::default()
+        })
+    }
+
+    /// Persist one store's snapshot; returns the number of new files.
+    fn store_section<E: Entry>(&self, store: &Store<E>) -> io::Result<u64> {
+        let mut written = 0;
+        for (key, value) in store.snapshot() {
+            let payload = E::encode(&key, &value);
+            if self.write_entry(E::SECTION, E::key_digest(&key), E::MAGIC, &payload)? {
+                written += 1;
             }
         }
-        for (fingerprint, key, content_fp, cfg) in configs.snapshot() {
-            let payload = encode_config_entry(fingerprint, content_fp, &cfg);
-            let digest = config_key_digest(fingerprint, key.arch(), key.kind_key(), content_fp);
-            if self.write_entry("configs", digest, MAGIC_CONFIG, &payload)? {
-                stats.configs_stored += 1;
-            }
-        }
-        for (key, effect) in preproc.snapshot() {
-            let payload = encode_preproc_entry(&key, &effect);
-            if self.write_entry("preproc", preproc_key_digest(&key), MAGIC_PREPROC, &payload)? {
-                stats.preproc_stored += 1;
-            }
-        }
-        Ok(stats)
+        Ok(written)
     }
 
     /// All `.entry` files under `<root>/<section>/`, sorted.
@@ -244,38 +221,27 @@ impl DiskCache {
         faults: &Faults,
     ) -> Result<Vec<u8>, String> {
         let bytes = std::fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-        let header_end = find_payload_start(&bytes).ok_or("truncated header")?;
-        let header = std::str::from_utf8(&bytes[..header_end]).map_err(|_| "malformed header")?;
-        let mut lines = header.lines();
-        let got_magic = lines.next().unwrap_or_default();
+        let mut header = Dec::new(&bytes);
+        let got_magic = header.line()?;
         if got_magic != magic {
             return Err(format!("bad magic {got_magic:?}"));
         }
-        let digest_line = lines.next().unwrap_or_default();
-        let stored_digest =
-            u64::from_str_radix(digest_line, 16).map_err(|_| "malformed digest line")?;
-        let payload = &bytes[header_end..];
-        let mut served_digest = payload_digest(payload);
-        if faults.is_enabled() {
-            let identity = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default()
-                .to_string();
-            if faults.decide(FaultSite::CacheLookup, &identity, 0) == Some(FaultKind::Corrupt) {
-                served_digest ^= 0xdead_beef_dead_beef;
-            }
-        }
-        if served_digest != stored_digest {
+        let stored_digest = header.u64()?;
+        let payload = &bytes[header.pos..];
+        let identity = || {
+            let stem = path.file_stem().and_then(|s| s.to_str());
+            stem.unwrap_or_default().to_string()
+        };
+        if served_digest(payload_digest(payload), faults, identity) != stored_digest {
             return Err("digest mismatch".to_string());
         }
         Ok(payload.to_vec())
     }
 
-    /// Move a failed entry to `<root>/quarantine/` and count it —
-    /// the disk-tier analogue of flushing a corrupted in-memory shard.
-    fn quarantine(&self, path: &Path, reason: &str, faults: &Faults, stats: &mut DiskTierStats) {
-        stats.entries_quarantined += 1;
+    /// Move a failed entry to `<root>/quarantine/` — the disk-tier
+    /// analogue of flushing a corrupted in-memory shard. The entry keeps
+    /// its bytes there for post-mortem.
+    fn quarantine(&self, path: &Path, faults: &Faults) {
         if let Some(fault_stats) = faults.stats() {
             fault_stats.corruptions_detected.fetch_add(1, Ordering::Relaxed);
         }
@@ -289,7 +255,6 @@ impl DiskCache {
         if std::fs::rename(path, &dest).is_err() {
             let _ = std::fs::remove_file(path);
         }
-        let _ = reason; // reasons surface via stats; entries keep their bytes for post-mortem
     }
 
     /// Write one framed entry unless its file already exists. Returns
@@ -333,55 +298,10 @@ impl DiskCache {
     }
 }
 
-/// Byte offset where the payload starts: after the magic and digest
-/// lines. `None` when the frame is truncated before that.
-fn find_payload_start(bytes: &[u8]) -> Option<usize> {
-    let first_nl = bytes.iter().position(|&b| b == b'\n')?;
-    let second_nl = bytes[first_nl + 1..].iter().position(|&b| b == b'\n')?;
-    Some(first_nl + 1 + second_nl + 1)
-}
-
 /// FNV-1a digest of an entry payload.
 fn payload_digest(payload: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.write(payload);
-    h.finish()
-}
-
-/// Stable file name for one object key.
-fn object_key_digest(key: &ObjectKey) -> u64 {
-    let mut h = Fnv::new();
-    h.write(&key.blob.hi().to_le_bytes());
-    h.write(&key.blob.lo().to_le_bytes());
-    h.write(key.path.as_bytes());
-    h.write(&key.include_fp.to_le_bytes());
-    h.write(&key.env_fp.to_le_bytes());
-    h.write(&[u8::from(key.module)]);
-    h.write(key.arch.as_bytes());
-    h.write(if key.kind == ObjKind::I { b"I" } else { b"O" });
-    h.finish()
-}
-
-/// Stable file name for one preprocess-memo key.
-fn preproc_key_digest(key: &IncludeKey) -> u64 {
-    let mut h = Fnv::new();
-    h.write(key.path.as_bytes());
-    h.write(&[0]);
-    h.write(&key.closure_fp.to_le_bytes());
-    h.write(&key.macro_fp.to_le_bytes());
-    h.write(&key.pragma_fp.to_le_bytes());
-    h.write(&key.depth.to_le_bytes());
-    h.finish()
-}
-
-/// Stable file name for one config-cache key.
-fn config_key_digest(fingerprint: u64, arch: &str, kind_key: &str, content_fp: u64) -> u64 {
-    let mut h = Fnv::new();
-    h.write(&fingerprint.to_le_bytes());
-    h.write(arch.as_bytes());
-    h.write(&[0]);
-    h.write(kind_key.as_bytes());
-    h.write(&content_fp.to_le_bytes());
     h.finish()
 }
 
@@ -424,13 +344,22 @@ impl Enc {
         self.buf.push(b'\n');
     }
 
-    fn opt_str(&mut self, s: Option<&str>) {
-        match s {
-            Some(s) => {
+    /// `Some(v)` as a `some` tag then `v`; `None` as a `none` tag.
+    fn opt<T>(&mut self, v: Option<T>, some: impl FnOnce(&mut Enc, T)) {
+        match v {
+            Some(v) => {
                 self.tag("some");
-                self.str(s);
+                some(self, v);
             }
             None => self.tag("none"),
+        }
+    }
+
+    /// A count line, then each item.
+    fn seq<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Enc, &T)) {
+        self.u64(items.len() as u64);
+        for item in items {
+            each(self, item);
         }
     }
 }
@@ -485,23 +414,38 @@ impl<'a> Dec<'a> {
             .parse()
             .map_err(|_| "bad string length".to_string())?;
         let rest = &self.bytes[self.pos..];
-        if rest.len() < len + 1 {
-            return Err("truncated string".to_string());
-        }
+        // Checked: a forged length must fail here, not overflow.
+        let end = len
+            .checked_add(1)
+            .filter(|&end| end <= rest.len())
+            .ok_or("truncated string")?;
         let s = std::str::from_utf8(&rest[..len]).map_err(|_| "non-utf8 string")?;
         if rest[len] != b'\n' {
             return Err("unterminated string".to_string());
         }
-        self.pos += len + 1;
+        self.pos += end;
         Ok(s.to_string())
     }
 
-    fn opt_str(&mut self) -> Result<Option<String>, String> {
+    fn opt<T>(
+        &mut self,
+        some: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
         match self.tag()? {
-            "some" => Ok(Some(self.str()?)),
+            "some" => some(self).map(Some),
             "none" => Ok(None),
             other => Err(format!("bad option tag {other:?}")),
         }
+    }
+
+    /// A count line, then that many items. Every item consumes at least
+    /// one byte, so a forged count fails at the payload's end.
+    fn seq<T>(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let n = self.u64()?;
+        (0..n).map(|_| each(self)).collect()
     }
 
     fn at_end(&self) -> bool {
@@ -513,7 +457,7 @@ impl<'a> Dec<'a> {
 // Object entries.
 // ---------------------------------------------------------------------------
 
-fn encode_object_entry(key: &ObjectKey, obj: &CachedObj) -> Vec<u8> {
+pub(crate) fn encode_object_entry(key: &ObjectKey, obj: &CachedObj) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(key.blob.hi());
     e.u64(key.blob.lo());
@@ -536,14 +480,8 @@ fn encode_object_entry(key: &ObjectKey, obj: &CachedObj) -> Vec<u8> {
                     let mut macros: Vec<&str> =
                         ifile.expanded_macros.iter().map(String::as_str).collect();
                     macros.sort_unstable();
-                    e.u64(macros.len() as u64);
-                    for m in macros {
-                        e.str(m);
-                    }
-                    e.u64(ifile.includes.len() as u64);
-                    for inc in &ifile.includes {
-                        e.str(inc);
-                    }
+                    e.seq(&macros, |e, m| e.str(m));
+                    e.seq(&ifile.includes, |e, inc| e.str(inc));
                 }
                 Err(msg) => {
                     e.tag("err");
@@ -566,7 +504,7 @@ fn encode_object_entry(key: &ObjectKey, obj: &CachedObj) -> Vec<u8> {
     e.buf
 }
 
-fn decode_object_entry(
+pub(crate) fn decode_object_entry(
     payload: &[u8],
     registry: &ArchRegistry,
 ) -> Result<(ObjectKey, CachedObj), String> {
@@ -583,31 +521,16 @@ fn decode_object_entry(
         .get(&arch_name)
         .ok_or_else(|| format!("unknown arch {arch_name:?}"))?
         .name;
-    let kind_tag = d.tag()?.to_string();
-    let (kind, obj) = match kind_tag.as_str() {
+    let (kind, obj) = match d.tag()? {
         "I" => {
             let text_len = d.u64()?;
             let result = match d.tag()? {
-                "ok" => {
-                    let ipath = d.str()?;
-                    let text = d.str()?;
-                    let n_macros = d.u64()?;
-                    let mut expanded_macros = HashSet::new();
-                    for _ in 0..n_macros {
-                        expanded_macros.insert(d.str()?);
-                    }
-                    let n_includes = d.u64()?;
-                    let mut includes = Vec::new();
-                    for _ in 0..n_includes {
-                        includes.push(d.str()?);
-                    }
-                    Ok(IFile {
-                        path: ipath,
-                        text,
-                        expanded_macros,
-                        includes,
-                    })
-                }
+                "ok" => Ok(IFile {
+                    path: d.str()?,
+                    text: d.str()?,
+                    expanded_macros: d.seq(Dec::str)?.into_iter().collect(),
+                    includes: d.seq(Dec::str)?,
+                }),
                 "err" => Err(d.str()?),
                 other => return Err(format!("bad result tag {other:?}")),
             };
@@ -642,54 +565,27 @@ fn decode_object_entry(
 }
 
 fn encode_build_error(e: &mut Enc, err: &BuildError) {
+    // Every shape is a tag and a leading string; three carry more.
+    let (tag, lead) = match err {
+        BuildError::UnknownArch(a) => ("unknown_arch", a.as_str()),
+        BuildError::CrossCompilerMissing(a) => ("cross_compiler_missing", a.as_str()),
+        BuildError::NoKconfig(a) => ("no_kconfig", a.as_str()),
+        BuildError::KconfigParse(m) => ("kconfig_parse", m.as_str()),
+        BuildError::MissingFile(p) => ("missing_file", p.as_str()),
+        BuildError::NoMakefile(p) => ("no_makefile", p.as_str()),
+        BuildError::NotEnabled(p) => ("not_enabled", p.as_str()),
+        BuildError::SetupCompilationFailed(p) => ("setup_compilation_failed", p.as_str()),
+        BuildError::PreprocessFailed { file, .. } => ("preprocess_failed", file.as_str()),
+        BuildError::FrontEndRejected { file, .. } => ("front_end_rejected", file.as_str()),
+        BuildError::RetriesExhausted { op, .. } => ("retries_exhausted", *op),
+    };
+    e.tag(tag);
+    e.str(lead);
     match err {
-        BuildError::UnknownArch(a) => {
-            e.tag("unknown_arch");
-            e.str(a);
-        }
-        BuildError::CrossCompilerMissing(a) => {
-            e.tag("cross_compiler_missing");
-            e.str(a);
-        }
-        BuildError::NoKconfig(a) => {
-            e.tag("no_kconfig");
-            e.str(a);
-        }
-        BuildError::KconfigParse(m) => {
-            e.tag("kconfig_parse");
-            e.str(m);
-        }
-        BuildError::MissingFile(p) => {
-            e.tag("missing_file");
-            e.str(p);
-        }
-        BuildError::NoMakefile(p) => {
-            e.tag("no_makefile");
-            e.str(p);
-        }
-        BuildError::NotEnabled(p) => {
-            e.tag("not_enabled");
-            e.str(p);
-        }
-        BuildError::SetupCompilationFailed(p) => {
-            e.tag("setup_compilation_failed");
-            e.str(p);
-        }
-        BuildError::PreprocessFailed { file, first_error } => {
-            e.tag("preprocess_failed");
-            e.str(file);
-            e.str(first_error);
-        }
-        BuildError::FrontEndRejected { file, error } => {
-            e.tag("front_end_rejected");
-            e.str(file);
-            encode_syntax_error(e, error);
-        }
-        BuildError::RetriesExhausted { op, attempts } => {
-            e.tag("retries_exhausted");
-            e.str(op);
-            e.u64(u64::from(*attempts));
-        }
+        BuildError::PreprocessFailed { first_error, .. } => e.str(first_error),
+        BuildError::FrontEndRejected { error, .. } => encode_syntax_error(e, error),
+        BuildError::RetriesExhausted { attempts, .. } => e.u64(u64::from(*attempts)),
+        _ => {}
     }
 }
 
@@ -779,7 +675,7 @@ fn decode_syntax_error(d: &mut Dec) -> Result<SyntaxError, String> {
 // Preproc entries: recorded header-inclusion effects.
 // ---------------------------------------------------------------------------
 
-fn encode_preproc_entry(key: &IncludeKey, effect: &IncludeEffect) -> Vec<u8> {
+pub(crate) fn encode_preproc_entry(key: &IncludeKey, effect: &IncludeEffect) -> Vec<u8> {
     let mut e = Enc::new();
     e.str(&key.path);
     e.u64(key.closure_fp);
@@ -787,41 +683,26 @@ fn encode_preproc_entry(key: &IncludeKey, effect: &IncludeEffect) -> Vec<u8> {
     e.u64(key.pragma_fp);
     e.u64(u64::from(key.depth));
     e.str(&effect.chunk);
-    encode_opt_marker(&mut e, effect.exit_marker.as_ref());
-    e.u64(effect.errors.len() as u64);
-    for err in &effect.errors {
-        encode_cpp_error(&mut e, err);
-    }
-    e.u64(effect.expanded.len() as u64);
-    for name in &effect.expanded {
-        e.str(name);
-    }
-    e.u64(effect.includes.len() as u64);
-    for inc in &effect.includes {
-        e.str(inc);
-    }
-    e.u64(effect.pragma_adds.len() as u64);
-    for p in &effect.pragma_adds {
-        e.str(p);
-    }
-    e.u64(effect.macro_events.len() as u64);
-    for event in &effect.macro_events {
-        match event {
-            MacroEvent::Define(def) => {
-                e.tag("define");
-                encode_macro_def(&mut e, def);
-            }
-            MacroEvent::Undef(name) => {
-                e.tag("undef");
-                e.str(name);
-            }
+    e.opt(effect.exit_marker.as_ref(), encode_marker);
+    e.seq(&effect.errors, encode_cpp_error);
+    e.seq(&effect.expanded, |e, name| e.str(name));
+    e.seq(&effect.includes, |e, inc| e.str(inc));
+    e.seq(&effect.pragma_adds, |e, p| e.str(p));
+    e.seq(&effect.macro_events, |e, event| match event {
+        MacroEvent::Define(def) => {
+            e.tag("define");
+            encode_macro_def(e, def);
         }
-    }
-    encode_opt_marker(&mut e, effect.first_flush.as_ref());
+        MacroEvent::Undef(name) => {
+            e.tag("undef");
+            e.str(name);
+        }
+    });
+    e.opt(effect.first_flush.as_ref(), encode_marker);
     e.buf
 }
 
-fn decode_preproc_entry(payload: &[u8]) -> Result<(IncludeKey, IncludeEffect), String> {
+pub(crate) fn decode_preproc_entry(payload: &[u8]) -> Result<(IncludeKey, IncludeEffect), String> {
     let mut d = Dec::new(payload);
     let key = IncludeKey {
         path: d.str()?,
@@ -830,108 +711,51 @@ fn decode_preproc_entry(payload: &[u8]) -> Result<(IncludeKey, IncludeEffect), S
         pragma_fp: d.u64()?,
         depth: d.u32()?,
     };
-    let chunk = d.str()?;
-    let exit_marker = decode_opt_marker(&mut d)?;
-    let n_errors = d.u64()?;
-    let mut errors = Vec::new();
-    for _ in 0..n_errors {
-        errors.push(decode_cpp_error(&mut d)?);
-    }
-    let strs = |d: &mut Dec| -> Result<Vec<String>, String> {
-        let n = d.u64()?;
-        (0..n).map(|_| d.str()).collect()
+    let effect = IncludeEffect {
+        chunk: d.str()?,
+        exit_marker: d.opt(decode_marker)?,
+        errors: d.seq(decode_cpp_error)?,
+        expanded: d.seq(Dec::str)?,
+        includes: d.seq(Dec::str)?,
+        pragma_adds: d.seq(Dec::str)?,
+        macro_events: d.seq(|d| match d.tag()? {
+            "define" => Ok(MacroEvent::Define(Arc::new(decode_macro_def(d)?))),
+            "undef" => Ok(MacroEvent::Undef(d.str()?)),
+            other => Err(format!("bad macro-event tag {other:?}")),
+        })?,
+        first_flush: d.opt(decode_marker)?,
     };
-    let expanded = strs(&mut d)?;
-    let includes = strs(&mut d)?;
-    let pragma_adds = strs(&mut d)?;
-    let n_events = d.u64()?;
-    let mut macro_events = Vec::new();
-    for _ in 0..n_events {
-        macro_events.push(match d.tag()? {
-            "define" => MacroEvent::Define(Arc::new(decode_macro_def(&mut d)?)),
-            "undef" => MacroEvent::Undef(d.str()?),
-            other => return Err(format!("bad macro-event tag {other:?}")),
-        });
-    }
-    let first_flush = decode_opt_marker(&mut d)?;
     if !d.at_end() {
         return Err("trailing bytes".to_string());
     }
-    Ok((
-        key,
-        IncludeEffect {
-            chunk,
-            exit_marker,
-            errors,
-            expanded,
-            includes,
-            pragma_adds,
-            macro_events,
-            first_flush,
-        },
-    ))
+    Ok((key, effect))
 }
 
-/// An optional `(file, line)` output marker.
-fn encode_opt_marker(e: &mut Enc, marker: Option<&(String, u32)>) {
-    match marker {
-        Some((file, line)) => {
-            e.tag("some");
-            e.str(file);
-            e.u64(u64::from(*line));
-        }
-        None => e.tag("none"),
-    }
+/// A `(file, line)` output marker.
+fn encode_marker(e: &mut Enc, (file, line): &(String, u32)) {
+    e.str(file);
+    e.u64(u64::from(*line));
 }
 
-fn decode_opt_marker(d: &mut Dec) -> Result<Option<(String, u32)>, String> {
-    match d.tag()? {
-        "some" => Ok(Some((d.str()?, d.u32()?))),
-        "none" => Ok(None),
-        other => Err(format!("bad option tag {other:?}")),
-    }
+fn decode_marker(d: &mut Dec) -> Result<(String, u32), String> {
+    Ok((d.str()?, d.u32()?))
 }
 
 fn encode_macro_def(e: &mut Enc, def: &MacroDef) {
     e.str(&def.name);
-    match &def.params {
-        None => e.tag("none"),
-        Some(params) => {
-            e.tag("some");
-            e.u64(params.len() as u64);
-            for p in params {
-                e.str(p);
-            }
-        }
-    }
+    e.opt(def.params.as_ref(), |e, params| {
+        e.seq(params, |e, p| e.str(p))
+    });
     e.boolean(def.variadic);
-    e.u64(def.body.len() as u64);
-    for t in &def.body {
-        encode_token(e, t);
-    }
+    e.seq(&def.body, encode_token);
 }
 
 fn decode_macro_def(d: &mut Dec) -> Result<MacroDef, String> {
-    let name = d.str()?;
-    let params = match d.tag()? {
-        "none" => None,
-        "some" => {
-            let n = d.u64()?;
-            Some((0..n).map(|_| d.str()).collect::<Result<Vec<_>, _>>()?)
-        }
-        other => return Err(format!("bad option tag {other:?}")),
-    };
-    let variadic = d.boolean()?;
-    let n_body = d.u64()?;
-    let mut body = Vec::new();
-    for _ in 0..n_body {
-        body.push(decode_token(d)?);
-    }
     Ok(MacroDef {
-        name,
-        params,
-        variadic,
-        body,
+        name: d.str()?,
+        params: d.opt(|d| d.seq(Dec::str))?,
+        variadic: d.boolean()?,
+        body: d.seq(decode_token)?,
     })
 }
 
@@ -1035,7 +859,7 @@ fn decode_cpp_error(d: &mut Dec) -> Result<CppError, String> {
 // Config entries.
 // ---------------------------------------------------------------------------
 
-fn encode_config_entry(fingerprint: u64, content_fp: u64, cfg: &BuildConfig) -> Vec<u8> {
+pub(crate) fn encode_config_entry(fingerprint: u64, content_fp: u64, cfg: &BuildConfig) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(fingerprint);
     e.u64(content_fp);
@@ -1062,8 +886,7 @@ fn encode_config_entry(fingerprint: u64, content_fp: u64, cfg: &BuildConfig) -> 
     // serialization the decoder re-parses line by line.
     e.str(&cfg.config.render());
     let symbols: Vec<&Symbol> = cfg.model.symbols().collect();
-    e.u64(symbols.len() as u64);
-    for sym in symbols {
+    e.seq(&symbols, |e, sym| {
         e.str(&sym.name);
         e.tag(match sym.ty {
             SymbolType::Bool => "bool",
@@ -1072,33 +895,23 @@ fn encode_config_entry(fingerprint: u64, content_fp: u64, cfg: &BuildConfig) -> 
             SymbolType::Hex => "hex",
             SymbolType::String => "string",
         });
-        e.opt_str(sym.prompt.as_deref());
-        // `Expr::Display` round-trips through `Expr::parse` (pinned by
-        // jmake-kconfig's display_round_trips test).
-        e.opt_str(sym.depends.as_ref().map(|x| x.to_string()).as_deref());
-        e.u64(sym.selects.len() as u64);
-        for (target, cond) in &sym.selects {
+        e.opt(sym.prompt.as_deref(), Enc::str);
+        e.opt(sym.depends.as_ref(), encode_expr);
+        e.seq(&sym.selects, |e, (target, cond)| {
             e.str(target);
-            e.opt_str(cond.as_ref().map(|x| x.to_string()).as_deref());
-        }
-        e.u64(sym.defaults.len() as u64);
-        for (value, cond) in &sym.defaults {
+            e.opt(cond.as_ref(), encode_expr);
+        });
+        e.seq(&sym.defaults, |e, (value, cond)| {
             e.tag(&value.to_string());
-            e.opt_str(cond.as_ref().map(|x| x.to_string()).as_deref());
-        }
+            e.opt(cond.as_ref(), encode_expr);
+        });
         e.str(&sym.declared_in);
-        match sym.choice_group {
-            Some(g) => {
-                e.tag("some");
-                e.u64(u64::from(g));
-            }
-            None => e.tag("none"),
-        }
-    }
+        e.opt(sym.choice_group, |e, g| e.u64(u64::from(g)));
+    });
     e.buf
 }
 
-fn decode_config_entry(
+pub(crate) fn decode_config_entry(
     payload: &[u8],
     registry: &ArchRegistry,
 ) -> Result<(u64, u64, BuildConfig), String> {
@@ -1121,37 +934,8 @@ fn decode_config_entry(
         other => return Err(format!("bad kind tag {other:?}")),
     };
     let config = parse_config_render(&d.str()?)?;
-    let n_symbols = d.u64()?;
     let mut model = KconfigModel::new();
-    for _ in 0..n_symbols {
-        let name = d.str()?;
-        let ty = match d.tag()? {
-            "bool" => SymbolType::Bool,
-            "tristate" => SymbolType::Tristate,
-            "int" => SymbolType::Int,
-            "hex" => SymbolType::Hex,
-            "string" => SymbolType::String,
-            other => return Err(format!("bad symbol type {other:?}")),
-        };
-        let mut sym = Symbol::new(name, ty);
-        sym.prompt = d.opt_str()?;
-        sym.depends = parse_opt_expr(&mut d)?;
-        let n_selects = d.u64()?;
-        for _ in 0..n_selects {
-            let target = d.str()?;
-            sym.selects.push((target, parse_opt_expr(&mut d)?));
-        }
-        let n_defaults = d.u64()?;
-        for _ in 0..n_defaults {
-            let value = parse_tristate(d.tag()?)?;
-            sym.defaults.push((value, parse_opt_expr(&mut d)?));
-        }
-        sym.declared_in = d.str()?;
-        sym.choice_group = match d.tag()? {
-            "some" => Some(d.u32()?),
-            "none" => None,
-            other => return Err(format!("bad option tag {other:?}")),
-        };
+    for sym in d.seq(decode_symbol)? {
         model.insert(sym);
     }
     if !d.at_end() {
@@ -1166,11 +950,34 @@ fn decode_config_entry(
     Ok((fingerprint, content_fp, built))
 }
 
-fn parse_opt_expr(d: &mut Dec) -> Result<Option<Expr>, String> {
-    match d.opt_str()? {
-        None => Ok(None),
-        Some(text) => Expr::parse(&text).map(Some).map_err(|e| format!("bad expr: {e}")),
-    }
+fn decode_symbol(d: &mut Dec) -> Result<Symbol, String> {
+    Ok(Symbol {
+        name: d.str()?,
+        ty: match d.tag()? {
+            "bool" => SymbolType::Bool,
+            "tristate" => SymbolType::Tristate,
+            "int" => SymbolType::Int,
+            "hex" => SymbolType::Hex,
+            "string" => SymbolType::String,
+            other => return Err(format!("bad symbol type {other:?}")),
+        },
+        prompt: d.opt(Dec::str)?,
+        depends: d.opt(decode_expr)?,
+        selects: d.seq(|d| Ok((d.str()?, d.opt(decode_expr)?)))?,
+        defaults: d.seq(|d| Ok((parse_tristate(d.tag()?)?, d.opt(decode_expr)?)))?,
+        declared_in: d.str()?,
+        choice_group: d.opt(Dec::u32)?,
+    })
+}
+
+/// `Expr::Display` round-trips through `Expr::parse` (pinned by
+/// jmake-kconfig's display_round_trips test).
+fn encode_expr(e: &mut Enc, x: &Expr) {
+    e.str(&x.to_string());
+}
+
+fn decode_expr(d: &mut Dec) -> Result<Expr, String> {
+    Expr::parse(&d.str()?).map_err(|e| format!("bad expr: {e}"))
 }
 
 fn parse_tristate(tag: &str) -> Result<Tristate, String> {
@@ -1211,7 +1018,8 @@ mod tests {
     use super::*;
     use crate::build::{BuildEngine, ConfigKind};
     use crate::tree::SourceTree;
-    use jmake_faults::FaultSpec;
+    use jmake_faults::{FaultKind, FaultSpec};
+    use std::collections::HashSet;
 
     fn tiny_tree() -> SourceTree {
         let mut t = SourceTree::new();
@@ -1390,7 +1198,7 @@ mod tests {
         let (key, obj) = sample_object();
         objects.insert(key.clone(), Arc::new(obj));
         let cfg = solved_config();
-        configs.insert(5, &cfg.key().clone(), 0, Arc::clone(&cfg));
+        configs.insert((5, cfg.key().clone(), 0), Arc::clone(&cfg));
         let (pkey, effect) = sample_preproc();
         preproc.insert(pkey.clone(), Arc::new(effect));
         let stored = disk.store(&objects, &configs, &preproc).unwrap();
@@ -1417,8 +1225,8 @@ mod tests {
         );
         assert_eq!(loaded.entries_quarantined, 0);
         assert!(objects2.peek(&key).is_some());
-        assert!(configs2.peek(5, cfg.key(), 0).is_some());
-        assert!(preproc2.lookup(&pkey).is_some());
+        assert!(configs2.peek(&(5, cfg.key().clone(), 0)).is_some());
+        assert!(preproc2.peek(&pkey).is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1494,6 +1302,87 @@ mod tests {
         assert_eq!(snap.corruptions_detected, 1);
         assert!(snap.injected_corrupt >= 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Write one entry with a valid digest whose first string field
+    /// (after the fixed-width `prefix` fields) claims `usize::MAX` bytes,
+    /// then load the tier: the entry must quarantine, not panic.
+    fn forged_length_is_quarantined<E: Entry>(prefix: &str) {
+        let dir = tempdir(&format!("forged-{}", E::SECTION));
+        let disk = DiskCache::open(&dir).unwrap();
+        let payload = format!("{prefix}{}\nx\n", usize::MAX);
+        assert!(disk
+            .write_entry(E::SECTION, 1, E::MAGIC, payload.as_bytes())
+            .unwrap());
+        let loaded = disk
+            .load(
+                &ObjectCache::new(),
+                &ConfigCache::new(),
+                &PreprocCache::new(),
+                &Faults::disabled(),
+            )
+            .unwrap();
+        assert_eq!(loaded.entries_quarantined, 1);
+        assert_eq!(
+            loaded.objects_loaded + loaded.configs_loaded + loaded.preproc_loaded,
+            0
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn forged_object_string_length_is_quarantined() {
+        // Blob hash halves, then the path.
+        forged_length_is_quarantined::<CachedObj>("0000000000000001\n0000000000000002\n");
+    }
+
+    #[test]
+    fn forged_config_string_length_is_quarantined() {
+        // Tree and content fingerprints, then the arch name.
+        forged_length_is_quarantined::<BuildConfig>("0000000000000001\n0000000000000000\n");
+    }
+
+    #[test]
+    fn forged_preproc_string_length_is_quarantined() {
+        // The header path comes first.
+        forged_length_is_quarantined::<IncludeEffect>("");
+    }
+
+    mod decode_fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Feed `E::decode` arbitrary bytes, a truncation and a one-byte
+        /// rewrite of `valid`: each must answer `Ok` or `Err`, never
+        /// panic.
+        fn decode_survives<E: Entry>(valid: &[u8], noise: &[u8], cut: usize, at: usize, byte: u8) {
+            let registry = ArchRegistry::new();
+            let _ = E::decode(noise, &registry);
+            let _ = E::decode(&valid[..cut % (valid.len() + 1)], &registry);
+            let mut flipped = valid.to_vec();
+            flipped[at % valid.len()] = byte;
+            let _ = E::decode(&flipped, &registry);
+        }
+
+        proptest! {
+            #[test]
+            fn decoders_never_panic(
+                noise in prop::collection::vec(0u8..=255, 0..96),
+                cut in 0usize..4096,
+                at in 0usize..4096,
+                byte in 0u8..=255,
+            ) {
+                let (key, obj) = sample_object();
+                let payload = CachedObj::encode(&key, &obj);
+                decode_survives::<CachedObj>(&payload, &noise, cut, at, byte);
+                let cfg = solved_config();
+                let payload = BuildConfig::encode(&(7, cfg.key().clone(), 0), &cfg);
+                decode_survives::<BuildConfig>(&payload, &noise, cut, at, byte);
+                let (key, effect) = sample_preproc();
+                let payload = IncludeEffect::encode(&key, &effect);
+                decode_survives::<IncludeEffect>(&payload, &noise, cut, at, byte);
+            }
+        }
     }
 
     mod preproc_props {
@@ -1595,10 +1484,10 @@ mod tests {
         let disk = DiskCache::open(&dir).unwrap();
         let tree = tiny_tree();
         let old_fp = fnv_tree_fingerprint(&tree);
-        assert_ne!(old_fp, ConfigCache::fingerprint_tree(&tree));
+        assert_ne!(old_fp, tree.config_digest());
         let configs = ConfigCache::new();
         let cfg = solved_config();
-        configs.insert(old_fp, &cfg.key().clone(), 0, cfg);
+        configs.insert((old_fp, cfg.key().clone(), 0), cfg);
         disk.store(&ObjectCache::new(), &configs, &PreprocCache::new())
             .unwrap();
 
@@ -1618,6 +1507,131 @@ mod tests {
         engine.make_config("x86_64", &ConfigKind::AllYes).unwrap();
         let s = loaded.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 1, 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every file under `root` as `(relative path, bytes)`, sorted.
+    fn tier_files(root: &Path) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        let mut stack = vec![root.to_path_buf()];
+        while let Some(dir) = stack.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    stack.push(path);
+                } else {
+                    let rel = path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+                    out.push((rel, String::from_utf8(std::fs::read(&path).unwrap()).unwrap()));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// The exact files one sample entry per section stores to. A tier
+    /// written by any earlier build must keep loading, so the names,
+    /// frames and payload bytes may never drift.
+    #[test]
+    fn on_disk_format_is_pinned() {
+        let dir = tempdir("golden");
+        let disk = DiskCache::open(&dir).unwrap();
+        let objects = ObjectCache::new();
+        let (key, obj) = sample_object();
+        objects.insert(key, Arc::new(obj));
+        let configs = Arc::new(ConfigCache::new());
+        BuildEngine::with_shared_cache(tiny_tree(), Arc::clone(&configs))
+            .make_config("x86_64", &ConfigKind::AllYes)
+            .unwrap();
+        let preproc = PreprocCache::new();
+        let (pkey, effect) = sample_preproc();
+        preproc.insert(pkey, Arc::new(effect));
+        disk.store(&objects, &configs, &preproc).unwrap();
+
+        let config = concat!(
+            "jmake-cache v1 config\nd21141a56bcdaf3c\n",
+            "c9b16ac762100716\n0000000000000000\n6\nx86_64\nallyes\n",
+            "44\nCONFIG_E1000=y\nCONFIG_NET=y\nCONFIG_X86_64=y\n\n",
+            "0000000000000003\n",
+            "5\nE1000\ntristate\nsome\n5\ne1000\nsome\n3\nNET\n",
+            "0000000000000000\n0000000000000000\n7\nKconfig\nnone\n",
+            "3\nNET\nbool\nsome\n3\nnet\nnone\n",
+            "0000000000000000\n0000000000000000\n7\nKconfig\nnone\n",
+            "6\nX86_64\nbool\nnone\nnone\n",
+            "0000000000000000\n0000000000000001\ny\nnone\n19\narch/x86_64/Kconfig\nnone\n",
+        );
+        let object = concat!(
+            "jmake-cache v1 object\n4f9b137b14c2b1dc\n",
+            "cebbb8a74bd80e97\n5954734dcbf0f087\n15\ndrivers/net/a.c\n",
+            "0000000000001234\n0000000000005678\ny\n6\nx86_64\n",
+            "I\n000000000000002a\nok\n15\ndrivers/net/a.c\n",
+            "34\nint x;\nweird \"text\"\nwith\nnewlines\n\n",
+            "0000000000000002\n10\nCONFIG_NET\n6\nMODULE\n",
+            "0000000000000001\n17\ninclude/linux/k.h\n",
+        );
+        let preproc_entry = concat!(
+            "jmake-cache v1 preproc\n0946c2956bb2828f\n",
+            "17\ninclude/linux/k.h\n000000000000feed\n000000000000bead\n",
+            "0000000000000000\n0000000000000002\n",
+            "44\n# 1 \"include/linux/k.h\"\nint k;\nweird \"text\"\n\n",
+            "some\n15\ndrivers/net/a.c\n0000000000000011\n",
+            "0000000000000002\n",
+            "17\ninclude/linux/k.h\n0000000000000003\ninclude_not_found\n9\nmissing.h\n",
+            "17\ninclude/linux/k.h\n0000000000000009\nwrong_argument_count\n3\nMAX\n",
+            "0000000000000002\n0000000000000003\n",
+            "0000000000000001\n10\nCONFIG_NET\n",
+            "0000000000000001\n21\ninclude/linux/inner.h\n",
+            "0000000000000001\n17\ninclude/linux/k.h\n",
+            "0000000000000003\n",
+            "define\n1\nK\nnone\nn\n0000000000000001\nnum\n1\n1\nn\n0000000000000000\n",
+            "define\n3\nMAX\nsome\n0000000000000002\n1\na\n1\nb\nn\n0000000000000011\n",
+            "pun\n1\n(\nn\n0000000000000000\npun\n1\n(\nn\n0000000000000000\n",
+            "id\n1\na\nn\n0000000000000000\npun\n1\n)\nn\n0000000000000000\n",
+            "pun\n1\n>\nn\n0000000000000000\npun\n1\n(\nn\n0000000000000000\n",
+            "id\n1\nb\nn\n0000000000000000\npun\n1\n)\nn\n0000000000000000\n",
+            "pun\n1\n?\nn\n0000000000000000\npun\n1\n(\nn\n0000000000000000\n",
+            "id\n1\na\nn\n0000000000000000\npun\n1\n)\nn\n0000000000000000\n",
+            "pun\n1\n:\nn\n0000000000000000\npun\n1\n(\nn\n0000000000000000\n",
+            "id\n1\nb\nn\n0000000000000000\npun\n1\n)\nn\n0000000000000000\n",
+            "pun\n1\n)\nn\n0000000000000000\n",
+            "undef\n1\nK\n",
+            "some\n17\ninclude/linux/k.h\n0000000000000001\n",
+        );
+        let expected: Vec<(String, String)> = [
+            ("configs/59/591c77db85f65e56.entry", config),
+            ("objects/b1/b1c43af3f6fdd6af.entry", object),
+            ("preproc/1d/1dcfc02a747c6084.entry", preproc_entry),
+        ]
+        .iter()
+        .map(|(p, b)| (p.to_string(), b.to_string()))
+        .collect();
+        assert_eq!(tier_files(&dir), expected);
+
+        // The pinned files load back whole, and storing the same entries
+        // again writes nothing new.
+        let loaded = disk
+            .load(
+                &ObjectCache::new(),
+                &ConfigCache::new(),
+                &PreprocCache::new(),
+                &Faults::disabled(),
+            )
+            .unwrap();
+        assert_eq!(
+            (
+                loaded.objects_loaded,
+                loaded.configs_loaded,
+                loaded.preproc_loaded,
+                loaded.entries_quarantined
+            ),
+            (1, 1, 1, 0)
+        );
+        let again = disk.store(&objects, &configs, &preproc).unwrap();
+        assert_eq!(
+            (again.objects_stored, again.configs_stored, again.preproc_stored),
+            (0, 0, 0)
+        );
+        assert_eq!(tier_files(&dir), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -41,6 +41,7 @@ pub mod objgraph;
 pub mod ppcache;
 #[cfg(test)]
 mod proptests;
+pub mod store;
 pub mod tree;
 
 pub use arch::{Arch, ArchRegistry};
@@ -48,16 +49,14 @@ pub use build::{
     bootstrap_files_of, BuildConfig, BuildEngine, BuildError, ConfigKey, ConfigKind, IFile,
     IResults,
 };
-pub use cache::{CacheStats, ConfigCache};
+pub use cache::ConfigCache;
 pub use clock::{CostModel, Samples, VirtualClock};
 pub use diskcache::{DiskCache, DiskTierStats};
 pub use hash::ContentHash;
 pub use makefile::{Cond, Makefile};
-pub use objcache::{
-    include_fingerprint, CachedObj, ObjKind, ObjectCache, ObjectCacheStats, ObjectKey,
-    VerifiedLookup,
-};
+pub use objcache::{include_fingerprint, CachedObj, ObjKind, ObjectCache, ObjectKey};
 pub use intern::{ArchId, PathId, TokenId};
 pub use objgraph::ObjGraph;
-pub use ppcache::{PreprocCache, PreprocCacheStats};
+pub use ppcache::PreprocCache;
+pub use store::{Entry, Lookup, Store, StoreStats};
 pub use tree::{Blob, ConfigScan, SourceTree, TreeChange};

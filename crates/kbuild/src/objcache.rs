@@ -23,23 +23,21 @@
 //! the preprocessor supports but a lexical scan cannot see through) are
 //! simply never cached.
 //!
-//! Like [`ConfigCache`](crate::ConfigCache), this is a **host-side**
-//! optimization only: on a hit the engine still charges the virtual clock
-//! the full preprocess/compile cost, so every report, Fig. 4b/4c sample,
-//! and per-stage virtual-µs total is bit-identical with the cache on or
-//! off. Only real wall-clock drops.
+//! A hit still charges the virtual clock the full preprocess/compile
+//! cost, so every report, Fig. 4b/4c sample, and per-stage virtual-µs
+//! total is bit-identical with the cache on or off.
 
+use crate::arch::ArchRegistry;
 use crate::build::{BuildError, IFile};
+use crate::diskcache::{decode_object_entry, encode_object_entry};
 use crate::hash::{ContentHash, Fnv};
+use crate::store::{Entry, Store};
 use crate::tree::{IncludeScan, SourceTree};
-use jmake_faults::{FaultKind, FaultSite, Faults};
-use jmake_trace::CacheOutcome;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
-/// Number of independent lock shards, mirroring `ConfigCache`.
-const SHARDS: usize = 16;
+/// The shared store of preprocess/compile outcomes.
+pub type ObjectCache = Store<CachedObj>;
 
 /// Which build operation an entry memoizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,291 +97,86 @@ pub enum CachedObj {
     },
 }
 
-impl CachedObj {
-    /// True when this entry memoizes a failure (a *negative* entry).
-    pub fn is_negative(&self) -> bool {
+impl Entry for CachedObj {
+    type Key = ObjectKey;
+    const SECTION: &'static str = "objects";
+    const MAGIC: &'static str = "jmake-cache v1 object";
+
+    fn shard_bits(key: &ObjectKey) -> u64 {
+        // The blob hash is already strong; fold in the environment and
+        // include fingerprints so one hot file spreads across shards per
+        // configuration.
+        key.blob.hi() ^ key.env_fp ^ key.include_fp
+    }
+
+    fn key_digest(key: &ObjectKey) -> u64 {
+        let mut h = Fnv::new();
+        h.write(&key.blob.hi().to_le_bytes());
+        h.write(&key.blob.lo().to_le_bytes());
+        h.write(key.path.as_bytes());
+        h.write(&key.include_fp.to_le_bytes());
+        h.write(&key.env_fp.to_le_bytes());
+        h.write(&[u8::from(key.module)]);
+        h.write(key.arch.as_bytes());
+        h.write(if key.kind == ObjKind::I { b"I" } else { b"O" });
+        h.finish()
+    }
+
+    fn encode(key: &ObjectKey, obj: &Self) -> Vec<u8> {
+        encode_object_entry(key, obj)
+    }
+
+    fn decode(payload: &[u8], registry: &ArchRegistry) -> Result<(ObjectKey, Self), String> {
+        decode_object_entry(payload, registry)
+    }
+
+    /// Every object hit is verified. The digest covers the charge driver
+    /// (`text_len`), the outcome polarity, and the payload the caller
+    /// will actually consume.
+    fn digest(&self) -> Option<u64> {
+        let mut h = Fnv::new();
+        match self {
+            CachedObj::I { text_len, result } => {
+                h.write(b"I");
+                h.write(&text_len.to_le_bytes());
+                match result {
+                    Ok(ifile) => {
+                        h.write(b"ok");
+                        h.write(ifile.path.as_bytes());
+                        h.write(&[0x00]);
+                        h.write(ifile.text.as_bytes());
+                    }
+                    Err(e) => {
+                        h.write(b"err");
+                        h.write(e.as_bytes());
+                    }
+                }
+            }
+            CachedObj::O { text_len, result } => {
+                h.write(b"O");
+                h.write(&text_len.to_le_bytes());
+                match result {
+                    Ok(()) => h.write(b"ok"),
+                    Err(e) => {
+                        h.write(b"err");
+                        h.write(e.to_string().as_bytes());
+                    }
+                }
+            }
+        }
+        Some(h.finish())
+    }
+
+    fn fault_identity(key: &ObjectKey) -> String {
+        format!("{}:{:016x}", key.path, key.blob.hi())
+    }
+
+    fn is_negative(&self) -> bool {
         match self {
             CachedObj::I { result, .. } => result.is_err(),
             CachedObj::O { result, .. } => result.is_err(),
         }
     }
-}
-
-/// Aggregate object-cache counters, cheap to copy into driver statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObjectCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to preprocess/compile.
-    pub misses: u64,
-    /// The subset of hits that returned a memoized *failure*.
-    pub negative_hits: u64,
-    /// Distinct outcomes currently held.
-    pub entries: u64,
-    /// Entries whose integrity digest failed verification on lookup
-    /// (only ever non-zero under injected cache corruption).
-    pub corruptions_detected: u64,
-    /// Shards flushed and taken out of service after serving corruption.
-    pub quarantined_shards: u64,
-}
-
-impl ObjectCacheStats {
-    /// Fraction of lookups served from the cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// One stored outcome plus the integrity digest computed at insert time.
-/// [`ObjectCache::lookup_verified`] recomputes the digest of the served
-/// entry and compares; a mismatch (only possible under injected
-/// corruption — entries are immutable in memory) quarantines the shard.
-#[derive(Debug)]
-struct StoredObj {
-    digest: u64,
-    obj: Arc<CachedObj>,
-}
-
-/// What a verified lookup observed; see [`ObjectCache::lookup_verified`].
-#[derive(Debug)]
-pub struct VerifiedLookup {
-    /// The entry, when present and verified.
-    pub entry: Option<Arc<CachedObj>>,
-    /// Hit/miss as counted — a corrupted entry counts as a miss, because
-    /// the caller must recompute.
-    pub outcome: CacheOutcome,
-    /// The entry's shard was flushed and quarantined by *this* lookup.
-    pub quarantined_now: bool,
-}
-
-/// A thread-safe, content-addressed store of preprocess/compile outcomes,
-/// shared across the build engines of an evaluation run.
-#[derive(Debug, Default)]
-pub struct ObjectCache {
-    shards: [RwLock<HashMap<ObjectKey, StoredObj>>; SHARDS],
-    quarantined: [AtomicBool; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    negative_hits: AtomicU64,
-    corruptions: AtomicU64,
-    quarantines: AtomicU64,
-}
-
-impl ObjectCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        ObjectCache::default()
-    }
-
-    fn shard_index(&self, key: &ObjectKey) -> usize {
-        // The blob hash is already strong; fold in the environment and
-        // include fingerprints so one hot file spreads across shards per
-        // configuration.
-        (key.blob.hi() ^ key.env_fp ^ key.include_fp) as usize % SHARDS
-    }
-
-    /// Look up a memoized outcome; counts a hit or a miss (and a negative
-    /// hit when the entry memoizes a failure). The [`CacheOutcome`] is
-    /// derived from the same lookup that bumps the counters.
-    pub fn lookup(&self, key: &ObjectKey) -> (Option<Arc<CachedObj>>, CacheOutcome) {
-        let v = self.lookup_verified(key, &Faults::disabled());
-        (v.entry, v.outcome)
-    }
-
-    /// [`ObjectCache::lookup`] with integrity verification and fault
-    /// injection. The stored digest of the served entry is recomputed and
-    /// compared; under an injected [`FaultKind::Corrupt`] the served
-    /// digest is perturbed, the mismatch is detected, and the entry's
-    /// whole shard is flushed and **quarantined**: subsequent lookups and
-    /// peeks miss, inserts are dropped. The caller then recomputes live —
-    /// and because a hit charges the virtual clock exactly what a miss
-    /// does, recovery is charge-identical and reports stay bit-identical
-    /// even under corrupt-only fault profiles.
-    pub fn lookup_verified(&self, key: &ObjectKey, faults: &Faults) -> VerifiedLookup {
-        let idx = self.shard_index(key);
-        if self.quarantined[idx].load(Ordering::Acquire) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return VerifiedLookup {
-                entry: None,
-                outcome: CacheOutcome::Miss,
-                quarantined_now: false,
-            };
-        }
-        let found = self.shards[idx]
-            .read()
-            .expect("object cache shard poisoned")
-            .get(key)
-            .map(|stored| (stored.digest, Arc::clone(&stored.obj)));
-        let Some((stored_digest, obj)) = found else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return VerifiedLookup {
-                entry: None,
-                outcome: CacheOutcome::Miss,
-                quarantined_now: false,
-            };
-        };
-        // Simulated wire corruption: the fault layer flips the digest the
-        // shard "serves"; verification against the recomputed digest of
-        // the payload catches it, exactly as a real content-hash check
-        // over corrupted bytes would.
-        let mut served_digest = stored_digest;
-        if faults.is_enabled() {
-            let identity = format!("{}:{:016x}", key.path, key.blob.hi());
-            if faults.decide(FaultSite::CacheLookup, &identity, 0) == Some(FaultKind::Corrupt) {
-                served_digest ^= 0xdead_beef_dead_beef;
-            }
-        }
-        if served_digest != entry_digest(&obj) {
-            self.corruptions.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let quarantined_now = !self.quarantined[idx].swap(true, Ordering::AcqRel);
-            if quarantined_now {
-                self.quarantines.fetch_add(1, Ordering::Relaxed);
-                self.shards[idx]
-                    .write()
-                    .expect("object cache shard poisoned")
-                    .clear();
-            }
-            if let Some(stats) = faults.stats() {
-                stats.corruptions_detected.fetch_add(1, Ordering::Relaxed);
-                if quarantined_now {
-                    stats.quarantined_shards.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            return VerifiedLookup {
-                entry: None,
-                outcome: CacheOutcome::Miss,
-                quarantined_now,
-            };
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if obj.is_negative() {
-            self.negative_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        VerifiedLookup {
-            entry: Some(obj),
-            outcome: CacheOutcome::Hit,
-            quarantined_now: false,
-        }
-    }
-
-    /// Look without touching any counter, so inspecting the cache leaves
-    /// its statistics describing only the engines' lookups. A quarantined
-    /// shard answers `None`.
-    pub fn peek(&self, key: &ObjectKey) -> Option<Arc<CachedObj>> {
-        let idx = self.shard_index(key);
-        if self.quarantined[idx].load(Ordering::Acquire) {
-            return None;
-        }
-        self.shards[idx]
-            .read()
-            .expect("object cache shard poisoned")
-            .get(key)
-            .map(|stored| Arc::clone(&stored.obj))
-    }
-
-    /// Store an outcome. The first writer wins a race; later identical
-    /// outcomes are dropped, as is anything aimed at a quarantined shard.
-    pub fn insert(&self, key: ObjectKey, entry: Arc<CachedObj>) {
-        let idx = self.shard_index(&key);
-        if self.quarantined[idx].load(Ordering::Acquire) {
-            return;
-        }
-        let digest = entry_digest(&entry);
-        self.shards[idx]
-            .write()
-            .expect("object cache shard poisoned")
-            .entry(key)
-            .or_insert(StoredObj { digest, obj: entry });
-    }
-
-    /// Number of distinct outcomes held.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("object cache shard poisoned").len())
-            .sum()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every entry currently held, in unspecified order. Quarantined
-    /// shards contribute nothing (they were flushed when quarantined and
-    /// must not leak back out through persistence). The disk tier uses
-    /// this to persist the cache at the end of a run.
-    pub fn snapshot(&self) -> Vec<(ObjectKey, Arc<CachedObj>)> {
-        let mut out = Vec::new();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            if self.quarantined[idx].load(Ordering::Acquire) {
-                continue;
-            }
-            let shard = shard.read().expect("object cache shard poisoned");
-            out.extend(
-                shard
-                    .iter()
-                    .map(|(k, stored)| (k.clone(), Arc::clone(&stored.obj))),
-            );
-        }
-        out
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> ObjectCacheStats {
-        ObjectCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            negative_hits: self.negative_hits.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-            corruptions_detected: self.corruptions.load(Ordering::Relaxed),
-            quarantined_shards: self.quarantines.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Integrity digest of one cache entry, computed at insert time and
-/// re-verified on every [`ObjectCache::lookup_verified`]. Covers the
-/// charge driver (`text_len`), the outcome polarity, and the payload the
-/// caller will actually consume.
-fn entry_digest(entry: &CachedObj) -> u64 {
-    let mut h = Fnv::new();
-    match entry {
-        CachedObj::I { text_len, result } => {
-            h.write(b"I");
-            h.write(&text_len.to_le_bytes());
-            match result {
-                Ok(ifile) => {
-                    h.write(b"ok");
-                    h.write(ifile.path.as_bytes());
-                    h.write(&[0x00]);
-                    h.write(ifile.text.as_bytes());
-                }
-                Err(e) => {
-                    h.write(b"err");
-                    h.write(e.as_bytes());
-                }
-            }
-        }
-        CachedObj::O { text_len, result } => {
-            h.write(b"O");
-            h.write(&text_len.to_le_bytes());
-            match result {
-                Ok(()) => h.write(b"ok"),
-                Err(e) => {
-                    h.write(b"err");
-                    h.write(e.to_string().as_bytes());
-                }
-            }
-        }
-    }
-    h.finish()
 }
 
 /// Fingerprint everything preprocessing `file` can read *besides* the
@@ -559,85 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_insert_and_counters_including_negative_hits() {
-        let cache = ObjectCache::new();
-        let k = key("int x;\n", 1);
-        assert!(matches!(cache.lookup(&k), (None, CacheOutcome::Miss)));
-        cache.insert(
-            k.clone(),
-            Arc::new(CachedObj::I {
-                text_len: 7,
-                result: Err("missing header".to_string()),
-            }),
-        );
-        assert_eq!(cache.len(), 1);
-        let (found, outcome) = cache.lookup(&k);
-        assert_eq!(outcome, CacheOutcome::Hit);
-        assert!(found.unwrap().is_negative());
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.negative_hits, stats.entries),
-            (1, 1, 1, 1)
-        );
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn peek_does_not_touch_counters() {
-        let cache = ObjectCache::new();
-        let k = key("int x;\n", 1);
-        assert!(cache.peek(&k).is_none());
-        cache.insert(
-            k.clone(),
-            Arc::new(CachedObj::O {
-                text_len: 3,
-                result: Ok(()),
-            }),
-        );
-        assert!(cache.peek(&k).is_some());
-        assert_eq!(cache.stats(), ObjectCacheStats {
-            entries: 1,
-            ..ObjectCacheStats::default()
-        });
-    }
-
-    #[test]
-    fn corrupt_lookup_flushes_and_quarantines_the_shard() {
-        use jmake_faults::FaultSpec;
-        let cache = ObjectCache::new();
-        let k = key("int x;\n", 1);
-        let entry = || {
-            Arc::new(CachedObj::O {
-                text_len: 3,
-                result: Ok(()),
-            })
-        };
-        cache.insert(k.clone(), entry());
-        let faults = Faults::new(FaultSpec::default().with_rate(FaultKind::Corrupt, 1.0), 3);
-        let v = cache.lookup_verified(&k, &faults);
-        assert!(v.entry.is_none());
-        assert_eq!(v.outcome, CacheOutcome::Miss);
-        assert!(v.quarantined_now);
-        // The shard is out of service: lookups miss without consulting the
-        // fault plan again, peeks see nothing, and inserts are dropped.
-        assert!(matches!(cache.lookup(&k), (None, CacheOutcome::Miss)));
-        assert!(cache.peek(&k).is_none());
-        cache.insert(k.clone(), entry());
-        assert!(cache.peek(&k).is_none());
-        assert!(!cache.lookup_verified(&k, &faults).quarantined_now);
-        let stats = cache.stats();
-        assert_eq!(stats.corruptions_detected, 1);
-        assert_eq!(stats.quarantined_shards, 1);
-        assert_eq!(stats.hits, 0);
-        // The shared fault counters mirror the detection.
-        let snap = faults.stats_snapshot();
-        assert_eq!(snap.corruptions_detected, 1);
-        assert_eq!(snap.quarantined_shards, 1);
-        assert_eq!(snap.injected_corrupt, 1);
-    }
-
-    #[test]
-    fn verified_lookup_without_faults_matches_plain_lookup() {
+    fn object_hits_verify_their_digest_and_count_negatives() {
         let cache = ObjectCache::new();
         let k = key("int y;\n", 2);
         cache.insert(
@@ -647,10 +362,9 @@ mod tests {
                 result: Err("missing header".to_string()),
             }),
         );
-        let v = cache.lookup_verified(&k, &Faults::disabled());
-        assert_eq!(v.outcome, CacheOutcome::Hit);
-        assert!(v.entry.unwrap().is_negative());
-        assert!(!v.quarantined_now);
+        let found = cache.lookup(&k, &jmake_faults::Faults::disabled());
+        assert_eq!(found.outcome(), jmake_trace::CacheOutcome::Hit);
+        assert!(found.entry().unwrap().is_negative());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.negative_hits), (1, 1));
         assert_eq!(stats.corruptions_detected, 0);

@@ -5,9 +5,9 @@
 //! every patch expands the same include closures. `jmake-cpp` exposes the
 //! mechanism ([`jmake_cpp::memo`]): record the complete effect of one
 //! header inclusion, replay it when an identical inclusion recurs. This
-//! module supplies the policy and storage:
+//! module supplies the policy:
 //!
-//! - [`PreprocCache`] — a sharded, content-addressed store of
+//! - [`PreprocCache`] — a [`Store`] of recorded
 //!   [`IncludeEffect`]s keyed by [`IncludeKey`] (header path, include-
 //!   closure fingerprint, macro-environment fingerprint, pragma-once
 //!   fingerprint, nesting depth). The key discipline is the object
@@ -28,16 +28,19 @@
 //! layer, so reports, Fig. 4 streams, and virtual-µs totals are
 //! byte-identical with the cache on or off.
 
+use crate::arch::ArchRegistry;
+use crate::diskcache::{decode_preproc_entry, encode_preproc_entry};
+use crate::hash::Fnv;
 use crate::intern::{ArchId, PathId};
 use crate::objcache::include_fingerprint;
+use crate::store::{Entry, Store, StoreStats};
 use crate::tree::SourceTree;
 use jmake_cpp::{IncludeEffect, IncludeKey, IncludeMemo};
+use jmake_faults::Faults;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// Number of independent lock shards, mirroring the other caches.
-const SHARDS: usize = 16;
 
 /// Overflow bound for the closure-fingerprint memo. Epoch keys are dead
 /// once their tree is dropped (~2 trees per patch), so the memo is
@@ -45,78 +48,58 @@ const SHARDS: usize = 16;
 /// on retention.
 const CLOSURE_CAP: usize = 1 << 17;
 
-/// Aggregate preprocess-cache counters, cheap to copy into driver stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PreprocCacheStats {
-    /// Inclusions replayed from a recorded effect.
-    pub hits: u64,
-    /// Inclusions processed live (and usually recorded).
-    pub misses: u64,
-    /// Distinct effects currently held.
-    pub entries: u64,
-    /// Closure fingerprints answered from the epoch memo.
-    pub closure_hits: u64,
-    /// Closure fingerprints computed by walking the tree.
-    pub closure_misses: u64,
-}
+impl Entry for IncludeEffect {
+    type Key = IncludeKey;
+    const SECTION: &'static str = "preproc";
+    const MAGIC: &'static str = "jmake-cache v1 preproc";
 
-impl PreprocCacheStats {
-    /// Fraction of inclusions served from the cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+    fn shard_bits(key: &IncludeKey) -> u64 {
+        key.closure_fp ^ key.macro_fp
+    }
+
+    fn key_digest(key: &IncludeKey) -> u64 {
+        let mut h = Fnv::new();
+        h.write(key.path.as_bytes());
+        h.write(&[0]);
+        h.write(&key.closure_fp.to_le_bytes());
+        h.write(&key.macro_fp.to_le_bytes());
+        h.write(&key.pragma_fp.to_le_bytes());
+        h.write(&key.depth.to_le_bytes());
+        h.finish()
+    }
+
+    fn encode(key: &IncludeKey, effect: &Self) -> Vec<u8> {
+        encode_preproc_entry(key, effect)
+    }
+
+    fn decode(payload: &[u8], _: &ArchRegistry) -> Result<(IncludeKey, Self), String> {
+        decode_preproc_entry(payload)
     }
 }
 
-/// A thread-safe store of recorded header-inclusion effects, shared
-/// across the build engines of an evaluation run (and persisted by the
-/// disk tier between runs).
+/// The [`Store`] of recorded header-inclusion effects, shared across the
+/// build engines of a run (and persisted by the disk tier between runs),
+/// plus the closure-fingerprint memo. Dereferences to the store.
 #[derive(Debug, Default)]
 pub struct PreprocCache {
-    shards: [RwLock<HashMap<IncludeKey, Arc<IncludeEffect>>>; SHARDS],
+    effects: Store<IncludeEffect>,
     closure: RwLock<HashMap<(u64, ArchId, PathId), Option<u64>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     closure_hits: AtomicU64,
     closure_misses: AtomicU64,
+}
+
+impl Deref for PreprocCache {
+    type Target = Store<IncludeEffect>;
+
+    fn deref(&self) -> &Store<IncludeEffect> {
+        &self.effects
+    }
 }
 
 impl PreprocCache {
     /// An empty cache.
     pub fn new() -> Self {
         PreprocCache::default()
-    }
-
-    fn shard_index(key: &IncludeKey) -> usize {
-        (key.closure_fp ^ key.macro_fp) as usize % SHARDS
-    }
-
-    /// Look up a recorded effect; counts a hit or a miss.
-    pub fn lookup(&self, key: &IncludeKey) -> Option<Arc<IncludeEffect>> {
-        let found = self.shards[Self::shard_index(key)]
-            .read()
-            .expect("preproc cache shard poisoned")
-            .get(key)
-            .map(Arc::clone);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Store an effect. The first writer wins a race; identical later
-    /// recordings are dropped.
-    pub fn insert(&self, key: IncludeKey, effect: Arc<IncludeEffect>) {
-        self.shards[Self::shard_index(&key)]
-            .write()
-            .expect("preproc cache shard poisoned")
-            .entry(key)
-            .or_insert(effect);
     }
 
     /// The include-closure fingerprint of `(tree, arch, path)`, memoized
@@ -143,38 +126,13 @@ impl PreprocCache {
         fp
     }
 
-    /// Number of distinct effects held.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("preproc cache shard poisoned").len())
-            .sum()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every entry currently held, in unspecified order (the disk tier
-    /// persists the cache at the end of a run).
-    pub fn snapshot(&self) -> Vec<(IncludeKey, Arc<IncludeEffect>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().expect("preproc cache shard poisoned");
-            out.extend(shard.iter().map(|(k, e)| (k.clone(), Arc::clone(e))));
-        }
-        out
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> PreprocCacheStats {
-        PreprocCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-            closure_hits: self.closure_hits.load(Ordering::Relaxed),
-            closure_misses: self.closure_misses.load(Ordering::Relaxed),
+    /// Counters of the closure-fingerprint memo: walks answered from the
+    /// memo (hits) and walks run (misses).
+    pub fn closure_stats(&self) -> StoreStats {
+        StoreStats {
+            hits: self.closure_hits.load(Ordering::Relaxed),
+            misses: self.closure_misses.load(Ordering::Relaxed),
+            ..StoreStats::default()
         }
     }
 }
@@ -201,7 +159,7 @@ impl IncludeMemo for TreeMemo {
     }
 
     fn lookup(&self, key: &IncludeKey) -> Option<Arc<IncludeEffect>> {
-        self.cache.lookup(key)
+        self.cache.lookup(key, &Faults::disabled()).entry()
     }
 
     fn insert(&self, key: IncludeKey, effect: Arc<IncludeEffect>) {
@@ -224,37 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_insert_and_counters() {
-        let cache = PreprocCache::new();
-        assert!(cache.lookup(&key(1)).is_none());
-        cache.insert(key(1), Arc::new(IncludeEffect::default()));
-        assert!(cache.lookup(&key(1)).is_some());
-        assert!(cache.lookup(&key(2)).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn first_insert_wins() {
-        let cache = PreprocCache::new();
-        let first = Arc::new(IncludeEffect {
-            chunk: "first".to_string(),
-            ..IncludeEffect::default()
-        });
-        cache.insert(key(1), Arc::clone(&first));
-        cache.insert(
-            key(1),
-            Arc::new(IncludeEffect {
-                chunk: "second".to_string(),
-                ..IncludeEffect::default()
-            }),
-        );
-        assert_eq!(cache.lookup(&key(1)).unwrap().chunk, "first");
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn closure_fp_memoizes_by_epoch() {
         let mut tree = SourceTree::new();
         tree.insert("include/linux/k.h", "#define K 1\n");
@@ -263,17 +190,17 @@ mod tests {
         let b = cache.closure_fp(&tree, "x86_64", "include/linux/k.h");
         assert_eq!(a, b);
         assert!(a.is_some());
-        let stats = cache.stats();
-        assert_eq!((stats.closure_hits, stats.closure_misses), (1, 1));
+        let stats = cache.closure_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
 
         // A clone shares the epoch; a mutation does not.
         let clone = tree.clone();
         cache.closure_fp(&clone, "x86_64", "include/linux/k.h");
-        assert_eq!(cache.stats().closure_hits, 2);
+        assert_eq!(cache.closure_stats().hits, 2);
         tree.insert("include/linux/k.h", "#define K 2\n");
         let c = cache.closure_fp(&tree, "x86_64", "include/linux/k.h");
         assert_ne!(a, c);
-        assert_eq!(cache.stats().closure_misses, 2);
+        assert_eq!(cache.closure_stats().misses, 2);
     }
 
     #[test]
@@ -298,6 +225,6 @@ mod tests {
         assert!(cache.closure_fp(&tree, "x86_64", "include/h.h").is_none());
         // The None answer is memoized too.
         assert!(cache.closure_fp(&tree, "x86_64", "include/h.h").is_none());
-        assert_eq!(cache.stats().closure_hits, 1);
+        assert_eq!(cache.closure_stats().hits, 1);
     }
 }

@@ -364,7 +364,12 @@ impl SourceTree {
     /// maintained by `insert_blob` and `remove` like
     /// [`SourceTree::total_bytes`], so reading it is O(1). Equal trees
     /// have equal digests whatever order their files were inserted in.
-    pub(crate) fn config_digest(&self) -> u64 {
+    ///
+    /// Trees with equal digests solve to identical configurations for
+    /// every `(arch, kind)`, so the digest keys the shared
+    /// [`ConfigCache`](crate::ConfigCache) across patches that do not
+    /// touch those files.
+    pub fn config_digest(&self) -> u64 {
         self.config_digest
     }
 

@@ -6,8 +6,8 @@
 //! runs it through the same parallel driver `jmake-eval` uses and
 //! sends back the rendered report — **byte-identical** to what a local
 //! `jmake-eval` run would print for the same parameters, because the
-//! shared config/object caches only affect host-side time, never the
-//! simulated results.
+//! shared config, object and preprocess caches only affect host-side
+//! time, never the simulated results.
 //!
 //! Why a daemon at all: janitors iterating on a patch series ask for the
 //! same portfolio over and over. A daemon keeps the caches warm across

@@ -15,7 +15,8 @@
 //!   the backpressure: the daemon never buffers unbounded work.
 //! - A fixed pool of eval workers pops jobs and runs each through the
 //!   same parallel driver `jmake-eval` uses, against **shared**
-//!   config/object caches, so repeated portfolios start warm. Caches are
+//!   config, object and preprocess caches, so repeated portfolios start
+//!   warm. Caches are
 //!   host-side only, so a served report is byte-identical to a cold local
 //!   run (the CI gate diffs them).
 //! - [`Request::Shutdown`] acknowledges, stops accepting connections and

@@ -123,7 +123,8 @@ impl Metrics {
     }
 
     /// Shared-cache hits and misses over `config_solve` spans. Engine-local
-    /// memo hits are excluded so this matches `CacheStats` exactly.
+    /// memo hits are excluded so this matches the config store's
+    /// `StoreStats` exactly.
     pub fn cache_hits_misses(&self) -> (u64, u64) {
         match self.stage(Stage::ConfigSolve) {
             None => (0, 0),

@@ -8,6 +8,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every temp file, the disk tier and the serve socket live under one
+# directory. The one exit trap kills a still-running jmake-serve (a
+# failed step under `set -e` would otherwise leave it behind) and
+# removes the directory.
+WORK="$(mktemp -d)"
+SERVE_PID=""
+cleanup() {
+  if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
+    kill "$SERVE_PID" 2>/dev/null || true
+    wait "$SERVE_PID" 2>/dev/null || true
+  fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -31,9 +46,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
   --exclude rand --exclude proptest --exclude criterion
 
 echo "==> object-cache identity run (cached vs uncached reports)"
-CACHED_OUT="$(mktemp /tmp/jmake-eval-cached.XXXXXX.out)"
-UNCACHED_OUT="$(mktemp /tmp/jmake-eval-uncached.XXXXXX.out)"
-trap 'rm -f "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+CACHED_OUT="$WORK/eval-cached.out"
+UNCACHED_OUT="$WORK/eval-uncached.out"
 # Same window with every host-side acceleration on (config cache +
 # object cache + preprocess memo, the defaults) and with all of them
 # off: every table, figure, and summary line must be byte-identical —
@@ -45,9 +59,8 @@ trap 'rm -f "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
 diff -u "$UNCACHED_OUT" "$CACHED_OUT"
 
 echo "==> cross-check smoke run (static reachability vs mutation coverage)"
-CC_A="$(mktemp /tmp/jmake-crosscheck-a.XXXXXX.json)"
-CC_B="$(mktemp /tmp/jmake-crosscheck-b.XXXXXX.json)"
-trap 'rm -f "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+CC_A="$WORK/crosscheck-a.json"
+CC_B="$WORK/crosscheck-b.json"
 # The static analyzer and the mutation pipeline must never provably
 # disagree (jmake-eval exits non-zero on any discrepancy), and the
 # discrepancy report must be byte-identical across worker counts and
@@ -59,9 +72,8 @@ diff -u "$CC_A" "$CC_B"
 grep -q '"clean": true' "$CC_A"
 
 echo "==> remediation smoke run (--fix: verified deltas, zero disagreements)"
-FIX_A="$(mktemp /tmp/jmake-fix-a.XXXXXX.json)"
-FIX_B="$(mktemp /tmp/jmake-fix-b.XXXXXX.json)"
-trap 'rm -f "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+FIX_A="$WORK/fix-a.json"
+FIX_B="$WORK/fix-b.json"
 # Every missed line must be root-caused without contradicting the dynamic
 # classifier, and every emitted config delta must survive its single-trial
 # verification re-run (jmake-eval exits non-zero on either failure). The
@@ -81,8 +93,7 @@ if grep -q 'FIX:' "$CACHED_OUT"; then
 fi
 
 echo "==> full-window oracle sweep (--cross-check --fix, 1,200 commits x 3 seeds)"
-SWEEP_OUT="$(mktemp /tmp/jmake-sweep.XXXXXX.json)"
-trap 'rm -f "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+SWEEP_OUT="$WORK/sweep.json"
 # The 120-commit smoke runs above see too few patches to hit every
 # disagreement class; at full-window scale both oracles must still be
 # clean (exit 0) and every emitted delta must survive verification.
@@ -93,13 +104,12 @@ for seed in 319123704645 1 2; do
 done
 
 echo "==> trace smoke run (jmake-eval --trace + trace-check, object cache on)"
-TRACE_FILE="$(mktemp /tmp/jmake-trace.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+TRACE_FILE="$WORK/trace.jsonl"
 ./target/release/jmake-eval --commits 120 --trace "$TRACE_FILE" --metrics summary > /dev/null
 # The file must parse line-by-line against the documented schema, and
 # every stage name must be one of the documented thirteen.
-./target/release/jmake-eval trace-check "$TRACE_FILE" | tee /tmp/jmake-trace-check.out
-for stage in $(awk 'NR > 1 { print $1 }' /tmp/jmake-trace-check.out); do
+./target/release/jmake-eval trace-check "$TRACE_FILE" | tee "$WORK/trace-check.out"
+for stage in $(awk 'NR > 1 { print $1 }' "$WORK/trace-check.out"); do
   case "$stage" in
     checkout|show|check|mutation_plan|config_solve|build_i|build_o|classify|remediate|retry|timeout|quarantine|portfolio) ;;
     *) echo "unexpected stage name in trace: $stage" >&2; exit 1 ;;
@@ -107,11 +117,10 @@ for stage in $(awk 'NR > 1 { print $1 }' /tmp/jmake-trace-check.out); do
 done
 
 echo "==> persistent-tier identity run (cold vs warm --cache-dir reports)"
-CACHE_DIR="$(mktemp -d /tmp/jmake-cache-dir.XXXXXX)"
-COLD_OUT="$(mktemp /tmp/jmake-eval-cold.XXXXXX.out)"
-WARM_OUT="$(mktemp /tmp/jmake-eval-warm.XXXXXX.out)"
-WARM_ERR="$(mktemp /tmp/jmake-eval-warm.XXXXXX.err)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+CACHE_DIR="$WORK/cache-dir"
+COLD_OUT="$WORK/eval-cold.out"
+WARM_OUT="$WORK/eval-warm.out"
+WARM_ERR="$WORK/eval-warm.err"
 # A cold run populates the disk tier; a warm run must load it, report a
 # non-zero object-cache hit count, and print byte-identical tables —
 # the tier may only move host-side time, never simulated results.
@@ -129,9 +138,8 @@ if grep -Eq "object cache +0\.0% hit rate" "$WARM_ERR"; then
 fi
 
 echo "==> jmake-serve smoke run (daemon report vs local jmake-eval, then drain)"
-SERVE_SOCK="$(mktemp -u /tmp/jmake-serve.XXXXXX.sock)"
-SERVED_OUT="$(mktemp /tmp/jmake-serve.XXXXXX.out)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+SERVE_SOCK="$WORK/serve.sock"
+SERVED_OUT="$WORK/served.out"
 ./target/release/jmake-serve --socket "$SERVE_SOCK" --parallel 2 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
@@ -143,8 +151,7 @@ diff -u "$COLD_OUT" "$SERVED_OUT"
 wait "$SERVE_PID"
 
 echo "==> fault-injection smoke run (--faults transient:0.2 --fault-seed 7)"
-FAULT_ERR="$(mktemp /tmp/jmake-faults.XXXXXX.err)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$FAULT_ERR" "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+FAULT_ERR="$WORK/faults.err"
 # Every commit must produce exactly one outcome even under injected
 # faults, and at a 20% transient rate bounded retry must recover every
 # single one — no patch may go unreported or degrade.
@@ -158,9 +165,8 @@ if grep -q "did not produce a report" "$FAULT_ERR"; then
 fi
 
 echo "==> portfolio smoke run (--portfolio 4: coverage beyond allyes, byte-identity)"
-PF_A="$(mktemp /tmp/jmake-portfolio-a.XXXXXX.json)"
-PF_B="$(mktemp /tmp/jmake-portfolio-b.XXXXXX.json)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$PF_A" "$PF_B" "$FAULT_ERR" "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+PF_A="$WORK/portfolio-a.json"
+PF_B="$WORK/portfolio-b.json"
 # A K=4 seeded portfolio must strictly beat the allyes-only baseline
 # (covered > allyes ⇔ covered_conditional > 0, and randconfig members
 # must certify tokens allyes missed), and the report must be
@@ -188,8 +194,7 @@ fi
 echo "    portfolio covers $PF_COND conditional line(s), $PF_RAND token(s) via randconfig"
 
 echo "==> bench-regression gate (patches/s vs committed BENCH_5.json, -10% floor)"
-BENCH_OUT="$(mktemp /tmp/jmake-bench.XXXXXX.json)"
-trap 'rm -rf "$CACHE_DIR"; rm -f "$BENCH_OUT" "$PF_A" "$PF_B" "$FAULT_ERR" "$SERVE_SOCK" "$SERVED_OUT" "$COLD_OUT" "$WARM_OUT" "$WARM_ERR" "$TRACE_FILE" "$SWEEP_OUT" "$FIX_A" "$FIX_B" "$CC_A" "$CC_B" "$CACHED_OUT" "$UNCACHED_OUT"' EXIT
+BENCH_OUT="$WORK/bench.json"
 # Re-run the standard 1,200-commit sweep (same seed/workers as the
 # committed baseline) and fail if throughput drops more than 10% below
 # the BENCH_5.json this repo ships. Wall-clock varies by machine, so

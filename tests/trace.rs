@@ -131,7 +131,7 @@ fn span_totals_reconcile_with_driver_stats_across_worker_counts() {
         );
 
         // Shared-cache accounting: hit/miss outcomes on config_solve
-        // spans are the same counters `CacheStats` reports.
+        // spans are the same counters the config store's `StoreStats` reports.
         let (hits, misses) = metrics.cache_hits_misses();
         assert_eq!(hits, run.stats.cache.hits, "cache hits (workers={workers})");
         assert_eq!(
