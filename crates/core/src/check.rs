@@ -776,7 +776,7 @@ fn header_candidates(base: &SourceTree, h_path: &str, hints: &[String]) -> Vec<S
         .strip_prefix("arch/")
         .and_then(|r| r.split('/').next().map(|a| format!("arch/{a}/")));
     let mut tiers: [Vec<String>; 3] = Default::default();
-    for (path, content) in base.iter() {
+    for (path, blob) in base.iter_blobs() {
         if !path.ends_with(".c") {
             continue;
         }
@@ -785,14 +785,15 @@ fn header_candidates(base: &SourceTree, h_path: &str, hints: &[String]) -> Vec<S
                 continue;
             }
         }
-        let includes = content.lines().any(|l| {
-            let t = l.trim_start();
-            t.starts_with("#include")
-                && (t.contains(&include_needle_a)
-                    || t.contains(&include_needle_b)
-                    || t.contains(&include_needle_c)
-                    || t.contains(&include_needle_d))
+        // The blob memoizes its `#include` lines, so each `.c` file is
+        // line-scanned once per content rather than once per changed header.
+        let includes = blob.include_lines().any(|t| {
+            t.contains(&include_needle_a)
+                || t.contains(&include_needle_b)
+                || t.contains(&include_needle_c)
+                || t.contains(&include_needle_d)
         });
+        let content = blob.text();
         let has_all_hints = !hints.is_empty() && hints.iter().all(|h| content.contains(h.as_str()));
         let tier = match (includes, has_all_hints) {
             (true, true) => 0,

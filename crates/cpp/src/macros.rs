@@ -117,9 +117,22 @@ pub(crate) fn str_hash(s: &str) -> u64 {
 /// (a multiset fold over per-definition hashes), so "is the macro
 /// environment identical to last time?" is an O(1) question — the key
 /// discipline behind cross-patch preprocess memoization.
+///
+/// The table is copy-on-write: a shared immutable base plus a private
+/// overlay of this copy's own writes, where `#undef` of a base name
+/// leaves a tombstone. [`MacroTable::freeze`] moves everything into the
+/// base, so a configuration's predefined table (`__KERNEL__`,
+/// `IS_ENABLED`, every `CONFIG_*` define) is built once and every
+/// translation unit's copy clones and drops in O(own writes) instead of
+/// O(all defines). Lookups read the overlay first, then the base; the
+/// fingerprint is the same sum over live definitions either way.
 #[derive(Debug, Clone, Default)]
 pub struct MacroTable {
-    defs: HashMap<Arc<str>, MacroSlot>,
+    base: Arc<HashMap<Arc<str>, MacroSlot>>,
+    /// This copy's writes over `base`: `Some` defines or redefines a
+    /// name, `None` is a tombstone hiding a base definition.
+    overlay: HashMap<Arc<str>, Option<MacroSlot>>,
+    len: usize,
     fp: u64,
 }
 
@@ -143,53 +156,99 @@ impl MacroTable {
     }
 
     /// Define (or redefine) a macro whose definition is already shared —
-    /// cloning a table and replaying recorded definitions both bump a
-    /// refcount instead of deep-copying token bodies.
+    /// replaying recorded definitions bumps a refcount instead of
+    /// deep-copying token bodies.
     pub fn define_shared(&mut self, def: Arc<MacroDef>) {
         let hash = def.content_hash();
-        let name: Arc<str> = Arc::from(def.name.as_str());
-        if let Some(old) = self.defs.insert(name, MacroSlot { hash, def }) {
-            self.fp = self.fp.wrapping_sub(old.hash);
+        match self.slot(&def.name).map(|old| old.hash) {
+            Some(old) => self.fp = self.fp.wrapping_sub(old),
+            None => self.len += 1,
         }
         self.fp = self.fp.wrapping_add(hash);
+        let name: Arc<str> = Arc::from(def.name.as_str());
+        self.overlay.insert(name, Some(MacroSlot { hash, def }));
     }
 
     /// Remove a macro; silently ignores unknown names (like `#undef`).
     pub fn undef(&mut self, name: &str) {
-        if let Some(old) = self.defs.remove(name) {
-            self.fp = self.fp.wrapping_sub(old.hash);
+        let Some(old) = self.slot(name).map(|old| old.hash) else {
+            return;
+        };
+        self.fp = self.fp.wrapping_sub(old);
+        self.len -= 1;
+        if self.base.contains_key(name) {
+            self.overlay.insert(Arc::from(name), None);
+        } else {
+            self.overlay.remove(name);
+        }
+    }
+
+    /// Move every definition into the shared base, leaving the overlay
+    /// empty. Contents and fingerprint are unchanged; afterwards cloning
+    /// or dropping a copy costs O(writes made to that copy).
+    pub fn freeze(&mut self) {
+        if self.overlay.is_empty() {
+            return;
+        }
+        let base = Arc::make_mut(&mut self.base);
+        // Take the overlay rather than drain it: a drained map keeps its
+        // capacity, and every clone would copy that empty bucket array.
+        for (name, entry) in std::mem::take(&mut self.overlay) {
+            match entry {
+                Some(slot) => base.insert(name, slot),
+                None => base.remove(&name),
+            };
         }
     }
 
     /// The running fingerprint: equal for tables holding identical
-    /// definition multisets, regardless of the order they were built in.
+    /// definition multisets, regardless of the order they were built in
+    /// or how they are split between base and overlay.
     pub fn fingerprint(&self) -> u64 {
         self.fp
     }
 
+    /// The live slot for `name`: the overlay's entry when it has one
+    /// (a tombstone reads as undefined), else the base's.
+    fn slot(&self, name: &str) -> Option<&MacroSlot> {
+        match self.overlay.get(name) {
+            Some(entry) => entry.as_ref(),
+            None => self.base.get(name),
+        }
+    }
+
     /// Look up a macro.
     pub fn get(&self, name: &str) -> Option<&MacroDef> {
-        self.defs.get(name).map(|slot| &*slot.def)
+        self.slot(name).map(|slot| &*slot.def)
     }
 
     /// `defined(name)`.
     pub fn is_defined(&self, name: &str) -> bool {
-        self.defs.contains_key(name)
+        self.slot(name).is_some()
     }
 
     /// Number of live definitions.
     pub fn len(&self) -> usize {
-        self.defs.len()
+        self.len
     }
 
     /// True when no macros are defined.
     pub fn is_empty(&self) -> bool {
-        self.defs.is_empty()
+        self.len == 0
     }
 
     /// Iterate over the defined names (arbitrary order).
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.defs.keys().map(|k| &**k)
+        let base = self
+            .base
+            .keys()
+            .filter(|name| !self.overlay.contains_key(&***name));
+        let overlay = self
+            .overlay
+            .iter()
+            .filter(|(_, entry)| entry.is_some())
+            .map(|(name, _)| name);
+        base.chain(overlay).map(|name| &**name)
     }
 }
 
@@ -243,6 +302,55 @@ mod tests {
         c.define(MacroDef::object("T", "t"));
         c.undef("T");
         assert_eq!(c.fingerprint(), mid);
+    }
+
+    #[test]
+    fn frozen_base_is_shared_and_copies_write_privately() {
+        let mut base = MacroTable::new();
+        base.define(MacroDef::object("A", "1"));
+        base.define(MacroDef::object("B", "2"));
+        let fp = base.fingerprint();
+        base.freeze();
+        assert_eq!(base.fingerprint(), fp, "freezing moves no definition");
+        assert_eq!(base.len(), 2);
+
+        // A copy shares the base and allocates nothing for its overlay.
+        let mut copy = base.clone();
+        assert!(Arc::ptr_eq(&base.base, &copy.base));
+        assert_eq!(copy.overlay.capacity(), 0);
+
+        copy.undef("A"); // a tombstone over the base
+        copy.define(MacroDef::object("B", "3"));
+        copy.define(MacroDef::object("C", "4"));
+        assert!(base.is_defined("A") && !copy.is_defined("A"));
+        assert_eq!(base.get("B").unwrap().body[0].text, "2");
+        assert_eq!(copy.get("B").unwrap().body[0].text, "3");
+        assert_eq!(copy.len(), 2);
+        let mut names: Vec<&str> = copy.names().collect();
+        names.sort_unstable();
+        assert_eq!(names, ["B", "C"]);
+        assert_eq!(
+            base.fingerprint(),
+            fp,
+            "the base never sees a copy's writes"
+        );
+
+        // Same definitions, same fingerprint — however they are split
+        // between base, overlay and tombstones.
+        let mut fresh = MacroTable::new();
+        fresh.define(MacroDef::object("C", "4"));
+        fresh.define(MacroDef::object("B", "3"));
+        assert_eq!(copy.fingerprint(), fresh.fingerprint());
+        copy.freeze();
+        assert_eq!(copy.fingerprint(), fresh.fingerprint());
+        assert!(!copy.is_defined("A"), "freezing applies the tombstone");
+
+        // Redefining over a tombstone revives the name.
+        let mut revived = base.clone();
+        revived.undef("A");
+        revived.define(MacroDef::object("A", "1"));
+        assert_eq!(revived.fingerprint(), fp);
+        assert_eq!(revived.len(), 2);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 
 use crate::lexer::lex;
 use crate::lines::logical_lines;
+use crate::macros::{MacroDef, MacroTable};
 use crate::preprocess::{MapResolver, Preprocessor};
 use crate::syntax::validate;
 use crate::token::{render_tokens, TokenKind};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
 /// A small C-ish source generator: lines of declarations, macro defs,
 /// conditionals, and comments.
@@ -49,7 +51,82 @@ fn c_source() -> impl Strategy<Value = String> {
     })
 }
 
+/// Names a macro-table script writes; a small pool, so redefinitions,
+/// undefs of live names and undefs of unknown names all occur.
+const SCRIPT_NAMES: [&str; 5] = ["A", "B", "C", "CONFIG_X", "MODULE"];
+
+/// Strategy: a macro-table script of `(op, copy, name, body)` steps. Ops
+/// 0–1 define `SCRIPT_NAMES[name]` with one of three bodies, 2 undefines
+/// it, 3 clones the copy, 4 freezes it; `copy` is taken modulo the number
+/// of live copies.
+fn table_script() -> impl Strategy<Value = Vec<(u8, usize, usize, u8)>> {
+    prop::collection::vec((0u8..5, 0usize..8, 0usize..5, 0u8..3), 0..80)
+}
+
+fn script_def(name: usize, body: u8) -> MacroDef {
+    let name = SCRIPT_NAMES[name];
+    match body {
+        0 => MacroDef::object(name, "1"),
+        1 => MacroDef::object(name, "(2 + x)"),
+        _ => MacroDef::function(name, vec!["x".to_string()], "(x)"),
+    }
+}
+
+/// `table` answers every query exactly as its `HashMap` model does, and
+/// its running fingerprint equals that of a table built fresh from the
+/// model's definitions.
+fn assert_table_matches(table: &MacroTable, model: &HashMap<String, MacroDef>) {
+    for name in SCRIPT_NAMES {
+        prop_assert_eq!(table.get(name), model.get(name));
+        prop_assert_eq!(table.is_defined(name), model.contains_key(name));
+    }
+    prop_assert_eq!(table.len(), model.len());
+    prop_assert_eq!(table.names().count(), model.len(), "a name listed twice");
+    let names: BTreeSet<&str> = table.names().collect();
+    prop_assert_eq!(
+        names,
+        model.keys().map(String::as_str).collect::<BTreeSet<_>>()
+    );
+    let mut fresh = MacroTable::new();
+    for def in model.values() {
+        fresh.define(def.clone());
+    }
+    prop_assert_eq!(table.fingerprint(), fresh.fingerprint());
+}
+
 proptest! {
+    /// The copy-on-write table is equivalent to a plain map: after every
+    /// define, redefine, undef, clone or freeze, each copy matches its own
+    /// model — so a write to one copy never shows in another, whether the
+    /// name lives in the shared base or the copy's overlay.
+    #[test]
+    fn cow_macro_table_is_equivalent_to_a_map_model(script in table_script()) {
+        let mut copies = vec![(MacroTable::new(), HashMap::new())];
+        for (op, copy, name, body) in script {
+            let i = copy % copies.len();
+            let (table, model) = &mut copies[i];
+            match op {
+                0 | 1 => {
+                    let def = script_def(name, body);
+                    model.insert(def.name.clone(), def.clone());
+                    table.define(def);
+                }
+                2 => {
+                    table.undef(SCRIPT_NAMES[name]);
+                    model.remove(SCRIPT_NAMES[name]);
+                }
+                3 => {
+                    let twin = copies[i].clone();
+                    copies.push(twin);
+                }
+                _ => table.freeze(),
+            }
+            for (table, model) in &copies {
+                assert_table_matches(table, model);
+            }
+        }
+    }
+
     /// Preprocessing well-formed conditional structure raises no
     /// conditional-nesting diagnostics and terminates.
     #[test]

@@ -136,16 +136,12 @@ pub struct BuildConfig {
     /// Fingerprint of the macro environment `config.cpp_defines()`
     /// induces — one of the object-cache key dimensions.
     env_fp: u64,
-    /// Satisfiability lint over `model`, computed on first use and shared
-    /// by every clone (the classifier consults it once per patch; the
-    /// model is immutable after solving, so the result never changes).
-    dead: Arc<OnceLock<DeadSymbols>>,
     /// Predefined preprocessor macro tables ([0] = builtin, [1] =
-    /// modular), built from `config.cpp_defines()` on first use and
-    /// shared by every clone — the per-file preprocess path installs
-    /// one by refcount instead of re-defining hundreds of `CONFIG_*`
-    /// macros per translation unit.
-    macros: Arc<[OnceLock<Arc<MacroTable>>; 2]>,
+    /// modular), built from `config.cpp_defines()` on first use, frozen
+    /// into their shared base, and shared by every clone — the per-file
+    /// preprocess path copies one in O(1) instead of re-defining (or
+    /// deep-copying) hundreds of `CONFIG_*` macros per translation unit.
+    macros: Arc<[OnceLock<MacroTable>; 2]>,
 }
 
 impl BuildConfig {
@@ -159,13 +155,14 @@ impl BuildConfig {
         self.content_fp
     }
 
-    /// The model's dead-symbol set, computed once and shared across
-    /// clones — including the copies the shared [`crate::ConfigCache`]
-    /// hands to other workers, so one evaluation run pays the
-    /// O(symbols²) lint once per distinct configuration rather than
-    /// once per patch.
+    /// The model's dead-symbol set: the linear worklist lint, memoized
+    /// on the model itself ([`KconfigModel::dead_symbols`]). Configurations
+    /// live behind `Arc` — including the ones the shared
+    /// [`crate::ConfigCache`] hands to other workers — so one evaluation
+    /// run pays the O(symbols + edges) lint once per distinct
+    /// configuration rather than once per patch.
     pub fn dead_symbols(&self) -> &DeadSymbols {
-        self.dead.get_or_init(|| DeadSymbols::compute(&self.model))
+        self.model.dead_symbols()
     }
 
     /// Fingerprint of the preprocessor macro environment this
@@ -177,39 +174,44 @@ impl BuildConfig {
     /// The predefined macro table this configuration induces on the
     /// preprocessor (`__KERNEL__`, `IS_ENABLED`, every `CONFIG_*`
     /// define, plus `MODULE` when the object builds modular). Built once
-    /// per distinct configuration and shared across clones; the multiset
-    /// fingerprint is identical to defining each macro individually, so
-    /// preprocess-memo keys are unchanged.
-    pub(crate) fn macro_table(&self, module: bool) -> Arc<MacroTable> {
-        Arc::clone(self.macros[usize::from(module)].get_or_init(|| {
-            let mut table = MacroTable::new();
-            table.define(MacroDef::object("__KERNEL__", "1"));
-            // The kernel's IS_ENABLED idiom: `#if IS_ENABLED(CONFIG_X)`
-            // expands to the CONFIG macro itself — 1 when the option is
-            // built in, an undefined identifier (hence 0 in #if)
-            // otherwise. (The real kernel also covers =m; module-only
-            // visibility is handled by the MODULE define below.)
-            table.define(MacroDef::function(
-                "IS_ENABLED",
-                vec!["option".to_string()],
-                "(option)",
-            ));
-            for (name, value) in self.config.cpp_defines() {
-                table.define(MacroDef::object(name, &value));
-            }
-            // Kbuild defines MODULE when the object is built as a module.
-            if module {
-                table.define(MacroDef::object("MODULE", "1"));
-            }
-            Arc::new(table)
-        }))
+    /// per distinct configuration with every definition in the table's
+    /// shared base, so the copy returned here costs a refcount bump; the
+    /// multiset fingerprint is identical to defining each macro
+    /// individually, so preprocess-memo keys are unchanged.
+    pub(crate) fn macro_table(&self, module: bool) -> MacroTable {
+        self.macros[usize::from(module)]
+            .get_or_init(|| {
+                let mut table = MacroTable::new();
+                table.define(MacroDef::object("__KERNEL__", "1"));
+                // The kernel's IS_ENABLED idiom: `#if IS_ENABLED(CONFIG_X)`
+                // expands to the CONFIG macro itself — 1 when the option is
+                // built in, an undefined identifier (hence 0 in #if)
+                // otherwise. (The real kernel also covers =m; module-only
+                // visibility is handled by the MODULE define below.)
+                table.define(MacroDef::function(
+                    "IS_ENABLED",
+                    vec!["option".to_string()],
+                    "(option)",
+                ));
+                for (name, value) in self.config.cpp_defines() {
+                    table.define(MacroDef::object(name, &value));
+                }
+                // Kbuild defines MODULE when the object is built as a module.
+                if module {
+                    table.define(MacroDef::object("MODULE", "1"));
+                }
+                table.freeze();
+                table
+            })
+            .clone()
     }
 
     /// Reassemble a configuration from its serialized parts (the disk
     /// cache tier). The derived fields — interned key, content and
-    /// environment fingerprints, dead-symbol lazy cell — are recomputed
-    /// from the parts rather than trusted from disk, so a reassembled
-    /// configuration is indistinguishable from a freshly solved one.
+    /// environment fingerprints, the model's dead-symbol memo, the lazy
+    /// macro tables — are recomputed from the parts rather than trusted
+    /// from disk, so a reassembled configuration is indistinguishable
+    /// from a freshly solved one.
     pub(crate) fn from_parts(
         arch: Arch,
         kind: ConfigKind,
@@ -227,7 +229,6 @@ impl BuildConfig {
             key,
             content_fp,
             env_fp,
-            dead: Arc::new(OnceLock::new()),
             macros: Arc::new([OnceLock::new(), OnceLock::new()]),
         }
     }
@@ -713,7 +714,6 @@ impl BuildEngine {
             key: key.clone(),
             content_fp,
             env_fp,
-            dead: Arc::new(OnceLock::new()),
             macros: Arc::new([OnceLock::new(), OnceLock::new()]),
         });
         if let Some((cache, fingerprint)) = &self.shared {
@@ -1083,9 +1083,9 @@ pub(crate) fn preprocess_file(
         pp.set_memo(Arc::clone(memo) as Arc<dyn jmake_cpp::IncludeMemo>);
     }
     // The configuration's macro environment, memoized per (config,
-    // module) pair: installing the shared table costs refcount bumps,
+    // module) pair: installing the shared table costs a refcount bump,
     // not hundreds of per-file `#define`s.
-    pp.set_predefined((*cfg.macro_table(module)).clone());
+    pp.set_predefined(cfg.macro_table(module));
     let content = tree.get(file).unwrap_or_default();
     pp.preprocess(file, content)
 }

@@ -2,6 +2,7 @@
 
 use crate::hash::{ContentHash, Fnv};
 use crate::makefile::Makefile;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -44,14 +45,16 @@ pub struct ConfigScan {
 /// Blobs always live behind `Arc` and are shared: between the version
 /// store and every checkout, between a tree and its clones, and between a
 /// patch's base and mutated trees. The derived state (content hash,
-/// parsed makefile, include scan, configuration-variable scan) is
-/// therefore computed once per distinct content per process, no matter
-/// how many trees or patches touch it.
+/// parsed makefile, include scan, `#include` lines, configuration-variable
+/// scan) is therefore computed once per distinct content per process, no
+/// matter how many trees or patches touch it.
 pub struct Blob {
     text: Arc<str>,
     hash: OnceLock<ContentHash>,
     makefile: OnceLock<Arc<Makefile>>,
     includes: OnceLock<IncludeScan>,
+    /// Byte ranges of the `#include` lines in `text`.
+    include_lines: OnceLock<Box<[Range<usize>]>>,
     config_vars: OnceLock<ConfigScan>,
 }
 
@@ -63,6 +66,7 @@ impl Blob {
             hash: OnceLock::new(),
             makefile: OnceLock::new(),
             includes: OnceLock::new(),
+            include_lines: OnceLock::new(),
             config_vars: OnceLock::new(),
         })
     }
@@ -110,6 +114,30 @@ impl Blob {
     /// The blob's `#include` scan, computed by `scan` once per blob.
     pub fn include_scan_with(&self, scan: impl FnOnce(&str) -> IncludeScan) -> &IncludeScan {
         self.includes.get_or_init(|| scan(&self.text))
+    }
+
+    /// Every line that starts with `#include` once leading whitespace is
+    /// trimmed, trimmed that way, in order. The lines are found once per
+    /// blob and kept as byte ranges into the content. Unlike
+    /// [`Self::include_scan_with`] this is purely textual: it keeps lines
+    /// after a computed include and skips `# include`, which is what the
+    /// header-candidate ranking (`jmake_core`, paper §III.E) matches on.
+    pub fn include_lines(&self) -> impl Iterator<Item = &str> {
+        let spans = self.include_lines.get_or_init(|| {
+            // Every line is a subslice of `text`, so its offset is the
+            // distance between the two start pointers.
+            let base = self.text.as_ptr() as usize;
+            self.text
+                .lines()
+                .map(str::trim_start)
+                .filter(|line| line.starts_with("#include"))
+                .map(|line| {
+                    let start = line.as_ptr() as usize - base;
+                    start..start + line.len()
+                })
+                .collect()
+        });
+        spans.iter().map(|span| &self.text[span.clone()])
     }
 
     /// The blob's configuration-variable scan, computed by `scan` once
@@ -569,6 +597,29 @@ mod tests {
         t.insert("drivers/net/ab.c", "int ab;\n");
         t.insert("drivers/nvme/b.c", "int b;\n");
         t
+    }
+
+    #[test]
+    fn include_lines_are_the_trimmed_include_directives() {
+        let blob = Blob::new(
+            "#include <a.h>\n  #include \"b.h\"\n# include <c.h>\n#include HDR\n\
+             #include <d.h>\r\nint x; /* #include <e.h> */\n\t#include_next <f.h>\n",
+        );
+        let lines: Vec<&str> = blob.include_lines().collect();
+        // Textual, unlike the include scan: a computed include does not
+        // stop it, `# include` is not an `#include` line, and
+        // `#include_next` is.
+        assert_eq!(
+            lines,
+            [
+                "#include <a.h>",
+                "#include \"b.h\"",
+                "#include HDR",
+                "#include <d.h>",
+                "#include_next <f.h>",
+            ]
+        );
+        assert_eq!(blob.include_lines().collect::<Vec<_>>(), lines, "memoized");
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! decide whether it is (a) settable but not set by allyesconfig, or
 //! (b) never settable in the kernel at all.
 
+use crate::ast::Symbol;
+use crate::expr::Expr;
 use crate::model::KconfigModel;
 use crate::tristate::Tristate;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The set of symbols that can never be enabled under any configuration.
 #[derive(Debug, Clone, Default)]
@@ -32,43 +34,19 @@ impl DeadSymbols {
     /// Evaluation stays optimistic (`X` contributes Y when X is live,
     /// `!X` is always satisfiable by leaving X off), so liveness is still
     /// an over-approximation: a symbol reported dead really is dead.
+    ///
+    /// The fixed point runs as a worklist over a reverse index
+    /// (`least_fixed_point`), so it costs O(symbols + edges) expression
+    /// evaluations rather than a scan of every `select` list per symbol
+    /// per round. [`KconfigModel::dead_symbols`] memoizes the result on
+    /// the model.
     pub fn compute(model: &KconfigModel) -> Self {
-        let mut live: BTreeSet<String> = BTreeSet::new();
-        loop {
-            let mut changed = false;
-            for sym in model.symbols() {
-                if live.contains(&sym.name) {
-                    continue;
-                }
-                let satisfiable = match &sym.depends {
-                    None => true,
-                    Some(e) => optimistic(e, &live) == Tristate::Y,
-                };
-                // A select only justifies its target when the selector has
-                // already proved itself live *and* the select condition is
-                // satisfiable against the current live set.
-                let selected = model.symbols().any(|other| {
-                    live.contains(&other.name)
-                        && other.selects.iter().any(|(t, cond)| {
-                            t == &sym.name
-                                && cond
-                                    .as_ref()
-                                    .is_none_or(|c| optimistic(c, &live) == Tristate::Y)
-                        })
-                });
-                if satisfiable || selected {
-                    live.insert(sym.name.clone());
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let (live, _) = least_fixed_point(model, Lint::Live);
         let dead = model
             .symbols()
-            .map(|s| s.name.clone())
-            .filter(|n| !live.contains(n))
+            .zip(live)
+            .filter(|(_, live)| !live)
+            .map(|(sym, _)| sym.name.clone())
             .collect();
         DeadSymbols { dead }
     }
@@ -189,39 +167,16 @@ impl UndeadSymbols {
     /// undead, plus anything unconditionally selected by an undead
     /// symbol. A conservative under-approximation: a symbol reported
     /// undead really is always on.
+    ///
+    /// Runs through the same worklist as [`DeadSymbols::compute`].
     pub fn compute(model: &KconfigModel) -> Self {
-        let mut undead: BTreeSet<String> = BTreeSet::new();
-        loop {
-            let mut changed = false;
-            for sym in model.symbols() {
-                if undead.contains(&sym.name) {
-                    continue;
-                }
-                let deps_undead = match &sym.depends {
-                    None => true,
-                    Some(e) => pessimistic(e, &undead) == Tristate::Y,
-                };
-                let forced_default = sym.prompt.is_none()
-                    && sym
-                        .defaults
-                        .first()
-                        .is_some_and(|(v, cond)| *v == Tristate::Y && cond.is_none());
-                let selected_by_undead = model.symbols().any(|other| {
-                    undead.contains(&other.name)
-                        && other
-                            .selects
-                            .iter()
-                            .any(|(t, cond)| t == &sym.name && cond.is_none())
-                });
-                if (forced_default && deps_undead) || selected_by_undead {
-                    undead.insert(sym.name.clone());
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let (undead, _) = least_fixed_point(model, Lint::Undead);
+        let undead = model
+            .symbols()
+            .zip(undead)
+            .filter(|(_, undead)| *undead)
+            .map(|(sym, _)| sym.name.clone())
+            .collect();
         UndeadSymbols { undead }
     }
 
@@ -246,14 +201,153 @@ impl UndeadSymbols {
     }
 }
 
+/// The two least-fixed-point lints: which symbols can be enabled at all
+/// ([`DeadSymbols`] keeps the complement) and which are on in every
+/// configuration ([`UndeadSymbols`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lint {
+    Live,
+    Undead,
+}
+
+impl Lint {
+    /// Whether `sym`'s own `depends on` can admit it: any symbol may be
+    /// live, but only a promptless symbol whose first default is an
+    /// unconditional `y` is forced on.
+    fn admits_own(self, sym: &Symbol) -> bool {
+        match self {
+            Lint::Live => true,
+            Lint::Undead => {
+                sym.prompt.is_none()
+                    && sym
+                        .defaults
+                        .first()
+                        .is_some_and(|(v, cond)| *v == Tristate::Y && cond.is_none())
+            }
+        }
+    }
+
+    /// Whether `e` is `y` against the current member set: most favourable
+    /// value for liveness, least favourable for undeadness.
+    fn holds(self, e: &Expr, member: &impl Fn(&str) -> bool) -> bool {
+        let value = match self {
+            Lint::Live => optimistic(e, member),
+            Lint::Undead => pessimistic(e, member),
+        };
+        value == Tristate::Y
+    }
+
+    /// Whether a `select … if` clause can justify its target at all: a
+    /// conditional select may force liveness, never undeadness.
+    fn counts_conditional_selects(self) -> bool {
+        self == Lint::Live
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Fixed-point runs on this thread, so tests can assert that a model
+    /// pays for its lint once.
+    static RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The least fixed point of `lint` over `model`, as one flag per symbol
+/// in [`KconfigModel::symbols`] order, plus the number of expression
+/// evaluations it took.
+///
+/// A declared symbol joins when its own `depends on` holds (and `lint`
+/// admits it), or when a member selects it under a condition that holds.
+/// Both tests are monotone in the member set, so the order in which
+/// symbols join does not change the result: it is the least fixed point
+/// the old round-by-round scan reached. Each new member X re-checks only
+/// what X can change — the symbols whose `depends on` mention X, the
+/// targets X selects, and the targets of every `select … if` whose
+/// condition mentions X — so every symbol is evaluated once up front and
+/// every edge at most once more: O(symbols + edges) evaluations in all.
+/// Undeclared names never join, whether referenced or selected.
+fn least_fixed_point(model: &KconfigModel, lint: Lint) -> (Vec<bool>, usize) {
+    #[cfg(test)]
+    RUNS.with(|runs| runs.set(runs.get() + 1));
+    let syms: Vec<&Symbol> = model.symbols().collect();
+    let ids: HashMap<&str, usize> = syms
+        .iter()
+        .enumerate()
+        .map(|(i, sym)| (sym.name.as_str(), i))
+        .collect();
+    // dependents[x]: (symbol, its `depends on`) for every admitted
+    // symbol whose `depends on` mentions x.
+    // watchers[x]: (selector, target, condition) of every counted
+    // `select … if` whose condition mentions x.
+    let mut dependents: Vec<Vec<(usize, &Expr)>> = vec![Vec::new(); syms.len()];
+    let mut watchers: Vec<Vec<(usize, usize, &Expr)>> = vec![Vec::new(); syms.len()];
+    for (i, sym) in syms.iter().enumerate() {
+        if let Some(dep) = sym.depends.as_ref().filter(|_| lint.admits_own(sym)) {
+            for x in dep.symbols().into_iter().filter_map(|n| ids.get(n)) {
+                dependents[*x].push((i, dep));
+            }
+        }
+        if !lint.counts_conditional_selects() {
+            continue;
+        }
+        for (target, cond) in &sym.selects {
+            if let (Some(&t), Some(cond)) = (ids.get(target.as_str()), cond) {
+                for x in cond.symbols().into_iter().filter_map(|n| ids.get(n)) {
+                    watchers[*x].push((i, t, cond));
+                }
+            }
+        }
+    }
+
+    let mut member = vec![false; syms.len()];
+    let mut evaluations = 0usize;
+    let mut holds = |e: &Expr, member: &[bool]| {
+        evaluations += 1;
+        lint.holds(e, &|n: &str| ids.get(n).is_some_and(|&i| member[i]))
+    };
+    let mut work: Vec<usize> = Vec::new();
+    for (i, sym) in syms.iter().enumerate() {
+        if lint.admits_own(sym) && sym.depends.as_ref().is_none_or(|dep| holds(dep, &member)) {
+            member[i] = true;
+            work.push(i);
+        }
+    }
+    while let Some(x) = work.pop() {
+        for &(s, dep) in &dependents[x] {
+            if !member[s] && holds(dep, &member) {
+                member[s] = true;
+                work.push(s);
+            }
+        }
+        for (target, cond) in &syms[x].selects {
+            let Some(&t) = ids.get(target.as_str()).filter(|&&t| !member[t]) else {
+                continue;
+            };
+            let fires = match cond {
+                None => true,
+                Some(c) => lint.counts_conditional_selects() && holds(c, &member),
+            };
+            if fires {
+                member[t] = true;
+                work.push(t);
+            }
+        }
+        for &(selector, t, cond) in &watchers[x] {
+            if member[selector] && !member[t] && holds(cond, &member) {
+                member[t] = true;
+                work.push(t);
+            }
+        }
+    }
+    (member, evaluations)
+}
+
 /// Least favourable value of `e`: undead symbols are pinned to `y`,
 /// everything else to `n` (so `Y` here means "true no matter what").
-fn pessimistic(e: &crate::expr::Expr, undead: &BTreeSet<String>) -> Tristate {
-    use crate::expr::Expr;
+fn pessimistic(e: &Expr, undead: &impl Fn(&str) -> bool) -> Tristate {
     match e {
         Expr::Const(t) => *t,
         Expr::Sym(n) => {
-            if undead.contains(n) {
+            if undead(n) {
                 Tristate::Y
             } else {
                 Tristate::N
@@ -272,12 +366,11 @@ fn pessimistic(e: &crate::expr::Expr, undead: &BTreeSet<String>) -> Tristate {
 
 /// Most favourable value of `e` given the set of live symbols: live
 /// symbols may take any value, dead ones are pinned to `n`.
-fn optimistic(e: &crate::expr::Expr, live: &BTreeSet<String>) -> Tristate {
-    use crate::expr::Expr;
+fn optimistic(e: &Expr, live: &impl Fn(&str) -> bool) -> Tristate {
     match e {
         Expr::Const(t) => *t,
         Expr::Sym(n) => {
-            if live.contains(n) {
+            if live(n) {
                 Tristate::Y
             } else {
                 Tristate::N
@@ -297,11 +390,106 @@ fn optimistic(e: &crate::expr::Expr, live: &BTreeSet<String>) -> Tristate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::SymbolType;
+    use crate::solve::{ConjunctionVerdict, DeadnessProof};
+    use std::cell::Cell;
 
     fn model(src: &str) -> KconfigModel {
         let mut m = KconfigModel::new();
         m.parse_str("Kconfig", src).unwrap();
         m
+    }
+
+    /// `n` symbols shaped to need about one round per chain link under a
+    /// round-by-round scan: half form a select chain in which every link
+    /// but the last is dead by its own `depends on` and is justified only
+    /// by the successor that selects it (and sorts after it); the other
+    /// half depend on `A && (B || C)` over links spread along the chain.
+    fn chain_with_fan_in(n: usize) -> KconfigModel {
+        let chain = n / 2;
+        let link = |i: usize| Expr::sym(format!("C{i:06}"));
+        let mut m = KconfigModel::new();
+        for i in 0..chain {
+            let mut s = Symbol::new(format!("C{i:06}"), SymbolType::Bool);
+            if i + 1 < chain {
+                s.depends = Some(Expr::sym("MISSING"));
+            }
+            if i > 0 {
+                s.selects.push((format!("C{:06}", i - 1), None));
+            }
+            m.insert(s);
+        }
+        for j in 0..n - chain {
+            let mut s = Symbol::new(format!("F{j:06}"), SymbolType::Tristate);
+            let either = Expr::Or(
+                Box::new(link((j * 7 + 3) % chain)),
+                Box::new(link((j * 13 + 5) % chain)),
+            );
+            s.depends = Some(Expr::And(Box::new(link(j % chain)), Box::new(either)));
+            m.insert(s);
+        }
+        m
+    }
+
+    /// Reverse-index edges: names each `depends on` mentions, `select`
+    /// clauses, and names each `select … if` condition mentions.
+    fn edges(m: &KconfigModel) -> usize {
+        m.symbols()
+            .map(|s| {
+                let depends = s.depends.as_ref().map_or(0, |d| d.symbols().len());
+                let selects: usize = s
+                    .selects
+                    .iter()
+                    .map(|(_, cond)| 1 + cond.as_ref().map_or(0, |c| c.symbols().len()))
+                    .sum();
+                depends + selects
+            })
+            .sum()
+    }
+
+    #[test]
+    fn lint_work_is_linear_in_symbols_and_edges() {
+        for n in [1_000, 4_000, 16_000] {
+            let m = chain_with_fan_in(n);
+            let bound = 2 * (m.len() + edges(&m));
+            let (live, evaluations) = least_fixed_point(&m, Lint::Live);
+            assert!(live.iter().all(|l| *l), "{n}: the chain and its fan-in are all live");
+            assert!(evaluations <= bound, "{n}: {evaluations} evaluations > {bound}");
+            let (_, evaluations) = least_fixed_point(&m, Lint::Undead);
+            assert!(evaluations <= bound, "{n}: undead took {evaluations} evaluations");
+        }
+    }
+
+    #[test]
+    fn solve_conjunction_computes_the_lint_once_per_model() {
+        let runs = || RUNS.with(Cell::get);
+        let mut m = model(
+            "config A\n\tbool \"a\"\nconfig B\n\tbool \"b\"\n\tdepends on MISSING\n",
+        );
+        let before = runs();
+        let on = |name: &str| BTreeMap::from([(name.to_string(), Tristate::Y)]);
+        for _ in 0..5 {
+            assert!(m.solve_conjunction(&on("A")).witness().is_some());
+            assert_eq!(
+                m.solve_conjunction(&on("B")),
+                ConjunctionVerdict::Dead(DeadnessProof::DeadSymbol("B".to_string()))
+            );
+        }
+        assert!(m.dead_symbols().is_dead(&m, "B"));
+        assert_eq!(runs() - before, 1, "ten queries and a lookup share one lint");
+
+        // Declaring MISSING revives B: parse_str resets the memo.
+        m.parse_str("Kconfig.more", "config MISSING\n\tbool \"m\"\n").unwrap();
+        assert!(m.solve_conjunction(&on("B")).witness().is_some());
+        assert!(!m.dead_symbols().is_dead(&m, "B"));
+        assert_eq!(runs() - before, 2);
+
+        // So does insert.
+        let mut gone = Symbol::new("MISSING", SymbolType::Bool);
+        gone.depends = Some(Expr::Const(Tristate::N));
+        m.insert(gone);
+        assert!(m.dead_symbols().is_dead(&m, "B"));
+        assert_eq!(runs() - before, 3);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The assembled configuration model for one architecture.
 
 use crate::ast::Symbol;
+use crate::lint::DeadSymbols;
 use crate::parse::{parse_kconfig, ParseKconfigError};
 use crate::solve::{solve_allconfig, solve_defconfig, Config, Goal};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// All symbols reachable from an architecture's root Kconfig, with the
 /// solvers operating over them.
@@ -12,6 +14,9 @@ pub struct KconfigModel {
     symbols: BTreeMap<String, Symbol>,
     /// Base for remapping per-file `choice` group ids to model-global ones.
     next_choice: u32,
+    /// The dead-symbol lint over `symbols`, computed on first use. Every
+    /// write to `symbols` resets it; clones share the computed result.
+    dead: OnceLock<Arc<DeadSymbols>>,
 }
 
 impl KconfigModel {
@@ -35,6 +40,7 @@ impl KconfigModel {
         content: &str,
     ) -> Result<Vec<String>, ParseKconfigError> {
         let parsed = parse_kconfig(file, content)?;
+        self.dead = OnceLock::new();
         let mut max_local: Option<u32> = None;
         for mut sym in parsed.symbols {
             if let Some(local) = sym.choice_group {
@@ -51,7 +57,17 @@ impl KconfigModel {
 
     /// Insert a symbol directly (used by generators and tests).
     pub fn insert(&mut self, sym: Symbol) {
+        self.dead = OnceLock::new();
         self.symbols.insert(sym.name.clone(), sym);
+    }
+
+    /// The symbols no configuration can enable ([`DeadSymbols::compute`]),
+    /// computed once per model: the classifier asks once per patch and
+    /// [`Self::solve_conjunction`] once per query, and both read this
+    /// memo. `parse_str` and `insert` reset it.
+    pub fn dead_symbols(&self) -> &DeadSymbols {
+        self.dead
+            .get_or_init(|| Arc::new(DeadSymbols::compute(self)))
     }
 
     /// Look up a symbol.

@@ -2,10 +2,12 @@
 
 use crate::ast::{Symbol, SymbolType};
 use crate::expr::Expr;
-use crate::lint::DeadSymbols;
+use crate::lint::{DeadSymbols, UndeadSymbols};
 use crate::model::KconfigModel;
 use crate::tristate::Tristate;
 use proptest::prelude::*;
+use proptest::strategy::TestRng;
+use std::collections::BTreeSet;
 
 /// Strategy: a random dependency DAG of N symbols, where symbol `i` may
 /// depend (possibly negated) on symbols with smaller indices and may select
@@ -105,7 +107,221 @@ fn monotone_model() -> impl Strategy<Value = KconfigModel> {
     })
 }
 
+/// Strategy: arbitrary small Kconfig graphs for the lint equivalence
+/// properties. Unlike [`random_model`]'s DAGs these have forward
+/// references, cycles, self-selects, `select … if`, nested `&&`/`||`/`!`,
+/// constants (`m` included), promptless `default y` symbols, and
+/// references to undeclared names.
+struct AnyGraph;
+
+impl Strategy for AnyGraph {
+    type Value = KconfigModel;
+
+    fn generate(&self, rng: &mut TestRng) -> KconfigModel {
+        let n = 1 + rng.below(12) as usize;
+        let mut m = KconfigModel::new();
+        for i in 0..n {
+            let ty = if rng.below(2) == 0 {
+                SymbolType::Bool
+            } else {
+                SymbolType::Tristate
+            };
+            let mut s = Symbol::new(format!("S{i}"), ty);
+            if rng.below(2) == 0 {
+                s.prompt = Some(format!("s{i}"));
+            }
+            if rng.below(4) != 0 {
+                s.depends = Some(any_expr(rng, n, 3));
+            }
+            if rng.below(2) == 0 {
+                let value =
+                    [Tristate::N, Tristate::M, Tristate::Y, Tristate::Y][rng.below(4) as usize];
+                let cond = (rng.below(3) == 0).then(|| any_expr(rng, n, 1));
+                s.defaults.push((value, cond));
+            }
+            for _ in 0..rng.below(3) {
+                let target = any_name(rng, n);
+                let cond = (rng.below(2) == 0).then(|| any_expr(rng, n, 2));
+                s.selects.push((target, cond));
+            }
+            m.insert(s);
+        }
+        m
+    }
+}
+
+/// A declared name `S0`..`S{n-1}` — any index, so forward references,
+/// cycles and self-references all occur — or, one time in five, one of
+/// three undeclared names.
+fn any_name(rng: &mut TestRng, n: usize) -> String {
+    if rng.below(5) == 0 {
+        format!("U{}", rng.below(3))
+    } else {
+        format!("S{}", rng.below(n as u64))
+    }
+}
+
+/// An expression over [`any_name`]s, nested at most `depth` operators
+/// deep.
+fn any_expr(rng: &mut TestRng, n: usize, depth: u32) -> Expr {
+    let arms = if depth == 0 { 3 } else { 6 };
+    match rng.below(arms) {
+        0 => Expr::Const([Tristate::N, Tristate::M, Tristate::Y][rng.below(3) as usize]),
+        1 | 2 => Expr::Sym(any_name(rng, n)),
+        3 => Expr::Not(Box::new(any_expr(rng, n, depth - 1))),
+        4 => Expr::And(
+            Box::new(any_expr(rng, n, depth - 1)),
+            Box::new(any_expr(rng, n, depth - 1)),
+        ),
+        _ => Expr::Or(
+            Box::new(any_expr(rng, n, depth - 1)),
+            Box::new(any_expr(rng, n, depth - 1)),
+        ),
+    }
+}
+
+/// The round-by-round fixed point `DeadSymbols::compute` ran before the
+/// worklist, kept verbatim as the reference: each round re-tests every
+/// symbol not yet live against its own `depends on` and against every
+/// other symbol's `select` list. Returns the live set.
+fn reference_live(model: &KconfigModel) -> BTreeSet<String> {
+    let mut live: BTreeSet<String> = BTreeSet::new();
+    loop {
+        let mut changed = false;
+        for sym in model.symbols() {
+            if live.contains(&sym.name) {
+                continue;
+            }
+            let satisfiable = match &sym.depends {
+                None => true,
+                Some(e) => reference_optimistic(e, &live) == Tristate::Y,
+            };
+            let selected = model.symbols().any(|other| {
+                live.contains(&other.name)
+                    && other.selects.iter().any(|(t, cond)| {
+                        t == &sym.name
+                            && cond
+                                .as_ref()
+                                .is_none_or(|c| reference_optimistic(c, &live) == Tristate::Y)
+                    })
+            });
+            if satisfiable || selected {
+                live.insert(sym.name.clone());
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    live
+}
+
+/// The round-by-round fixed point `UndeadSymbols::compute` ran before the
+/// worklist, kept verbatim as the reference.
+fn reference_undead(model: &KconfigModel) -> BTreeSet<String> {
+    let mut undead: BTreeSet<String> = BTreeSet::new();
+    loop {
+        let mut changed = false;
+        for sym in model.symbols() {
+            if undead.contains(&sym.name) {
+                continue;
+            }
+            let deps_undead = match &sym.depends {
+                None => true,
+                Some(e) => reference_pessimistic(e, &undead) == Tristate::Y,
+            };
+            let forced_default = sym.prompt.is_none()
+                && sym
+                    .defaults
+                    .first()
+                    .is_some_and(|(v, cond)| *v == Tristate::Y && cond.is_none());
+            let selected_by_undead = model.symbols().any(|other| {
+                undead.contains(&other.name)
+                    && other
+                        .selects
+                        .iter()
+                        .any(|(t, cond)| t == &sym.name && cond.is_none())
+            });
+            if (forced_default && deps_undead) || selected_by_undead {
+                undead.insert(sym.name.clone());
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    undead
+}
+
+fn reference_optimistic(e: &Expr, live: &BTreeSet<String>) -> Tristate {
+    match e {
+        Expr::Const(t) => *t,
+        Expr::Sym(n) => {
+            if live.contains(n) {
+                Tristate::Y
+            } else {
+                Tristate::N
+            }
+        }
+        Expr::Not(inner) => match &**inner {
+            Expr::Const(t) => t.not(),
+            _ => Tristate::Y,
+        },
+        Expr::And(a, b) => reference_optimistic(a, live).and(reference_optimistic(b, live)),
+        Expr::Or(a, b) => reference_optimistic(a, live).or(reference_optimistic(b, live)),
+    }
+}
+
+fn reference_pessimistic(e: &Expr, undead: &BTreeSet<String>) -> Tristate {
+    match e {
+        Expr::Const(t) => *t,
+        Expr::Sym(n) => {
+            if undead.contains(n) {
+                Tristate::Y
+            } else {
+                Tristate::N
+            }
+        }
+        Expr::Not(inner) => match &**inner {
+            Expr::Const(t) => t.not(),
+            _ => Tristate::N,
+        },
+        Expr::And(a, b) => reference_pessimistic(a, undead).and(reference_pessimistic(b, undead)),
+        Expr::Or(a, b) => reference_pessimistic(a, undead).or(reference_pessimistic(b, undead)),
+    }
+}
+
 proptest! {
+    /// The worklist dead-symbol lint, and the model's memo of it, name
+    /// exactly the declared symbols outside the reference fixed point.
+    #[test]
+    fn worklist_dead_symbols_equivalent_to_reference_fixed_point(m in AnyGraph) {
+        let live = reference_live(&m);
+        let expected: Vec<&str> = m
+            .symbols()
+            .map(|s| s.name.as_str())
+            .filter(|n| !live.contains(*n))
+            .collect();
+        let dead = DeadSymbols::compute(&m);
+        prop_assert_eq!(dead.iter().collect::<Vec<_>>(), expected.clone(), "model: {:?}", m);
+        prop_assert_eq!(m.dead_symbols().iter().collect::<Vec<_>>(), expected);
+    }
+
+    /// The worklist undead lint equals the reference fixed point.
+    #[test]
+    fn worklist_undead_symbols_equivalent_to_reference_fixed_point(m in AnyGraph) {
+        let expected = reference_undead(&m);
+        let undead = UndeadSymbols::compute(&m);
+        prop_assert_eq!(
+            undead.iter().collect::<Vec<_>>(),
+            expected.iter().map(String::as_str).collect::<Vec<_>>(),
+            "model: {:?}",
+            m
+        );
+    }
+
     /// allyesconfig respects every dependency not overridden by a select.
     #[test]
     fn allyesconfig_respects_dependencies(m in random_model()) {

@@ -387,7 +387,7 @@ pub(crate) fn solve_conjunction(
             return ConjunctionVerdict::Dead(DeadnessProof::Undeclared(name.clone()));
         }
     }
-    let dead = crate::lint::DeadSymbols::compute(model);
+    let dead = model.dead_symbols();
     for (name, v) in pins {
         if v.enabled() && dead.is_dead(model, name) {
             return ConjunctionVerdict::Dead(DeadnessProof::DeadSymbol(name.clone()));

@@ -29,6 +29,14 @@ cargo build --release --workspace
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 
+echo "==> equivalence properties at 5,000 cases (release)"
+# The workspace run above gives each property 64 cases. The copy-on-write
+# macro table and the worklist Kconfig lints replace simpler code whose
+# results they must reproduce exactly, so their equivalence properties
+# (against a plain map model and against the old round-by-round fixed
+# points) get a deeper run here.
+PROPTEST_CASES=5000 cargo test --release -q -p jmake-cpp -p jmake-kconfig equivalent
+
 echo "==> benchmark smoke test (benchmark/ builds against the crates' current API)"
 # benchmark/ is its own Cargo workspace, so the workspace build above does
 # not compile it: a crate API change that breaks benchmark/src/layers.rs
