@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jmake_core::{mutate, mutate_naive, run_evaluation, DriverOptions, JMake, Options};
 use jmake_diff::{diff_to_patch, DiffOptions};
-use jmake_kbuild::{
-    BuildEngine, ConfigCache, ConfigKey, ConfigKind, ObjectCache, PathId, PreprocCache, TokenId,
-};
+use jmake_kbuild::{BuildEngine, ConfigCache, ConfigKey, ConfigKind, ObjectCache, PreprocCache};
 use jmake_synth::WorkloadProfile;
 use jmake_vcs::LogOptions;
 use std::sync::Arc;
@@ -85,45 +83,6 @@ fn bench_preproc_memo(c: &mut Criterion) {
             engine
                 .make_i(&cfg, &tree, std::slice::from_ref(&file))
                 .unwrap()
-        })
-    });
-    group.finish();
-}
-
-/// Hot path (DESIGN.md §13.2): interner lookup cost. `hit` is the
-/// steady-state path every cache key construction takes; `resolve` is
-/// the id → &str direction used when rendering reports.
-fn bench_intern_lookup(c: &mut Criterion) {
-    let paths: Vec<String> = (0..64)
-        .map(|i| format!("drivers/net/bench_intern_{i}/main.c"))
-        .collect();
-    for p in &paths {
-        PathId::intern(p);
-    }
-    let ids: Vec<PathId> = paths.iter().map(|p| PathId::intern(p)).collect();
-    let mut group = c.benchmark_group("intern/lookup");
-    group.bench_function("hit", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % paths.len();
-            PathId::intern(&paths[i])
-        })
-    });
-    group.bench_function("resolve", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % ids.len();
-            ids[i].as_str()
-        })
-    });
-    group.bench_function("miss_then_hit", |b| {
-        // Token text is bounded in practice; reuse a small rotating set
-        // so the pool stays bounded while still exercising the hash.
-        let tokens: Vec<String> = (0..16).map(|i| format!("jmake_bench_tok_{i}")).collect();
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % tokens.len();
-            TokenId::intern(&tokens[i])
         })
     });
     group.finish();
@@ -412,7 +371,6 @@ criterion_group!(
     targets = bench_diff,
         bench_preprocess,
         bench_preproc_memo,
-        bench_intern_lookup,
         bench_kconfig,
         bench_mutation,
         bench_check_patch,

@@ -9,7 +9,10 @@
 //!   --workers W        parallel workers (default 4; the paper used 25)
 //!   --full             shorthand for --commits 12000
 //!   --allmodconfig     also try allmodconfig (the paper's Table IV remedy)
-//!   --coverage         also try coverage-maximizing generated configs
+//!   --coverage         for leftover .c lines, also try the configuration
+//!                      each line's reach witness names (allmodconfig, or
+//!                      the witness minimized into a delta against
+//!                      allyesconfig)
 //!   --portfolio K      select a K-config portfolio up front (greedy
 //!                      newly-reachable-lines per virtual-clock dollar
 //!                      over the v4.4 tree's presence conditions; member
@@ -96,10 +99,8 @@
 use jmake_bench::{build_context_from_workload, render_command, render_portfolio_json};
 use jmake_core::DriverOptions;
 use jmake_faults::{FaultSpec, Faults};
-use jmake_kbuild::{
-    BuildEngine, ConfigCache, ConfigKind, DiskCache, ObjectCache, PreprocCache, SourceTree,
-};
-use jmake_reach::{Reach, ReachEnv};
+use jmake_kbuild::{BuildEngine, ConfigCache, DiskCache, ObjectCache, PreprocCache, SourceTree};
+use jmake_reach::Reach;
 use jmake_synth::WorkloadProfile;
 use jmake_trace::{Stage, Tracer};
 
@@ -125,31 +126,11 @@ fn render_reach(tree: &SourceTree) -> Result<String, String> {
         return Err("no arch/<a>/Kconfig in the tree".to_string());
     }
     let mut reach = Reach::new(tree);
-    let mut envs = Vec::new();
     for arch in &arches {
         let mut engine = BuildEngine::new(tree.clone());
-        let allyes = engine
-            .make_config(arch, &ConfigKind::AllYes)
+        reach
+            .add_arch(&mut engine, arch)
             .map_err(|e| format!("{arch}: {e}"))?;
-        let allmod = engine
-            .make_config(arch, &ConfigKind::AllMod)
-            .map_err(|e| format!("{arch}: {e}"))?;
-        reach.add_model(arch.clone(), allyes.model.clone());
-        envs.push(ReachEnv {
-            label: format!("{arch}-allyes"),
-            arch: arch.clone(),
-            config: allyes.config.clone(),
-            allyes: true,
-        });
-        envs.push(ReachEnv {
-            label: format!("{arch}-allmod"),
-            arch: arch.clone(),
-            config: allmod.config.clone(),
-            allyes: false,
-        });
-    }
-    for env in envs {
-        reach.add_env(env);
     }
     Ok(reach.analyze().to_json())
 }

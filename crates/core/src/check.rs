@@ -3,14 +3,17 @@
 
 use crate::archsel::{ArchSelector, Target};
 use crate::classify::{classify, detect_both_branches};
+use crate::crosscheck::{class_arch, line_shapes, token_region_line};
 use crate::mutation::{mutate, MutationPlan};
 use crate::report::{FileReport, FileStatus, PatchReport, UncoveredMutation};
 use crate::token::{MutationKind, MutationToken};
 use jmake_cpp::analyze;
 use jmake_diff::{changed_lines, ChangeKind, Patch};
 use jmake_kbuild::{tree::file_name, BuildEngine, BuildError, ConfigKind, SourceTree};
+use jmake_reach::{Reach, ReachClass, TreeReach, Witness};
 use jmake_trace::Stage;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Tunable behaviour of the pipeline.
 #[derive(Debug, Clone)]
@@ -39,12 +42,11 @@ pub struct Options {
     /// Ablation: one mutation per changed line instead of §III.B's
     /// minimized placement.
     pub naive_mutations: bool,
-    /// Extension (§VII): synthesize coverage-maximizing configurations
-    /// (flipping variables off) for leftovers the standard configurations
-    /// miss — the Vampyr/Troll-style complement the paper proposes.
+    /// Extension (§VII): for leftovers the standard configurations miss,
+    /// try the configurations the static analyzer's reach witnesses name
+    /// (an allmodconfig environment, or a minimized solver witness) — the
+    /// Vampyr/Troll-style complement the paper proposes.
     pub use_coverage_configs: bool,
-    /// Cap on synthesized coverage configurations per file.
-    pub max_coverage_configs: usize,
     /// Randconfig portfolio: for each seed, every file's trials also fan
     /// out to `ConfigKind::Rand { seed }` on its selected architectures
     /// (the seeds come from `covsel::select_portfolio`). Empty (the
@@ -68,7 +70,6 @@ impl Default for Options {
             use_header_hints: true,
             naive_mutations: false,
             use_coverage_configs: false,
-            max_coverage_configs: 4,
             portfolio: Vec::new(),
         }
     }
@@ -132,7 +133,6 @@ impl JMake {
         for w in works.iter_mut().filter(|w| w.is_header) {
             w.header_covered_by_patch_c = !w.plan.is_trivial() && w.remaining.is_empty();
         }
-        let mut header_memo = HeaderCandidateMemo::default();
         self.h_phase(
             engine,
             &base,
@@ -141,7 +141,6 @@ impl JMake {
             &mut works,
             &index,
             &mut expanded_macros,
-            &mut header_memo,
         );
         let files = self.finish(engine, &base, works, &expanded_macros);
 
@@ -308,8 +307,16 @@ impl JMake {
         }
     }
 
-    /// §VII extension: for `.c` leftovers, synthesize configurations that
-    /// flip variables off so `#ifndef`/`#else` branches become live.
+    /// §VII extension (DESIGN.md §12): for `.c` leftovers, try the
+    /// configurations reach witnesses name. Per file, the per-arch
+    /// analyzer `--fix` builds ([`Reach::add_arch`], arch chosen by
+    /// [`class_arch`]) classifies each leftover token's region; a
+    /// conditionally-reachable region names either one of its
+    /// environments or solver pins, which [`Reach::witness_delta`]
+    /// minimizes into a `cover-…` configuration. Each distinct
+    /// configuration is tried once, in token order, until the file is
+    /// done. The analyzer solves its configurations on a scratch engine
+    /// sharing the config cache, so only the trials charge the clock.
     #[allow(clippy::too_many_arguments)]
     fn coverage_phase(
         &self,
@@ -320,35 +327,63 @@ impl JMake {
         index: &WorkIndex,
         expanded_macros: &mut HashSet<String>,
     ) {
-        let pending: Vec<(String, Vec<Target>)> = works
-            .iter()
-            .filter(|w| !w.is_header && !w.bootstrap && !w.remaining.is_empty())
-            .filter_map(|w| {
-                let content = base.get(&w.path)?;
-                let wants = crate::covsel::branch_wants(content);
-                if wants.is_empty() {
-                    return None;
-                }
-                // Flip relative to the architecture that got furthest —
-                // the first candidate whose configuration exists.
-                let arch = w
-                    .candidates
-                    .first()
-                    .map(|t| t.arch.clone())
-                    .unwrap_or_else(|| "x86_64".to_string());
-                let baseline = engine.make_config(&arch, &ConfigKind::AllYes).ok()?;
-                let targets = crate::covsel::generate_cover_targets(
-                    &arch,
-                    &baseline.config,
-                    &wants,
-                    Some(&baseline.model),
-                    self.options.max_coverage_configs,
-                );
-                (!targets.is_empty()).then(|| (w.path.clone(), targets))
+        let leftovers: Vec<usize> = (0..works.len())
+            .filter(|&i| {
+                let w = &works[i];
+                !w.is_header && !w.bootstrap && !w.remaining.is_empty()
             })
             .collect();
-        for (path, targets) in pending {
-            for target in &targets {
+        if leftovers.is_empty() {
+            return;
+        }
+        let paths: Vec<String> = leftovers.iter().map(|&i| works[i].path.clone()).collect();
+        let mut scratch = match engine.shared_cache() {
+            Some(cache) => BuildEngine::with_shared_cache(base.clone(), Arc::clone(cache)),
+            None => BuildEngine::new(base.clone()),
+        };
+        let mut analyzers: BTreeMap<String, Option<(Reach<'_>, TreeReach)>> = BTreeMap::new();
+        for i in leftovers {
+            let Some(arch) = class_arch(&works[i].targets_tried) else {
+                continue;
+            };
+            let analyzer = analyzers.entry(arch.clone()).or_insert_with(|| {
+                let mut reach = Reach::new(base);
+                reach.add_arch(&mut scratch, &arch).ok()?;
+                let classes = reach.analyze_files(&paths);
+                Some((reach, classes))
+            });
+            let Some((reach, classes)) = analyzer else {
+                continue;
+            };
+            let path = works[i].path.clone();
+            let shapes = line_shapes(base.get(&path).unwrap_or(""));
+            let tokens: Vec<MutationToken> = works[i].remaining.iter().cloned().collect();
+            for tok in tokens {
+                if !works[i].remaining.contains(&tok) {
+                    continue; // certified by an earlier witness's trial
+                }
+                let Some(region) = token_region_line(&shapes, tok.line) else {
+                    continue;
+                };
+                let Some(ReachClass::ConditionallyReachable {
+                    witness: Some(witness),
+                }) = classes.files.get(&path).and_then(|f| f.class(region))
+                else {
+                    continue;
+                };
+                let kind = match witness {
+                    Witness::Env(label) if label.ends_with("-allmod") => ConfigKind::AllMod,
+                    Witness::Env(_) => ConfigKind::AllYes,
+                    Witness::Pins(pins) => match reach.witness_delta(&path, region, pins) {
+                        Ok(delta) => cover_config(delta.config.render()),
+                        Err(_) => continue,
+                    },
+                };
+                let target = Target::new(arch.clone(), kind);
+                if works[i].targets_tried.contains(&target.describe()) {
+                    continue;
+                }
+                let file = std::slice::from_ref(&path);
                 self.run_target(
                     engine,
                     base,
@@ -356,14 +391,11 @@ impl JMake {
                     works,
                     index,
                     expanded_macros,
-                    target,
-                    std::slice::from_ref(&path),
-                    std::slice::from_ref(&path),
+                    &target,
+                    file,
+                    file,
                 );
-                let done = index
-                    .get(path.as_str())
-                    .is_some_and(|&i| works[i].remaining.is_empty());
-                if done {
+                if works[i].remaining.is_empty() {
                     break;
                 }
             }
@@ -381,7 +413,6 @@ impl JMake {
         works: &mut [Work],
         index: &WorkIndex,
         expanded_macros: &mut HashSet<String>,
-        memo: &mut HeaderCandidateMemo,
     ) {
         let headers: Vec<usize> = works
             .iter()
@@ -401,7 +432,7 @@ impl JMake {
                 };
                 (w.path.clone(), hints)
             };
-            let all_candidates = memo.get_or_compute(base, &h_path, &hints);
+            let all_candidates = header_candidates(base, &h_path, &hints);
             let over_threshold = all_candidates.len() > self.options.header_candidate_threshold;
             let candidates: Vec<String> = all_candidates
                 .into_iter()
@@ -762,6 +793,21 @@ struct Work {
     degraded: Vec<String>,
 }
 
+/// A synthesized coverage configuration. The name is the content's
+/// fingerprint: a build engine memoizes configurations by name, and equal
+/// names must mean equal content.
+fn cover_config(content: String) -> ConfigKind {
+    let mut kind = ConfigKind::Custom {
+        name: String::new(),
+        content,
+    };
+    let fingerprint = kind.content_fingerprint();
+    if let ConfigKind::Custom { name, .. } = &mut kind {
+        *name = format!("cover-{fingerprint:016x}");
+    }
+    kind
+}
+
 /// Candidate `.c` files likely to exercise a changed header, in priority
 /// order (paper §III.E): files that both include the header and mention
 /// every changed-macro hint first, then all-hints files, then includers.
@@ -808,22 +854,4 @@ fn header_candidates(base: &SourceTree, h_path: &str, hints: &[String]) -> Vec<S
         out.extend(tier);
     }
     out
-}
-
-/// Per-`check_patch` memo for [`header_candidates`]: the scan walks every
-/// `.c` file in the tree, so recomputing it for each phase that needs the
-/// same `(header, hints)` ranking wastes host time. Keyed by both because
-/// ablation options can change the hints mid-study.
-#[derive(Debug, Default)]
-struct HeaderCandidateMemo {
-    entries: HashMap<(String, Vec<String>), Vec<String>>,
-}
-
-impl HeaderCandidateMemo {
-    fn get_or_compute(&mut self, base: &SourceTree, h_path: &str, hints: &[String]) -> Vec<String> {
-        self.entries
-            .entry((h_path.to_string(), hints.to_vec()))
-            .or_insert_with(|| header_candidates(base, h_path, hints))
-            .clone()
-    }
 }

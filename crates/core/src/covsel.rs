@@ -1,188 +1,15 @@
-//! Coverage-maximizing configuration generation — the paper's proposed
-//! complement (§VI/§VII).
+//! Randconfig portfolio selection (DESIGN.md §15): given a budget of K
+//! configurations up front, greedily pick the seeded randconfigs that
+//! reach the most conditional code allyesconfig misses, per
+//! virtual-clock dollar.
 //!
-//! > "JMake could be complemented with more sophisticated configuration
-//! > generation techniques [Vampyr, Troll] to obtain better results in
-//! > such cases [#ifndef, #else branches]."
-//!
-//! Given the conditional structure of a file and a baseline configuration
-//! (allyesconfig), this module greedily synthesizes additional
-//! configurations that flip specific variables *off* so that `#ifndef X`
-//! and `#else` branches become live. Each generated configuration is the
-//! allyesconfig assignment with a set of compatible flips applied, fed
-//! back through the dependency solver.
+//! The per-file coverage configurations of the paper's proposed
+//! complement (§VII) live in [`crate::check`]: they come from the reach
+//! analyzer's witnesses, not from this module.
 
-use crate::archsel::Target;
-use jmake_cpp::lines::logical_lines;
 use jmake_kbuild::{BuildEngine, ConfigKind, SourceTree};
-use jmake_kconfig::{Config, Expr, KconfigModel};
-use jmake_reach::{Reach, ReachClass, ReachEnv};
+use jmake_reach::{Reach, ReachClass};
 use std::collections::BTreeSet;
-
-/// A variable the file's conditionals want in a specific state.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Want {
-    /// Variable name without the `CONFIG_` prefix.
-    pub var: String,
-    /// Desired state: `false` = off (the `#ifndef`/`#else` side).
-    pub on: bool,
-}
-
-/// Extract the variable polarities a file's conditional branches need.
-///
-/// Only decidable forms are collected: `#ifdef CONFIG_X` /
-/// `#ifndef CONFIG_X` / `#if defined(CONFIG_X)` and their `#else` sides.
-/// Guards on `MODULE`, `#if 0`, and complex expressions are skipped —
-/// they are handled by allmodconfig and classification instead.
-pub fn branch_wants(content: &str) -> Vec<Want> {
-    let mut out: BTreeSet<Want> = BTreeSet::new();
-    let mut stack: Vec<Option<(String, bool)>> = Vec::new(); // (var, on-state of if-side)
-    for ll in logical_lines(content) {
-        let Some((name, rest)) = ll.directive() else {
-            continue;
-        };
-        match name {
-            "ifdef" | "ifndef" => {
-                let var = rest.split_whitespace().next().unwrap_or("");
-                let tracked = var.strip_prefix("CONFIG_").map(|v| {
-                    let on = name == "ifdef";
-                    (v.to_string(), on)
-                });
-                if let Some((v, on)) = &tracked {
-                    out.insert(Want {
-                        var: v.clone(),
-                        on: *on,
-                    });
-                }
-                stack.push(tracked);
-            }
-            "if" => {
-                let e = rest.trim();
-                let var = e
-                    .strip_prefix("defined")
-                    .map(|r| {
-                        r.trim()
-                            .trim_start_matches('(')
-                            .trim_end_matches(')')
-                            .trim()
-                    })
-                    .and_then(|v| v.strip_prefix("CONFIG_"))
-                    // Complex expressions (&&, ||, comparisons) are not
-                    // single-variable branches; skip them.
-                    .filter(|v| {
-                        !v.is_empty() && v.chars().all(|c| c == '_' || c.is_ascii_alphanumeric())
-                    });
-                let tracked = var.map(|v| (v.to_string(), true));
-                if let Some((v, _)) = &tracked {
-                    out.insert(Want {
-                        var: v.clone(),
-                        on: true,
-                    });
-                }
-                stack.push(tracked);
-            }
-            "else" | "elif" => {
-                if let Some(Some((var, on))) = stack.last() {
-                    out.insert(Want {
-                        var: var.clone(),
-                        on: !on,
-                    });
-                }
-            }
-            "endif" => {
-                stack.pop();
-            }
-            _ => {}
-        }
-    }
-    out.into_iter().collect()
-}
-
-/// Greedily build up to `limit` configurations over `baseline`
-/// (allyesconfig) that realize the *off* wants the baseline misses.
-///
-/// Compatible flips are batched into one configuration; conflicting wants
-/// (one branch needs X on, another needs X off) are split across
-/// configurations — the reason one configuration can never cover both
-/// sides of an `#ifdef`/`#else` pair.
-pub fn generate_cover_targets(
-    arch: &str,
-    baseline: &Config,
-    wants: &[Want],
-    model: Option<&KconfigModel>,
-    limit: usize,
-) -> Vec<Target> {
-    // Wants the baseline already satisfies are free; collect the rest.
-    let missing: Vec<&Want> = wants
-        .iter()
-        .filter(|w| baseline.is_builtin(&w.var) != w.on)
-        .collect();
-    if missing.is_empty() {
-        return Vec::new();
-    }
-    // Off-wants become flips directly. On-wants of variables allyesconfig
-    // could not set are chased through the Kconfig model: if the symbol's
-    // dependencies contain negated variables (`depends on !FULL`), flip
-    // those off and request the symbol — the Troll-style move.
-    let mut flips: BTreeSet<String> = BTreeSet::new();
-    let mut forced_on: BTreeSet<String> = BTreeSet::new();
-    for w in &missing {
-        if !w.on {
-            flips.insert(w.var.clone());
-            continue;
-        }
-        let Some(model) = model else {
-            continue;
-        };
-        let Some(sym) = model.symbol(&w.var) else {
-            continue; // undeclared: nothing can enable it
-        };
-        if let Some(deps) = &sym.depends {
-            let blockers = negated_symbols(deps);
-            if !blockers.is_empty() {
-                flips.extend(blockers);
-                forced_on.insert(w.var.clone());
-            }
-        }
-    }
-    if flips.is_empty() && forced_on.is_empty() {
-        return Vec::new();
-    }
-    let mut targets = Vec::new();
-    // One configuration per batch of ≤8 flips (smaller batches isolate
-    // interacting variables), capped at `limit`. Forced-on symbols ride
-    // along in every batch (they are harmless when their blockers are in
-    // a different batch).
-    let flip_vec: Vec<String> = flips.into_iter().collect();
-    for (i, chunk) in flip_vec.chunks(8).enumerate() {
-        if targets.len() >= limit {
-            break;
-        }
-        let mut content = String::new();
-        for (name, value) in baseline.enabled_symbols() {
-            if chunk.iter().any(|c| c == name) {
-                continue; // flipped off
-            }
-            content.push_str(&format!("CONFIG_{name}={value}\n"));
-        }
-        for name in &forced_on {
-            if !chunk.iter().any(|c| c == name) {
-                content.push_str(&format!("CONFIG_{name}=y\n"));
-            }
-        }
-        for name in chunk {
-            content.push_str(&format!("# CONFIG_{name} is not set\n"));
-        }
-        targets.push(Target::new(
-            arch,
-            ConfigKind::Custom {
-                name: format!("cover-{i}"),
-                content,
-            },
-        ));
-    }
-    targets
-}
 
 /// One member of a selected configuration portfolio (DESIGN.md §15).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -263,11 +90,11 @@ impl Portfolio {
 /// Member 0 is always allyesconfig — the K=1 baseline the paper
 /// evaluates. The remaining `k − 1` slots are filled from a pool of
 /// seeded randconfig candidates (`rand_seed + i`, deterministic per
-/// [`KconfigModel::randconfig`]): each round picks the candidate whose
-/// count of *newly*-present conditional lines per configuration-creation
-/// cost is maximal, comparing gains by cross-multiplication (no floats)
-/// and breaking exact ties toward the smaller seed. Selection stops early
-/// once no candidate adds coverage.
+/// [`jmake_kconfig::KconfigModel::randconfig`]): each round picks the
+/// candidate whose count of *newly*-present conditional lines per
+/// configuration-creation cost is maximal, comparing gains by
+/// cross-multiplication (no floats) and breaking exact ties toward the
+/// smaller seed. Selection stops early once no candidate adds coverage.
 ///
 /// "Present" is the reach analyzer's end-to-end notion
 /// ([`Reach::line_present`]): the `#if` stack must evaluate to
@@ -295,19 +122,16 @@ pub fn select_portfolio(
     }
     let mut engine = BuildEngine::new(tree.clone());
     let t0 = engine.clock.now_us();
-    let allyes = engine
+    engine
         .make_config(arch, &ConfigKind::AllYes)
         .map_err(|e| format!("{arch}: {e}"))?;
     let allyes_cost = engine.clock.now_us() - t0;
-
+    // The allyes solve above is memoized in the engine; only the allmod
+    // environment costs more clock, and no member's cost includes it.
     let mut reach = Reach::new(tree);
-    reach.add_model(arch, allyes.model.clone());
-    reach.add_env(ReachEnv {
-        label: format!("{arch}-allyes"),
-        arch: arch.to_string(),
-        config: allyes.config.clone(),
-        allyes: true,
-    });
+    let allyes = reach
+        .add_arch(&mut engine, arch)
+        .map_err(|e| format!("{arch}: {e}"))?;
     let classified = reach.analyze();
 
     // Partition the line universe. Conditional lines are the optimization
@@ -432,113 +256,9 @@ pub fn select_portfolio(
     })
 }
 
-/// Variables that appear under a negation in a dependency expression.
-fn negated_symbols(e: &Expr) -> BTreeSet<String> {
-    fn walk(e: &Expr, negated: bool, out: &mut BTreeSet<String>) {
-        match e {
-            Expr::Const(_) => {}
-            Expr::Sym(n) => {
-                if negated {
-                    out.insert(n.clone());
-                }
-            }
-            Expr::Not(inner) => walk(inner, !negated, out),
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                walk(a, negated, out);
-                walk(b, negated, out);
-            }
-        }
-    }
-    let mut out = BTreeSet::new();
-    walk(e, false, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmake_kconfig::Tristate;
-
-    #[test]
-    fn wants_extracted_with_polarity() {
-        let src =
-            "#ifdef CONFIG_A\nint a;\n#else\nint b;\n#endif\n#ifndef CONFIG_C\nint c;\n#endif\n";
-        let wants = branch_wants(src);
-        assert!(wants.contains(&Want {
-            var: "A".into(),
-            on: true
-        }));
-        assert!(wants.contains(&Want {
-            var: "A".into(),
-            on: false
-        }));
-        assert!(wants.contains(&Want {
-            var: "C".into(),
-            on: false
-        }));
-    }
-
-    #[test]
-    fn non_config_guards_ignored() {
-        let src = "#ifdef MODULE\nint m;\n#endif\n#if 0\nint z;\n#endif\n#if defined(CONFIG_X) && defined(CONFIG_Y)\nint xy;\n#endif\n";
-        let wants = branch_wants(src);
-        assert!(wants.is_empty(), "{wants:?}");
-    }
-
-    #[test]
-    fn defined_form_extracted() {
-        let wants = branch_wants("#if defined(CONFIG_PM)\nint p;\n#endif\n");
-        assert_eq!(
-            wants,
-            vec![Want {
-                var: "PM".into(),
-                on: true
-            }]
-        );
-    }
-
-    #[test]
-    fn generator_flips_off_wants_only() {
-        let mut baseline = Config::default();
-        baseline.set("A", Tristate::Y);
-        baseline.set("B", Tristate::Y);
-        let wants = vec![
-            Want {
-                var: "A".into(),
-                on: false,
-            }, // needs a flip
-            Want {
-                var: "B".into(),
-                on: true,
-            }, // already satisfied
-            Want {
-                var: "Z".into(),
-                on: true,
-            }, // unsatisfiable (allyes already failed)
-        ];
-        let targets = generate_cover_targets("x86_64", &baseline, &wants, None, 4);
-        assert_eq!(targets.len(), 1);
-        match &targets[0].kind {
-            ConfigKind::Custom { name, content } => {
-                assert_eq!(name, "cover-0");
-                assert!(content.contains("# CONFIG_A is not set"));
-                assert!(content.contains("CONFIG_B=y"));
-                assert!(!content.contains("CONFIG_A=y"));
-            }
-            other => panic!("wrong kind {other:?}"),
-        }
-    }
-
-    #[test]
-    fn satisfied_baseline_needs_no_targets() {
-        let mut baseline = Config::default();
-        baseline.set("A", Tristate::Y);
-        let wants = vec![Want {
-            var: "A".into(),
-            on: true,
-        }];
-        assert!(generate_cover_targets("arm", &baseline, &wants, None, 4).is_empty());
-    }
 
     /// A tree where one line sits behind `#ifndef CONFIG_FULL` — invisible
     /// to allyesconfig, reachable by any randconfig that samples FULL off —
@@ -598,24 +318,5 @@ mod tests {
         let tree = portfolio_tree();
         assert!(select_portfolio(&tree, "x86_64", 0, 1).is_err());
         assert!(select_portfolio(&tree, "no_such_arch", 2, 1).is_err());
-    }
-
-    #[test]
-    fn limit_is_respected() {
-        let baseline = {
-            let mut c = Config::default();
-            for i in 0..40 {
-                c.set(format!("V{i}"), Tristate::Y);
-            }
-            c
-        };
-        let wants: Vec<Want> = (0..40)
-            .map(|i| Want {
-                var: format!("V{i}"),
-                on: false,
-            })
-            .collect();
-        let targets = generate_cover_targets("x86_64", &baseline, &wants, None, 2);
-        assert_eq!(targets.len(), 2);
     }
 }

@@ -41,9 +41,10 @@ use crate::driver::EvaluationRun;
 use crate::report::{FileReport, FileStatus};
 use crate::token::MutationKind;
 use jmake_cpp::lines::logical_lines;
-use jmake_kbuild::{BuildEngine, ConfigCache, ConfigKind, ObjGraph, SourceTree};
+use jmake_kbuild::{BuildEngine, ConfigCache, ObjGraph, SourceTree};
 use jmake_kconfig::Config;
-use jmake_reach::{Reach, ReachClass, ReachEnv, TreeReach};
+use jmake_reach::{Reach, ReachClass, TreeReach};
+use jmake_trace::jsonl::escape;
 use jmake_vcs::Repo;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -135,20 +136,20 @@ impl CrossCheckReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(s));
+            out.push_str(&format!("\"{}\"", escape(s)));
         }
         out.push_str("],\n  \"discrepancies\": [");
         for (i, d) in self.discrepancies.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             out.push_str(&format!(
-                "{{\"commit\": {}, \"file\": {}, \"line\": {}, \"kind\": {}, \"arch\": {}, \"static\": {}, \"dynamic\": {}}}",
-                json_string(&d.commit),
-                json_string(&d.file),
+                "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"kind\": \"{}\", \"arch\": \"{}\", \"static\": \"{}\", \"dynamic\": \"{}\"}}",
+                escape(&d.commit),
+                escape(&d.file),
                 d.line,
-                json_string(d.kind.label()),
-                json_string(&d.arch),
-                json_string(&d.static_detail),
-                json_string(&d.dynamic_detail)
+                escape(d.kind.label()),
+                escape(&d.arch),
+                escape(&d.static_detail),
+                escape(&d.dynamic_detail)
             ));
         }
         if !self.discrepancies.is_empty() {
@@ -224,6 +225,21 @@ pub fn arches_used(files: &[FileReport]) -> BTreeSet<String> {
     arches
 }
 
+/// The architecture whose model classifies a file's misses: the same
+/// environment the dynamic classifier used — `x86_64` when the file was
+/// tried there, else the first architecture it was tried on (`None` when
+/// it never was). `targets_tried` holds `arch/kind` descriptions.
+pub fn class_arch(targets_tried: &[String]) -> Option<String> {
+    let mut first = None;
+    for (arch, _) in targets_tried.iter().filter_map(|d| d.split_once('/')) {
+        if arch == "x86_64" {
+            return Some(arch.to_string());
+        }
+        first.get_or_insert(arch);
+    }
+    first.map(str::to_string)
+}
+
 /// Solve allyes/allmod for each arch and classify the patch's files.
 /// Architectures that cannot be solved (missing cross-compiler in a
 /// stripped-down registry, say) are recorded in `skipped` and simply
@@ -240,41 +256,17 @@ fn solve_arches(
     let mut statics = BTreeMap::new();
     for arch in arches {
         let mut engine = BuildEngine::with_shared_cache(tree.clone(), Arc::clone(cache));
-        let allyes = match engine.make_config(arch, &ConfigKind::AllYes) {
-            Ok(c) => c,
-            Err(e) => {
-                out.skipped.push(format!("{commit}: {arch}: {e}"));
-                continue;
-            }
-        };
-        let allmod = match engine.make_config(arch, &ConfigKind::AllMod) {
-            Ok(c) => c,
-            Err(e) => {
-                out.skipped.push(format!("{commit}: {arch}: {e}"));
-                continue;
-            }
-        };
         let mut reach = Reach::new(tree);
-        reach.add_model(arch.clone(), allyes.model.clone());
-        reach.add_env(ReachEnv {
-            label: format!("{arch}-allyes"),
-            arch: arch.clone(),
-            config: allyes.config.clone(),
-            allyes: true,
-        });
-        reach.add_env(ReachEnv {
-            label: format!("{arch}-allmod"),
-            arch: arch.clone(),
-            config: allmod.config.clone(),
-            allyes: false,
-        });
-        statics.insert(
-            arch.clone(),
-            ArchStatic {
-                reach: reach.analyze_files(&paths),
-                allyes: allyes.config.clone(),
-            },
-        );
+        match reach.add_arch(&mut engine, arch) {
+            Ok(allyes) => {
+                let st = ArchStatic {
+                    reach: reach.analyze_files(&paths),
+                    allyes: allyes.config.clone(),
+                };
+                statics.insert(arch.clone(), st);
+            }
+            Err(e) => out.skipped.push(format!("{commit}: {arch}: {e}")),
+        }
     }
     statics
 }
@@ -460,25 +452,6 @@ pub fn token_region_line(shapes: &BTreeMap<u32, LineShape>, line: u32) -> Option
             }
         }
     }
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -65,12 +65,10 @@ pub mod token;
 pub use archsel::{ArchSelector, Target};
 pub use check::{JMake, Options};
 pub use classify::UncoveredReason;
-pub use covsel::{
-    branch_wants, generate_cover_targets, select_portfolio, Portfolio, PortfolioMember, Want,
-};
+pub use covsel::{select_portfolio, Portfolio, PortfolioMember};
 pub use crosscheck::{
-    arches_used, cross_check, line_shapes, token_class, token_region_line, CrossCheckReport,
-    Discrepancy, DiscrepancyKind, LineShape,
+    arches_used, class_arch, cross_check, line_shapes, token_class, token_region_line,
+    CrossCheckReport, Discrepancy, DiscrepancyKind, LineShape,
 };
 pub use driver::{
     run_evaluation, DriverOptions, DriverStats, EvaluationRun, PatchOutcome, PatchResult,

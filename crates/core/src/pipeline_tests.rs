@@ -380,6 +380,43 @@ fn coverage_configs_enable_negatively_dependent_symbols() {
 }
 
 #[test]
+fn coverage_configs_follow_witnesses_through_negated_dependencies() {
+    // SLIMLINE needs the promptless KERNEL_CORE off while the file's gate
+    // PLOVER needs NET_DRIVERS on; the reach witness (the solver's
+    // negated-dependency strategy) names the configuration that does both.
+    let mut tree = SourceTree::new();
+    tree.insert(
+        "Kconfig",
+        "config KERNEL_CORE\n\tdef_bool y\n\
+         config SLIMLINE\n\tbool \"slim\"\n\tdepends on !KERNEL_CORE\n\
+         config NET_DRIVERS\n\tdef_bool y\n\
+         config PLOVER\n\ttristate \"plover\"\n\tdepends on NET_DRIVERS\n",
+    );
+    tree.insert("arch/x86_64/Kconfig", "config X86_64\n\tdef_bool y\n");
+    tree.insert("Makefile", "obj-y += drivers/\n");
+    tree.insert("drivers/Makefile", "obj-$(CONFIG_PLOVER) += plover.o\n");
+    tree.insert("drivers/plover.c", "int plover;\n");
+    let (tree, patch) = edit(
+        tree,
+        "drivers/plover.c",
+        "int plover;\n#ifdef CONFIG_SLIMLINE\nint slim_path;\n#endif\n",
+    );
+    assert!(!check(tree.clone(), &patch).is_success());
+
+    let mut engine = BuildEngine::new(tree);
+    let jmake = JMake::with_options(Options {
+        use_coverage_configs: true,
+        ..Options::default()
+    });
+    let report = jmake.check_patch(&mut engine, &patch, "test author");
+    assert!(report.is_success(), "{report}");
+    assert_eq!(report.files[0].covered.len(), 1);
+    assert!(report.files[0].covered[0]
+        .1
+        .starts_with("x86_64/custom:cover-"));
+}
+
+#[test]
 fn timing_and_config_accounting() {
     let (tree, patch) = edit(
         mini_kernel(),

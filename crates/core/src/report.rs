@@ -2,6 +2,7 @@
 
 use crate::classify::UncoveredReason;
 use crate::token::MutationToken;
+use jmake_trace::jsonl::escape;
 use std::fmt;
 
 /// Terminal status of one file instance.
@@ -236,9 +237,9 @@ impl PatchReport {
             out.push('{');
             json_kv(&mut out, "path", &f.path);
             out.push_str(&format!(
-                "\"is_header\":{},\"status\":{},\"mutations\":{},\"covered\":[",
+                "\"is_header\":{},\"status\":\"{}\",\"mutations\":{},\"covered\":[",
                 f.is_header,
-                json_string(&f.status.to_string()),
+                escape(&f.status.to_string()),
                 f.mutation_count
             ));
             for (j, (tok, target)) in f.covered.iter().enumerate() {
@@ -246,9 +247,9 @@ impl PatchReport {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "{{\"line\":{},\"via\":{}}}",
+                    "{{\"line\":{},\"via\":\"{}\"}}",
                     tok.line,
-                    json_string(target)
+                    escape(target)
                 ));
             }
             out.push_str("],\"uncovered\":[");
@@ -257,9 +258,9 @@ impl PatchReport {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "{{\"line\":{},\"reason\":{}}}",
+                    "{{\"line\":{},\"reason\":\"{}\"}}",
                     u.token.line,
-                    json_string(&u.reason.to_string())
+                    escape(&u.reason.to_string())
                 ));
             }
             out.push_str("],\"errors\":[");
@@ -267,7 +268,7 @@ impl PatchReport {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_string(e));
+                out.push_str(&format!("\"{}\"", escape(e)));
             }
             out.push(']');
             // Key present only when the fix pass emitted something, so
@@ -278,7 +279,7 @@ impl PatchReport {
                     if j > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_string(r));
+                    out.push_str(&format!("\"{}\"", escape(r)));
                 }
                 out.push(']');
             }
@@ -291,7 +292,7 @@ impl PatchReport {
                     if j > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_string(d));
+                    out.push_str(&format!("\"{}\"", escape(d)));
                 }
                 out.push(']');
             }
@@ -303,25 +304,7 @@ impl PatchReport {
 }
 
 fn json_kv(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!("\"{key}\":{},", json_string(value)));
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    out.push_str(&format!("\"{key}\":\"{}\",", escape(value)));
 }
 
 #[cfg(test)]

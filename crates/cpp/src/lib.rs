@@ -59,7 +59,9 @@ pub use error::{CppError, SyntaxError};
 pub use lexer::lex;
 pub use macros::{MacroDef, MacroTable};
 pub use memo::{IncludeEffect, IncludeKey, IncludeMemo, MacroEvent};
-pub use preprocess::{IncludeResolver, MapResolver, PreprocessOutput, Preprocessor};
+pub use preprocess::{
+    resolve_include, IncludeResolver, MapResolver, PreprocessOutput, Preprocessor,
+};
 pub use syntax::validate;
 pub use token::{Token, TokenKind};
 

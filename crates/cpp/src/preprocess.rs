@@ -48,7 +48,8 @@ impl MapResolver {
     /// Add (or replace) a file.
     pub fn add_file(&mut self, path: impl Into<String>, content: impl Into<String>) {
         let content: String = content.into();
-        self.files.insert(normalize(&path.into()), content.into());
+        self.files
+            .insert(normalize_path(path.into()), content.into());
     }
 
     /// Append an include search path (like `-I`).
@@ -58,7 +59,9 @@ impl MapResolver {
 
     /// Borrow a file's content by canonical path.
     pub fn get(&self, path: &str) -> Option<&str> {
-        self.files.get(&normalize(path)).map(|c| &**c)
+        self.files
+            .get(&normalize_path(path.to_string()))
+            .map(|c| &**c)
     }
 }
 
@@ -69,30 +72,49 @@ impl IncludeResolver for MapResolver {
         quoted: bool,
         including_file: &str,
     ) -> Option<(String, Arc<str>)> {
-        let mut candidates = Vec::new();
-        if quoted {
-            let dir = match including_file.rsplit_once('/') {
-                Some((d, _)) => d,
-                None => "",
-            };
-            candidates.push(if dir.is_empty() {
-                target.to_string()
-            } else {
-                format!("{dir}/{target}")
-            });
-        }
-        for sp in &self.search_paths {
-            candidates.push(format!("{sp}/{target}"));
-        }
-        candidates.push(target.to_string());
-        for c in candidates {
-            let c = normalize(&c);
-            if let Some(content) = self.files.get(&c) {
-                return Some((c, Arc::clone(content)));
-            }
-        }
-        None
+        resolve_include(target, quoted, including_file, &self.search_paths, |c| {
+            self.files.get(c).map(Arc::clone)
+        })
     }
+}
+
+/// Resolve an `#include` target in the one candidate order every resolver
+/// in the workspace shares (the build engine's, the object cache's
+/// include fingerprint, the reachability analyzer's and [`MapResolver`]):
+/// a quoted target first relative to the including file's directory, then
+/// under each search path in order (`-I`), then as a bare path. Each
+/// candidate has its `.` and `..` segments collapsed before `probe` sees
+/// it, so `#include "../x.h"` names the file it means; a candidate
+/// without such segments is probed as built, with no further allocation.
+///
+/// Returns the first candidate `probe` accepts, together with what
+/// `probe` returned for it.
+pub fn resolve_include<S: AsRef<str>, T>(
+    target: &str,
+    quoted: bool,
+    including_file: &str,
+    search_paths: &[S],
+    mut probe: impl FnMut(&str) -> Option<T>,
+) -> Option<(String, T)> {
+    let mut attempt = |candidate: String| {
+        let candidate = normalize_path(candidate);
+        probe(&candidate).map(|found| (candidate, found))
+    };
+    if quoted {
+        let candidate = match including_file.rsplit_once('/') {
+            Some((dir, _)) if !dir.is_empty() => format!("{dir}/{target}"),
+            _ => target.to_string(),
+        };
+        if let Some(hit) = attempt(candidate) {
+            return Some(hit);
+        }
+    }
+    for sp in search_paths {
+        if let Some(hit) = attempt(format!("{}/{target}", sp.as_ref())) {
+            return Some(hit);
+        }
+    }
+    attempt(target.to_string())
 }
 
 /// First identifier of a directive operand (`#ifdef NAME`, `#undef NAME`).
@@ -109,8 +131,12 @@ fn first_ident(rest: &str) -> Option<String> {
     }
 }
 
-/// Normalize `a/./b/../c` to `a/c`.
-fn normalize(path: &str) -> String {
+/// Normalize `a/./b/../c` to `a/c` (empty segments drop too). A path
+/// with no `.`, `..` or empty segment comes back as it went in.
+fn normalize_path(path: String) -> String {
+    if !path.split('/').any(|seg| matches!(seg, "" | "." | "..")) {
+        return path;
+    }
     let mut parts: Vec<&str> = Vec::new();
     for seg in path.split('/') {
         match seg {

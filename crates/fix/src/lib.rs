@@ -40,13 +40,14 @@
 #![deny(missing_docs)]
 
 use jmake_core::{
-    arches_used, line_shapes, mutate, token_class, token_region_line, EvaluationRun, FileReport,
-    LineShape, MutationKind, MutationToken, UncoveredReason,
+    arches_used, class_arch, line_shapes, mutate, token_class, token_region_line, EvaluationRun,
+    FileReport, LineShape, MutationKind, MutationToken, UncoveredReason,
 };
 use jmake_diff::{ChangedLine, ChangedLines};
 use jmake_kbuild::{BuildEngine, ConfigCache, ConfigKind, ObjectCache, PreprocCache, SourceTree};
 use jmake_kconfig::Tristate;
-use jmake_reach::{Reach, ReachClass, ReachEnv, TreeReach, Truth, Witness};
+use jmake_reach::{Reach, ReachClass, TreeReach, Truth, Witness};
+use jmake_trace::jsonl::escape;
 use jmake_trace::{Stage, Tracer};
 use jmake_vcs::Repo;
 use std::collections::{BTreeMap, BTreeSet};
@@ -267,18 +268,18 @@ impl FixReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(s));
+            out.push_str(&format!("\"{}\"", escape(s)));
         }
         out.push_str("],\n  \"disagreements\": [");
         for (i, d) in self.disagreements.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             out.push_str(&format!(
-                "{{\"commit\": {}, \"file\": {}, \"line\": {}, \"static\": {}, \"dynamic\": {}}}",
-                json_string(&d.commit),
-                json_string(&d.file),
+                "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"static\": \"{}\", \"dynamic\": \"{}\"}}",
+                escape(&d.commit),
+                escape(&d.file),
                 d.line,
-                json_string(&d.static_cause),
-                json_string(&d.dynamic)
+                escape(&d.static_cause),
+                escape(&d.dynamic)
             ));
         }
         if !self.disagreements.is_empty() {
@@ -289,24 +290,24 @@ impl FixReport {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             let remedy = match &r.remedy {
                 Remedy::Delta { suggestion, flips } => format!(
-                    "\"delta\", \"suggestion\": {}, \"flips\": {flips}",
-                    json_string(suggestion)
+                    "\"delta\", \"suggestion\": \"{}\", \"flips\": {flips}",
+                    escape(suggestion)
                 ),
                 Remedy::Environment { target } => {
-                    format!("\"environment\", \"target\": {}", json_string(target))
+                    format!("\"environment\", \"target\": \"{}\"", escape(target))
                 }
                 Remedy::Unfixable { reason } => {
-                    format!("\"unfixable\", \"reason\": {}", json_string(reason))
+                    format!("\"unfixable\", \"reason\": \"{}\"", escape(reason))
                 }
             };
             out.push_str(&format!(
-                "{{\"commit\": {}, \"file\": {}, \"line\": {}, \"arch\": {}, \"cause\": {}, \"dynamic\": {}, \"agrees\": {}, \"remedy\": {remedy}}}",
-                json_string(&r.commit),
-                json_string(&r.file),
+                "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"arch\": \"{}\", \"cause\": \"{}\", \"dynamic\": \"{}\", \"agrees\": {}, \"remedy\": {remedy}}}",
+                escape(&r.commit),
+                escape(&r.file),
                 r.line,
-                json_string(&r.arch),
-                json_string(&r.cause),
-                json_string(&r.dynamic),
+                escape(&r.arch),
+                escape(&r.cause),
+                escape(&r.dynamic),
                 r.agrees
             ));
         }
@@ -413,50 +414,16 @@ fn arch_ctx<'t>(
         engine.set_preproc_cache(Arc::clone(p));
     }
     engine.set_tracer(ctx.tracer.clone());
-    let allyes = engine
-        .make_config(arch, &ConfigKind::AllYes)
-        .map_err(|e| e.to_string())?;
-    let allmod = engine.make_config(arch, &ConfigKind::AllMod);
     let mut reach = Reach::new(tree);
-    reach.add_model(arch.to_string(), allyes.model.clone());
-    reach.add_env(ReachEnv {
-        label: format!("{arch}-allyes"),
-        arch: arch.to_string(),
-        config: allyes.config.clone(),
-        allyes: true,
-    });
-    if let Ok(am) = &allmod {
-        reach.add_env(ReachEnv {
-            label: format!("{arch}-allmod"),
-            arch: arch.to_string(),
-            config: am.config.clone(),
-            allyes: false,
-        });
-    }
+    reach
+        .add_arch(&mut engine, arch)
+        .map_err(|e| e.to_string())?;
     let treach = reach.analyze_files(paths);
     Ok(ArchCtx {
         engine,
         reach,
         treach,
     })
-}
-
-/// The architecture whose model classifies this file's misses: the same
-/// environment the dynamic classifier used — `x86_64` when it configured
-/// there, else the first architecture it tried.
-fn class_arch(file: &FileReport) -> Option<String> {
-    let mut first = None;
-    for desc in &file.targets_tried {
-        if let Some((arch, _)) = desc.split_once('/') {
-            if arch == "x86_64" {
-                return Some(arch.to_string());
-            }
-            if first.is_none() {
-                first = Some(arch.to_string());
-            }
-        }
-    }
-    first
 }
 
 fn remediate_patch(
@@ -482,7 +449,7 @@ fn remediate_patch(
         if file.uncovered.is_empty() {
             continue;
         }
-        let Some(arch) = class_arch(file) else {
+        let Some(arch) = class_arch(&file.targets_tried) else {
             for unc in &file.uncovered {
                 out.missed += 1;
                 push_remediation(
@@ -575,8 +542,9 @@ fn push_remediation(
 
 /// What the verification driver should attempt for one missed line.
 enum Plan {
-    /// Minimize the solver witness into a config delta, then verify it.
-    Delta(BTreeMap<String, Tristate>),
+    /// Minimize the solver witness for the token's region line into a
+    /// config delta, then verify it.
+    Delta(u32, BTreeMap<String, Tristate>),
     /// Verify a whole named environment (kind solved for `arch`).
     Env(String, ConfigKind, String),
     /// Nothing to verify; the reason ships as [`Remedy::Unfixable`].
@@ -709,9 +677,10 @@ fn static_cause(
                         ),
                     )
                 }
-                Some(Witness::Pins(pins)) => {
-                    (StaticCause::UnsettableUnderAllyes, Plan::Delta(pins.clone()))
-                }
+                Some(Witness::Pins(pins)) => (
+                    StaticCause::UnsettableUnderAllyes,
+                    Plan::Delta(region, pins.clone()),
+                ),
                 None => (
                     StaticCause::Unclassified,
                     Plan::Nothing(
@@ -767,7 +736,7 @@ fn execute_plan(
                 },
             }
         }
-        Plan::Delta(pins) => {
+        Plan::Delta(region, pins) => {
             if file.is_header {
                 return Remedy::Unfixable {
                     reason: "a solver witness exists, but verifying a header needs an including \
@@ -775,37 +744,8 @@ fn execute_plan(
                         .to_string(),
                 };
             }
-            let Some(region) = token_region_line(&line_shapes(actx.tree_src(&file.path)), token.line)
-            else {
-                return Remedy::Unfixable {
-                    reason: "ambiguous token region".to_string(),
-                };
-            };
-            let Some((_, model)) = actx.reach.model_for(&file.path) else {
-                return Remedy::Unfixable {
-                    reason: "no Kconfig model for this file".to_string(),
-                };
-            };
-            let path = file.path.clone();
-            let reach = &actx.reach;
-            let minimized =
-                model.minimize_delta(&pins, &|cfg| reach.line_present(&path, region, cfg));
-            match minimized {
-                Err(proof) => {
-                    let core = model
-                        .unsat_core(&pins)
-                        .map(|(core, _)| {
-                            let parts: Vec<String> = core
-                                .iter()
-                                .map(|(n, v)| format!("CONFIG_{n}={v}"))
-                                .collect();
-                            format!(" (unsatisfiable core: {})", parts.join(" "))
-                        })
-                        .unwrap_or_default();
-                    Remedy::Unfixable {
-                        reason: format!("no witness: {proof}{core}"),
-                    }
-                }
+            match actx.reach.witness_delta(&file.path, region, &pins) {
+                Err(reason) => Remedy::Unfixable { reason },
                 Ok(delta) => {
                     let kind = ConfigKind::Custom {
                         name: format!("fix:{}:{}", file.path, token.line),
@@ -876,25 +816,6 @@ fn verify_trial(
         .make_o(&cfg, tree, path)
         .map_err(|e| format!("make_o: {e}"))?;
     Ok(())
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

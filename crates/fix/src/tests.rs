@@ -79,6 +79,47 @@ fn unsettable_guard_gets_verified_minimal_delta() {
 }
 
 #[test]
+fn negated_dependency_inside_a_gated_driver_gets_verified_delta() {
+    // SLIMLINE needs the promptless KERNEL_CORE off while the file's gate
+    // PLOVER needs NET_DRIVERS on: only the solver's negated-dependency
+    // strategy finds a witness, without which the line is unfixable.
+    let mut tree = SourceTree::new();
+    tree.insert(
+        "Kconfig",
+        "config KERNEL_CORE\n\tdef_bool y\n\
+         config SLIMLINE\n\tbool \"slim\"\n\tdepends on !KERNEL_CORE\n\
+         config NET_DRIVERS\n\tdef_bool y\n\
+         config PLOVER\n\ttristate \"plover\"\n\tdepends on NET_DRIVERS\n",
+    );
+    tree.insert("arch/x86_64/Kconfig", "config X86_64\n\tdef_bool y\n");
+    tree.insert("Makefile", "obj-y += drivers/\n");
+    tree.insert("drivers/Makefile", "obj-$(CONFIG_PLOVER) += plover.o\n");
+    tree.insert("drivers/plover.c", "int plover;\n");
+    let mut repo = Repo::new();
+    let base = repo.commit(&[], "seed", "seed", &tree);
+    tree.insert(
+        "drivers/plover.c",
+        "int plover;\n#ifdef CONFIG_SLIMLINE\nint slim_path;\n#endif\n",
+    );
+    let commit = repo.commit(&[base], "janitor", "edit", &tree);
+    let run = run_on(&repo, &[commit], 1);
+    let report = remediate(&repo, &run);
+    let r = remediation_for(&report, 2);
+    assert_eq!(r.cause, "unsettable-under-allyes");
+    assert!(r.agrees, "{r:?}");
+    assert_eq!(
+        r.remedy,
+        Remedy::Delta {
+            suggestion: "CONFIG_KERNEL_CORE=n CONFIG_SLIMLINE=y".to_string(),
+            flips: 2,
+        }
+    );
+    assert_eq!(report.deltas_verified, 1);
+    assert_eq!(report.verification_failures, 0);
+    assert!(report.is_clean(), "{report:?}");
+}
+
+#[test]
 fn undeclared_guard_is_never_defined_and_unfixable() {
     let (repo, commits) = one_commit(
         "lib/t.c",

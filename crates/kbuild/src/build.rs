@@ -360,25 +360,9 @@ impl<'t> IncludeResolver for TreeResolver<'t> {
         quoted: bool,
         including_file: &str,
     ) -> Option<(String, Arc<str>)> {
-        let mut candidates = Vec::new();
-        if quoted {
-            let dir = crate::tree::dir_of(including_file);
-            candidates.push(if dir.is_empty() {
-                target.to_string()
-            } else {
-                format!("{dir}/{target}")
-            });
-        }
-        for sp in &self.search_paths {
-            candidates.push(format!("{sp}/{target}"));
-        }
-        candidates.push(target.to_string());
-        for c in candidates {
-            if let Some(blob) = self.tree.get_blob(&c) {
-                return Some((c, blob.shared_text()));
-            }
-        }
-        None
+        jmake_cpp::resolve_include(target, quoted, including_file, &self.search_paths, |c| {
+            self.tree.get_blob(c).map(|blob| blob.shared_text())
+        })
     }
 }
 

@@ -34,7 +34,6 @@ pub mod cache;
 pub mod clock;
 pub mod diskcache;
 pub mod hash;
-pub mod intern;
 pub mod makefile;
 pub mod objcache;
 pub mod objgraph;
@@ -55,7 +54,6 @@ pub use diskcache::{DiskCache, DiskTierStats};
 pub use hash::ContentHash;
 pub use makefile::{Cond, Makefile};
 pub use objcache::{include_fingerprint, CachedObj, ObjKind, ObjectCache, ObjectKey};
-pub use intern::{ArchId, PathId, TokenId};
 pub use objgraph::ObjGraph;
 pub use ppcache::PreprocCache;
 pub use store::{Entry, Lookup, Store, StoreStats};

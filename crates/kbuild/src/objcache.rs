@@ -181,9 +181,9 @@ impl Entry for CachedObj {
 
 /// Fingerprint everything preprocessing `file` can read *besides* the
 /// file's own content: the transitive closure of its literal `#include`
-/// targets, resolved exactly like the engine's resolver (the including
-/// file's directory for quoted includes, then `include/`,
-/// `arch/<arch>/include/`, then the raw path — no normalization).
+/// targets, resolved exactly like the engine's resolver
+/// ([`jmake_cpp::resolve_include`] with the search paths `include/` and
+/// `arch/<arch>/include/`).
 ///
 /// Conditional compilation is over-approximated: both branches' includes
 /// are walked, so the closure is a superset of what any configuration
@@ -224,8 +224,11 @@ pub fn include_fingerprint(tree: &SourceTree, arch: &str, file: &str) -> Option<
             return None;
         }
         for (target, quoted) in &scan.targets {
-            match resolve_like_engine(tree, &search_paths, &path, target, *quoted) {
-                Some(resolved) => {
+            let found = jmake_cpp::resolve_include(target, *quoted, &path, &search_paths, |c| {
+                tree.contains(c).then_some(())
+            });
+            match found {
+                Some((resolved, ())) => {
                     if visited.insert(resolved.clone()) {
                         queue.push_back(resolved);
                     }
@@ -297,34 +300,6 @@ fn parse_include_target(line: &str) -> Option<Option<(&str, bool)>> {
     }
     // A macro-valued target — the preprocessor supports it, we cannot.
     None
-}
-
-/// Candidate order of the engine's `TreeResolver`, verbatim.
-fn resolve_like_engine(
-    tree: &SourceTree,
-    search_paths: &[String],
-    including_file: &str,
-    target: &str,
-    quoted: bool,
-) -> Option<String> {
-    if quoted {
-        let dir = crate::tree::dir_of(including_file);
-        let candidate = if dir.is_empty() {
-            target.to_string()
-        } else {
-            format!("{dir}/{target}")
-        };
-        if tree.contains(&candidate) {
-            return Some(candidate);
-        }
-    }
-    for sp in search_paths {
-        let candidate = format!("{sp}/{target}");
-        if tree.contains(&candidate) {
-            return Some(candidate);
-        }
-    }
-    tree.contains(target).then(|| target.to_string())
 }
 
 #[cfg(test)]

@@ -31,7 +31,6 @@
 use crate::arch::ArchRegistry;
 use crate::diskcache::{decode_preproc_entry, encode_preproc_entry};
 use crate::hash::Fnv;
-use crate::intern::{ArchId, PathId};
 use crate::objcache::include_fingerprint;
 use crate::store::{Entry, Store, StoreStats};
 use crate::tree::SourceTree;
@@ -83,9 +82,23 @@ impl Entry for IncludeEffect {
 #[derive(Debug, Default)]
 pub struct PreprocCache {
     effects: Store<IncludeEffect>,
-    closure: RwLock<HashMap<(u64, ArchId, PathId), Option<u64>>>,
+    closure: RwLock<ClosureMemo>,
     closure_hits: AtomicU64,
     closure_misses: AtomicU64,
+}
+
+/// Closure fingerprints of one `(tree epoch, arch)` pair, by header path.
+type PathFingerprints = HashMap<Box<str>, Option<u64>>;
+
+/// Closure fingerprints by `(tree epoch, arch)`, then by header path: a
+/// lookup hashes borrowed keys and allocates nothing; only a miss copies
+/// the path into the memo.
+#[derive(Debug, Default)]
+struct ClosureMemo {
+    by_tree: HashMap<(u64, &'static str), PathFingerprints>,
+    /// Paths memoized across every `(epoch, arch)`, bounded by
+    /// [`CLOSURE_CAP`].
+    len: usize,
 }
 
 impl Deref for PreprocCache {
@@ -106,12 +119,14 @@ impl PreprocCache {
     /// by tree epoch (equal epochs imply identical trees, so the walk
     /// runs once per distinct tree rather than once per inclusion).
     pub fn closure_fp(&self, tree: &SourceTree, arch: &'static str, path: &str) -> Option<u64> {
-        let key = (tree.epoch(), ArchId::intern(arch), PathId::intern(path));
+        let tree_key = (tree.epoch(), arch);
         if let Some(fp) = self
             .closure
             .read()
             .expect("closure memo poisoned")
-            .get(&key)
+            .by_tree
+            .get(&tree_key)
+            .and_then(|paths| paths.get(path))
         {
             self.closure_hits.fetch_add(1, Ordering::Relaxed);
             return *fp;
@@ -119,10 +134,19 @@ impl PreprocCache {
         self.closure_misses.fetch_add(1, Ordering::Relaxed);
         let fp = include_fingerprint(tree, arch, path);
         let mut memo = self.closure.write().expect("closure memo poisoned");
-        if memo.len() >= CLOSURE_CAP {
-            memo.clear();
+        if memo.len >= CLOSURE_CAP {
+            memo.by_tree.clear();
+            memo.len = 0;
         }
-        memo.insert(key, fp);
+        if memo
+            .by_tree
+            .entry(tree_key)
+            .or_default()
+            .insert(path.into(), fp)
+            .is_none()
+        {
+            memo.len += 1;
+        }
         fp
     }
 

@@ -1,9 +1,4 @@
-//! Property tests over the global interners and the persistent tree.
-//!
-//! The interners back every hot-path key (paths, arches, target
-//! descriptors), so their contract — same string in, same id out, ids
-//! dense, `as_str` a faithful round-trip, all of it under concurrency —
-//! is load-bearing for report determinism.
+//! Property tests over the persistent tree.
 //!
 //! [`SourceTree`] is checked against a `BTreeMap<String, String>` model
 //! under random scripts of inserts, replacements, same-content
@@ -11,7 +6,6 @@
 //! cases of a path-sorted map (`a/b` < `a/b-x/f` < `a/b.c` < `a/b/g`),
 //! and with enough files to split leaves.
 
-use crate::intern::{ArchId, PathId, TokenId};
 use crate::tree::{Blob, SourceTree};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -197,54 +191,6 @@ fn tree_diff(old: &SourceTree, new: &SourceTree) -> Vec<(String, Option<String>,
 }
 
 proptest! {
-    /// Interning is a pure function of the string: re-interning yields
-    /// the same id and `as_str` returns the original bytes.
-    #[test]
-    fn intern_round_trips_and_is_idempotent(s in "[ -~]{1,40}") {
-        let a = PathId::intern(&s);
-        let b = PathId::intern(&s);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(a.as_str(), s.as_str());
-        prop_assert_eq!(PathId::from(s.as_str()), a);
-    }
-
-    /// Distinct strings get distinct ids; equal ids imply equal strings.
-    #[test]
-    fn distinct_strings_get_distinct_ids(a in "[ -~]{1,40}", b in "[ -~]{1,40}") {
-        let ia = TokenId::intern(&a);
-        let ib = TokenId::intern(&b);
-        prop_assert_eq!(ia == ib, a == b);
-        prop_assert_eq!(ia.as_str() == ib.as_str(), a == b);
-    }
-
-    /// Ids are dense indices into their pool, usable for side tables.
-    #[test]
-    fn ids_are_dense_pool_indices(s in "[ -~]{1,40}") {
-        let id = ArchId::intern(&s);
-        prop_assert!(id.index() < ArchId::pool_len());
-        // Interning again must not grow the pool.
-        let len = ArchId::pool_len();
-        let _ = ArchId::intern(&s);
-        prop_assert_eq!(ArchId::pool_len(), len);
-    }
-
-    /// Concurrent interning of the same string from many threads agrees
-    /// on one id — the read-fast-path and the write path never race to
-    /// different answers.
-    #[test]
-    fn concurrent_interning_agrees(s in "[ -~]{1,24}") {
-        let ids: Vec<PathId> = std::thread::scope(|scope| {
-            (0..4)
-                .map(|_| scope.spawn(|| PathId::intern(&s)))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        prop_assert!(ids.windows(2).all(|w| w[0] == w[1]));
-        prop_assert_eq!(ids[0].as_str(), s.as_str());
-    }
-
     /// A scripted tree agrees with the model on iteration order, `get`,
     /// `len`, `total_bytes`, `files_under` and the config digest; a clone
     /// taken before the script is untouched by it; the epoch moves iff

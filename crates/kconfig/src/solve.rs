@@ -9,7 +9,7 @@
 use crate::ast::SymbolType;
 use crate::model::KconfigModel;
 use crate::tristate::Tristate;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What the all-config solver aims each symbol at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -412,13 +412,10 @@ pub(crate) fn solve_conjunction(
     // shared fixed point with the pins as the target and a different policy
     // for unpinned symbols; the result only counts when every pin survived
     // dependency clamping and select floors.
-    for s in 0..STRATEGY_COUNT {
-        let cfg = fixed_point(model, |sym| strategy_target(s, pins, sym));
-        if pins.iter().all(|(name, v)| cfg.get(name) == *v) {
-            return ConjunctionVerdict::Witness(cfg);
-        }
+    match strategy_witnesses(model, pins).next() {
+        Some(cfg) => ConjunctionVerdict::Witness(cfg),
+        None => ConjunctionVerdict::Dead(DeadnessProof::Exhausted),
     }
-    ConjunctionVerdict::Dead(DeadnessProof::Exhausted)
 }
 
 /// First default clause of a symbol, as `solve_defconfig` applies it.
@@ -431,7 +428,7 @@ fn default_value(sym: &crate::ast::Symbol) -> Tristate {
 }
 
 /// Number of witness strategies `solve_conjunction` tries.
-const STRATEGY_COUNT: usize = 4;
+const STRATEGY_COUNT: usize = 5;
 
 /// Target value of `sym` under strategy `s`: the pin when pinned, else a
 /// per-strategy policy for unpinned symbols —
@@ -439,10 +436,13 @@ const STRATEGY_COUNT: usize = 4;
 /// configuration), 1 minimal (off, good for `!X` pins), 2 allyes-style
 /// (up, good for deep positive dependency chains with no defaults),
 /// 3 allmod-style (tristates to `m`, good when a pin needs a module-value
-/// dependency).
+/// dependency), 4 negated-dependency (off for every symbol in `blockers`,
+/// up for the rest: a pin whose `depends on !X` allyes cannot satisfy
+/// while another pin needs a dependency chain that only allyes raises).
 fn strategy_target(
     s: usize,
     pins: &BTreeMap<String, Tristate>,
+    blockers: &BTreeSet<&str>,
     sym: &crate::ast::Symbol,
 ) -> Tristate {
     if let Some(v) = pins.get(&sym.name) {
@@ -452,9 +452,16 @@ fn strategy_target(
         0 => default_value(sym),
         1 => Tristate::N,
         2 => Tristate::Y,
-        _ => {
+        3 => {
             if sym.is_tristate() {
                 Tristate::M
+            } else {
+                Tristate::Y
+            }
+        }
+        _ => {
+            if blockers.contains(sym.name.as_str()) {
+                Tristate::N
             } else {
                 Tristate::Y
             }
@@ -462,14 +469,61 @@ fn strategy_target(
     }
 }
 
+/// Symbols an enabled pin's `depends on` negates (`depends on !X` names
+/// `X`): the negated-dependency strategy turns them off.
+fn negated_dependencies<'m>(
+    model: &'m KconfigModel,
+    pins: &BTreeMap<String, Tristate>,
+) -> BTreeSet<&'m str> {
+    fn walk<'e>(e: &'e crate::expr::Expr, negated: bool, out: &mut BTreeSet<&'e str>) {
+        use crate::expr::Expr;
+        match e {
+            Expr::Const(_) => {}
+            Expr::Sym(n) => {
+                if negated {
+                    out.insert(n);
+                }
+            }
+            Expr::Not(inner) => walk(inner, !negated, out),
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                walk(a, negated, out);
+                walk(b, negated, out);
+            }
+        }
+    }
+    let mut out = BTreeSet::new();
+    for (name, _) in pins.iter().filter(|(_, v)| v.enabled()) {
+        if let Some(deps) = model.symbol(name).and_then(|s| s.depends.as_ref()) {
+            walk(deps, false, &mut out);
+        }
+    }
+    out
+}
+
+/// The pin-satisfying configurations the witness strategies produce, in
+/// strategy order, each solved only when the iterator reaches it (so the
+/// first item is exactly the witness [`solve_conjunction`] returns, at the
+/// cost of the strategies before it).
+fn strategy_witnesses<'a>(
+    model: &'a KconfigModel,
+    pins: &'a BTreeMap<String, Tristate>,
+) -> impl Iterator<Item = Config> + 'a {
+    let blockers = negated_dependencies(model, pins);
+    (0..STRATEGY_COUNT).filter_map(move |s| {
+        let cfg = fixed_point(model, |sym| strategy_target(s, pins, &blockers, sym));
+        pins.iter()
+            .all(|(name, v)| cfg.get(name) == *v)
+            .then_some(cfg)
+    })
+}
+
 /// Every distinct pin-satisfying configuration the witness strategies can
 /// produce, in strategy order (so the first entry is exactly the witness
 /// [`solve_conjunction`] would return).
 fn conjunction_candidates(model: &KconfigModel, pins: &BTreeMap<String, Tristate>) -> Vec<Config> {
     let mut out: Vec<Config> = Vec::new();
-    for s in 0..STRATEGY_COUNT {
-        let cfg = fixed_point(model, |sym| strategy_target(s, pins, sym));
-        if pins.iter().all(|(name, v)| cfg.get(name) == *v) && !out.contains(&cfg) {
+    for cfg in strategy_witnesses(model, pins) {
+        if !out.contains(&cfg) {
             out.push(cfg);
         }
     }
@@ -937,6 +991,48 @@ mod tests {
         let w = v.witness().expect("TINY reachable with FULL off");
         assert_eq!(w.get("FULL"), Tristate::N);
         assert_eq!(w.get("TINY"), Tristate::Y);
+    }
+
+    /// `SLIMLINE` needs `KERNEL_CORE` (a promptless `def_bool y`) off,
+    /// while `PLOVER` needs `NET_DRIVERS` (also `def_bool y`) on: the
+    /// defconfig, allyes and allmod strategies keep `KERNEL_CORE` up and
+    /// the minimal strategy drops `NET_DRIVERS`, so only the
+    /// negated-dependency strategy satisfies both pins.
+    fn slimline_model() -> KconfigModel {
+        model(
+            "config KERNEL_CORE\n\tdef_bool y\n\
+             config SLIMLINE\n\tbool \"slim\"\n\tdepends on !KERNEL_CORE\n\
+             config NET_DRIVERS\n\tdef_bool y\n\
+             config PLOVER\n\ttristate \"plover\"\n\tdepends on NET_DRIVERS\n",
+        )
+    }
+
+    #[test]
+    fn conjunction_negated_dependency_beside_a_positive_chain() {
+        let m = slimline_model();
+        for plover in [Tristate::Y, Tristate::M] {
+            let p = pins(&[("SLIMLINE", Tristate::Y), ("PLOVER", plover)]);
+            let v = solve_conjunction(&m, &p);
+            let w = v
+                .witness()
+                .unwrap_or_else(|| panic!("PLOVER={plover}: {v:?}"));
+            assert_eq!(w.get("KERNEL_CORE"), Tristate::N);
+            assert_eq!(w.get("NET_DRIVERS"), Tristate::Y);
+            assert_eq!(w.get("SLIMLINE"), Tristate::Y);
+            assert_eq!(w.get("PLOVER"), plover);
+            assert!(is_consistent(&m, w));
+        }
+    }
+
+    #[test]
+    fn minimize_delta_through_a_negated_dependency_beside_a_positive_chain() {
+        let m = slimline_model();
+        let p = pins(&[("SLIMLINE", Tristate::Y), ("PLOVER", Tristate::M)]);
+        let d = minimize_delta(&m, &p, &accept_all).unwrap();
+        assert_eq!(
+            d.suggestion(),
+            "CONFIG_KERNEL_CORE=n CONFIG_PLOVER=m CONFIG_SLIMLINE=y"
+        );
     }
 
     #[test]

@@ -80,9 +80,13 @@ pub use cond::{CondExpr, Truth};
 pub use file::{analyze_file, FileAnalysis, IncludeRef};
 
 use jmake_kbuild::tree::{dir_of, file_name, SourceTree};
-use jmake_kbuild::{Cond, Makefile, ObjGraph};
-use jmake_kconfig::{Config, ConjunctionVerdict, DeadnessProof, KconfigModel, Tristate};
+use jmake_kbuild::{BuildConfig, BuildEngine, BuildError, Cond, ConfigKind, Makefile, ObjGraph};
+use jmake_kconfig::{
+    Config, ConfigDelta, ConjunctionVerdict, DeadnessProof, KconfigModel, Tristate,
+};
+use jmake_trace::jsonl::escape;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Cap on enumerated condition atoms: 2^8 assignments per condition.
 const MAX_ATOMS: usize = 8;
@@ -209,7 +213,7 @@ impl TreeReach {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(l));
+            out.push_str(&format!("\"{}\"", escape(l)));
         }
         out.push_str("],\n  \"files\": {\n");
         let mut first = true;
@@ -220,8 +224,8 @@ impl TreeReach {
             first = false;
             let (a, c, d) = fr.counts();
             out.push_str(&format!(
-                "    {}: {{\"allyes\": {a}, \"conditional\": {c}, \"dead\": {d}, \"dead_lines\": [",
-                json_string(path)
+                "    \"{}\": {{\"allyes\": {a}, \"conditional\": {c}, \"dead\": {d}, \"dead_lines\": [",
+                escape(path)
             ));
             let mut firstd = true;
             for (idx, cls) in fr.classes.iter().enumerate() {
@@ -231,9 +235,9 @@ impl TreeReach {
                     }
                     firstd = false;
                     out.push_str(&format!(
-                        "{{\"line\": {}, \"proof\": {}}}",
+                        "{{\"line\": {}, \"proof\": \"{}\"}}",
                         idx + 1,
-                        json_string(proof)
+                        escape(proof)
                     ));
                 }
             }
@@ -245,25 +249,6 @@ impl TreeReach {
         ));
         out
     }
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The whole-tree reachability analyzer.
@@ -296,6 +281,74 @@ impl<'t> Reach<'t> {
     /// Register a solved environment to check lines against.
     pub fn add_env(&mut self, env: ReachEnv) {
         self.envs.push(env);
+    }
+
+    /// Solve `arch`'s allyesconfig and allmodconfig on `engine`, then
+    /// register the arch's Kconfig model and both configurations as the
+    /// `{arch}-allyes` and `{arch}-allmod` environments — the per-arch
+    /// analyzer the cross-check, the remediator, the coverage
+    /// configurations and `jmake-eval --reach` all build. Returns the
+    /// solved allyesconfig.
+    ///
+    /// # Errors
+    ///
+    /// The [`BuildError`] of whichever solve failed first; nothing is
+    /// registered then.
+    pub fn add_arch(
+        &mut self,
+        engine: &mut BuildEngine,
+        arch: &str,
+    ) -> Result<Arc<BuildConfig>, BuildError> {
+        let allyes = engine.make_config(arch, &ConfigKind::AllYes)?;
+        let allmod = engine.make_config(arch, &ConfigKind::AllMod)?;
+        self.add_model(arch, allyes.model.clone());
+        for (kind, cfg, allyes) in [("allyes", &allyes, true), ("allmod", &allmod, false)] {
+            self.add_env(ReachEnv {
+                label: format!("{arch}-{kind}"),
+                arch: arch.to_string(),
+                config: cfg.config.clone(),
+                allyes,
+            });
+        }
+        Ok(allyes)
+    }
+
+    /// Turn a [`Witness::Pins`] for 1-based `line` of `path` into the
+    /// smallest configuration delta against allyesconfig that presents
+    /// the line: [`KconfigModel::minimize_delta`] over the file's model,
+    /// accepting only configurations under which [`Reach::line_present`]
+    /// holds. Both the remediator and the coverage configurations
+    /// synthesize their deltas here.
+    ///
+    /// # Errors
+    ///
+    /// The reason no delta exists: no model governs the file, or no
+    /// witness survives minimization (with the pins' unsatisfiable core
+    /// when the solver finds one).
+    pub fn witness_delta(
+        &self,
+        path: &str,
+        line: u32,
+        pins: &BTreeMap<String, Tristate>,
+    ) -> Result<ConfigDelta, String> {
+        let Some((_, model)) = self.model_for(path) else {
+            return Err("no Kconfig model for this file".to_string());
+        };
+        model
+            .minimize_delta(pins, &|cfg| self.line_present(path, line, cfg))
+            .map_err(|proof| {
+                let core = model
+                    .unsat_core(pins)
+                    .map(|(core, _)| {
+                        let parts: Vec<String> = core
+                            .iter()
+                            .map(|(n, v)| format!("CONFIG_{n}={v}"))
+                            .collect();
+                        format!(" (unsatisfiable core: {})", parts.join(" "))
+                    })
+                    .unwrap_or_default();
+                format!("no witness: {proof}{core}")
+            })
     }
 
     /// Classify every line of every `.c`/`.h` file.
@@ -466,9 +519,9 @@ impl<'t> Reach<'t> {
         seen
     }
 
-    /// Mirror of the build engine's include resolution: quoted includes
-    /// try the including directory first, then the search paths
-    /// (`include`, `arch/<arch>/include`), then the bare path.
+    /// The build engine's include resolution
+    /// ([`jmake_cpp::resolve_include`] with the search paths `include` and
+    /// `arch/<arch>/include`).
     fn resolve_include(
         &self,
         includer: &str,
@@ -476,22 +529,12 @@ impl<'t> Reach<'t> {
         quoted: bool,
         arch: &str,
     ) -> Option<String> {
-        let mut candidates = Vec::new();
-        if quoted {
-            let dir = dir_of(includer);
-            if dir.is_empty() {
-                candidates.push(path.to_string());
-            } else {
-                candidates.push(format!("{dir}/{path}"));
-            }
-        }
-        candidates.push(format!("include/{path}"));
-        candidates.push(format!("arch/{arch}/include/{path}"));
-        candidates.push(path.to_string());
-        candidates
-            .into_iter()
-            .map(|c| normalize(&c))
-            .find(|c| self.tree.contains(c))
+        let arch_include = format!("arch/{arch}/include");
+        let search_paths = ["include", arch_include.as_str()];
+        jmake_cpp::resolve_include(path, quoted, includer, &search_paths, |c| {
+            self.tree.contains(c).then_some(())
+        })
+        .map(|(resolved, ())| resolved)
     }
 
     /// Model index for `path`: the arch-specific model for files under
@@ -964,21 +1007,6 @@ fn is_structural(dir: &str) -> bool {
     dir.is_empty() || dir == "arch" || (dir.starts_with("arch/") && dir.matches('/').count() == 1)
 }
 
-/// Collapse `.` and `..` path segments.
-fn normalize(path: &str) -> String {
-    let mut parts: Vec<&str> = Vec::new();
-    for seg in path.split('/') {
-        match seg {
-            "" | "." => {}
-            ".." => {
-                parts.pop();
-            }
-            s => parts.push(s),
-        }
-    }
-    parts.join("/")
-}
-
 #[cfg(test)]
 mod proptests;
 
@@ -1179,6 +1207,61 @@ mod tests {
             }
             other => panic!("expected pin witness, got {other:?}"),
         }
+    }
+
+    /// `SLIMLINE` needs the promptless `KERNEL_CORE` off while the file's
+    /// gate `PLOVER` needs `NET_DRIVERS` on: only the solver's
+    /// negated-dependency strategy satisfies both.
+    fn slimline_tree_and_model() -> (SourceTree, KconfigModel) {
+        let mut t = SourceTree::new();
+        t.insert("Makefile", "obj-y += drivers/\n");
+        t.insert("drivers/Makefile", "obj-$(CONFIG_PLOVER) += plover.o\n");
+        t.insert(
+            "drivers/plover.c",
+            "int plover;\n#ifdef CONFIG_SLIMLINE\nint slim_path;\n#endif\n",
+        );
+        let m = model(
+            "config KERNEL_CORE\n\tdef_bool y\n\
+             config SLIMLINE\n\tbool \"slim\"\n\tdepends on !KERNEL_CORE\n\
+             config NET_DRIVERS\n\tdef_bool y\n\
+             config PLOVER\n\ttristate \"plover\"\n\tdepends on NET_DRIVERS\n",
+        );
+        (t, m)
+    }
+
+    #[test]
+    fn negated_dependency_inside_a_gated_driver_gets_pin_witness() {
+        let (t, m) = slimline_tree_and_model();
+        let tr = reach_over(&t, m);
+        match tr.files["drivers/plover.c"].class(3) {
+            Some(ReachClass::ConditionallyReachable {
+                witness: Some(Witness::Pins(pins)),
+            }) => {
+                assert_eq!(pins.get("SLIMLINE"), Some(&Tristate::Y));
+                assert!(pins.get("PLOVER").is_some_and(|v| v.enabled()));
+            }
+            other => panic!("expected pin witness, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn witness_delta_minimizes_the_pins_against_allyes() {
+        let (t, m) = slimline_tree_and_model();
+        let mut r = Reach::new(&t);
+        r.add_model("x86_64", m);
+        let pins = BTreeMap::from([
+            ("PLOVER".to_string(), Tristate::Y),
+            ("SLIMLINE".to_string(), Tristate::Y),
+        ]);
+        let delta = r.witness_delta("drivers/plover.c", 3, &pins).unwrap();
+        assert_eq!(delta.suggestion(), "CONFIG_KERNEL_CORE=n CONFIG_SLIMLINE=y");
+        assert!(r.line_present("drivers/plover.c", 3, &delta.config));
+        // A pin on an undeclared symbol has no witness, and says why.
+        let ghost = BTreeMap::from([("GHOST".to_string(), Tristate::Y)]);
+        assert_eq!(
+            r.witness_delta("drivers/plover.c", 3, &ghost).unwrap_err(),
+            "no witness: undeclared symbol GHOST (unsatisfiable core: CONFIG_GHOST=y)"
+        );
     }
 
     #[test]

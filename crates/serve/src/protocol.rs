@@ -44,7 +44,8 @@ pub struct EvalRequest {
     pub workers: usize,
     /// Also try allmodconfig (the paper's Table IV remedy).
     pub allmodconfig: bool,
-    /// Also try coverage-maximizing generated configs.
+    /// Also try the configurations leftover lines' reach witnesses name
+    /// (`jmake-eval --coverage`).
     pub coverage: bool,
     /// Also run the `jmake-fix` remediation pass: the remediation report
     /// (JSON) is prepended to the rendered section and per-file FIX lines

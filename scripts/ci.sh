@@ -66,6 +66,16 @@ UNCACHED_OUT="$WORK/eval-uncached.out"
   --no-preproc-cache all > "$UNCACHED_OUT"
 diff -u "$UNCACHED_OUT" "$CACHED_OUT"
 
+echo "==> coverage-config identity run (--coverage, cached vs uncached reports)"
+# The coverage phase solves its reach analyzer on a scratch engine and
+# charges only its trials to the clock, so its reports must be just as
+# independent of worker count and cache mode.
+./target/release/jmake-eval --commits 120 --workers 8 --coverage all > "$WORK/cov-cached.out"
+./target/release/jmake-eval --commits 120 --workers 1 \
+  --no-object-cache --no-shared-cache \
+  --no-preproc-cache --coverage all > "$WORK/cov-uncached.out"
+diff -u "$WORK/cov-uncached.out" "$WORK/cov-cached.out"
+
 echo "==> cross-check smoke run (static reachability vs mutation coverage)"
 CC_A="$WORK/crosscheck-a.json"
 CC_B="$WORK/crosscheck-b.json"
@@ -110,6 +120,15 @@ for seed in 319123704645 1 2; do
     --cross-check --fix > "$SWEEP_OUT"
   grep -q '"verification_failures": 0' "$SWEEP_OUT"
 done
+
+echo "==> coverage superset run (--coverage --fix, 1,200 commits, default seed)"
+COVFIX_OUT="$WORK/coverage-fix.json"
+# --coverage tries every reach witness --fix would minimize, so on the
+# coverage run's leftovers --fix must find no delta left to emit (and,
+# as everywhere, no disagreement and no failed verification).
+./target/release/jmake-eval --commits 1200 --workers 2 --coverage --fix > "$COVFIX_OUT"
+grep -q '"verification_failures": 0' "$COVFIX_OUT"
+grep -q '"deltas_emitted": 0' "$COVFIX_OUT"
 
 echo "==> trace smoke run (jmake-eval --trace + trace-check, object cache on)"
 TRACE_FILE="$WORK/trace.jsonl"
