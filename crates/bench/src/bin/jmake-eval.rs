@@ -34,11 +34,6 @@
 //!   --no-preproc-cache disable the cross-patch preprocess memo (every
 //!                      header inclusion is expanded live; slower
 //!                      wall-clock, identical reports)
-//!   --bench-json FILE  write a machine-readable benchmark summary
-//!                      (schema 5: patches/sec, per-stage host CPU µs,
-//!                      end-to-end wall µs, cache hit rates,
-//!                      remediate-stage totals, portfolio coverage
-//!                      summary — see DESIGN.md) to FILE
 //!   --cache-dir DIR    persist the config, object and preprocess
 //!                      caches under DIR (created if missing) and
 //!                      pre-load them from it, so a second run starts
@@ -48,8 +43,10 @@
 //!                      DIR/quarantine and recomputed live. Host-side
 //!                      only: reports are byte-identical cold vs. warm
 //!                      (the CI gate diffs them)
-//!   --stats            print driver statistics (cache hit rate,
-//!                      per-stage wall-clock, failure counts)
+//!   --stats            print the run summary: exact work (outcomes,
+//!                      make invocations and their virtual µs, lint
+//!                      evaluations, cache counters), then host
+//!                      wall-clock (per-stage, driver throughput)
 //!   --trace FILE       write one JSON line per pipeline span to FILE
 //!   --metrics          print per-stage span metrics (count, p50/p90/max
 //!                      host µs, total virtual µs, config cache hit rate)
@@ -145,7 +142,7 @@ fn trace_check(path: &str) -> ! {
             std::process::exit(1);
         }
     };
-    let lines = match jmake_trace::jsonl::parse_all(&text) {
+    let records = match jmake_trace::jsonl::parse(&text) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("trace-check: {path}: {e}");
@@ -153,154 +150,26 @@ fn trace_check(path: &str) -> ! {
         }
     };
     let mut counts = std::collections::BTreeMap::new();
-    let mut spans = 0usize;
-    let mut counters = 0usize;
-    for line in &lines {
-        match line {
-            jmake_trace::jsonl::TraceLine::Span(r) => {
-                spans += 1;
-                if let Some(stage) = r.stage {
-                    *counts.entry(stage.name()).or_insert(0u64) += 1;
-                }
-            }
-            jmake_trace::jsonl::TraceLine::Counter { .. } => counters += 1,
-        }
+    for stage in records.iter().filter_map(|r| r.stage) {
+        *counts.entry(stage.name()).or_insert(0u64) += 1;
     }
-    println!("trace-check: {path}: {spans} span(s), {counters} counter(s) OK");
+    println!("trace-check: {path}: {} span(s) OK", records.len());
     for (stage, n) in counts {
         println!("  {stage:<14} {n}");
     }
     std::process::exit(0);
 }
 
-/// Machine-readable benchmark summary for `--bench-json` (hand-rolled:
-/// the workspace carries no JSON serializer and the shape is fixed).
-///
-/// Schema 5 (documented in DESIGN.md): `host_cpu_us` holds the
-/// per-stage host time *summed over workers* (schema 1 called this
-/// `host_wall_us`, which misread as end-to-end time); `wall_us` is the
-/// actual end-to-end evaluation wall clock; `preproc_cache_stats` covers
-/// the cross-patch preprocess memo; `remediate` reports the `--fix` pass
-/// (all zeros with `ran: false` when remediation was off); `portfolio`
-/// summarizes `--portfolio` selection and measured randconfig token
-/// attribution (all zeros with `ran: false` when off). Schema 5 dropped
-/// schema 4's `scheduler` block and the flag that switched it.
-fn render_bench_json(
-    profile: &WorkloadProfile,
-    driver: &DriverOptions,
-    run: &jmake_core::EvaluationRun,
-    wall_secs: f64,
-    fix: Option<&(jmake_fix::FixReport, u64)>,
-    portfolio: Option<&(jmake_core::Portfolio, usize)>,
-) -> String {
-    let s = &run.stats;
-    let pps = if wall_secs > 0.0 {
-        s.patches as f64 / wall_secs
-    } else {
-        0.0
-    };
-    let (fix_ran, fix_host_us, fix_virtual_us, fix_missed, fix_emitted, fix_verified, fix_unfixable) =
-        match fix {
-            Some((f, host_us)) => (
-                true,
-                *host_us,
-                f.virtual_us,
-                f.missed,
-                f.deltas_emitted,
-                f.deltas_verified,
-                f.unfixable,
-            ),
-            None => (false, 0, 0, 0, 0, 0, 0),
-        };
-    let (pf_ran, pf_requested, pf_selected, pf_seed, pf_covered, pf_cond, pf_dead, pf_unfix, pf_cost, pf_tokens) =
-        match portfolio {
-            Some((p, tokens_by_rand)) => (
-                true,
-                p.requested,
-                p.members.len(),
-                p.rand_seed,
-                p.covered_lines(),
-                p.covered_conditional_lines,
-                p.dead_lines,
-                p.unfixable_lines,
-                p.total_cost_virtual_us(),
-                *tokens_by_rand,
-            ),
-            None => (false, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-        };
-    format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": 5,\n",
-            "  \"commits\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"workers\": {},\n",
-            "  \"shared_config_cache\": {},\n",
-            "  \"object_cache\": {},\n",
-            "  \"preproc_cache\": {},\n",
-            "  \"patches\": {},\n",
-            "  \"checked\": {},\n",
-            "  \"wall_seconds\": {:.3},\n",
-            "  \"patches_per_sec\": {:.2},\n",
-            "  \"wall_us\": {},\n",
-            "  \"host_cpu_us\": {{ \"checkout\": {}, \"show\": {}, \"check\": {}, \"total\": {} }},\n",
-            "  \"config_cache_stats\": {{ {} }},\n",
-            "  \"object_cache_stats\": {{ {} }},\n",
-            "  \"preproc_cache_stats\": {{ {}, \"closure_hits\": {}, \"closure_misses\": {} }},\n",
-            "  \"remediate\": {{ \"ran\": {}, \"host_us\": {}, \"virtual_us\": {}, \"missed\": {}, \"deltas_emitted\": {}, \"deltas_verified\": {}, \"unfixable\": {} }},\n",
-            "  \"portfolio\": {{ \"ran\": {}, \"requested\": {}, \"selected\": {}, \"rand_seed\": {}, \"covered_lines\": {}, \"covered_conditional_lines\": {}, \"dead_lines\": {}, \"unfixable_lines\": {}, \"cost_virtual_us\": {}, \"tokens_by_rand\": {} }}\n",
-            "}}\n",
-        ),
-        profile.commits,
-        profile.seed,
-        driver.workers,
-        driver.shared_cache,
-        driver.object_cache,
-        driver.preproc_cache,
-        s.patches,
-        s.checked,
-        wall_secs,
-        pps,
-        (wall_secs * 1e6) as u64,
-        s.checkout_wall_us,
-        s.show_wall_us,
-        s.check_wall_us,
-        s.total_wall_us,
-        s.cache.json_fields(false),
-        s.object.json_fields(true),
-        s.preproc.json_fields(false),
-        s.closure_memo.hits,
-        s.closure_memo.misses,
-        fix_ran,
-        fix_host_us,
-        fix_virtual_us,
-        fix_missed,
-        fix_emitted,
-        fix_verified,
-        fix_unfixable,
-        pf_ran,
-        pf_requested,
-        pf_selected,
-        pf_seed,
-        pf_covered,
-        pf_cond,
-        pf_dead,
-        pf_unfix,
-        pf_cost,
-        pf_tokens,
-    )
-}
-
-/// Write the bench summary, creating missing parent directories first
-/// (same behavior `Tracer::to_file` has for `--trace FILE`).
-fn write_bench_json(path: &str, json: &str) -> std::io::Result<()> {
+/// Write a report file, creating missing parent directories first (same
+/// behavior `Tracer::to_file` has for `--trace FILE`).
+fn write_report(path: &str, text: &str) -> std::io::Result<()> {
     let path = std::path::Path::new(path);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::write(path, json)
+    std::fs::write(path, text)
 }
 
 /// The value of a numeric flag. A missing or unparsable value is a usage
@@ -341,7 +210,6 @@ fn main() {
     let mut portfolio_k: Option<usize> = None;
     let mut rand_seed: u64 = 1;
     let mut fix_json: Option<String> = None;
-    let mut bench_json: Option<String> = None;
     let mut cache_dir: Option<String> = None;
     let mut fault_spec: Option<FaultSpec> = None;
     let mut fault_seed: u64 = 1;
@@ -365,13 +233,6 @@ fn main() {
             "--no-shared-cache" => driver.shared_cache = false,
             "--no-object-cache" => driver.object_cache = false,
             "--no-preproc-cache" => driver.preproc_cache = false,
-            "--bench-json" => {
-                let Some(path) = it.next() else {
-                    eprintln!("--bench-json needs a file path");
-                    std::process::exit(2);
-                };
-                bench_json = Some(path.clone());
-            }
             "--cache-dir" => {
                 let Some(dir) = it.next() else {
                     eprintln!("--cache-dir needs a directory path");
@@ -520,8 +381,9 @@ fn main() {
     });
     let mut ctx = build_context_from_workload(&profile, workload, &driver);
     eprintln!(
-        "evaluation finished in {:.1}s wall clock ({} patches)",
+        "workload generated and evaluated in {:.1}s wall clock ({} commits, {} patches with .c/.h changes)",
         started.elapsed().as_secs_f64(),
+        ctx.run.stats.commits,
         ctx.all.patches
     );
     if let Some(disk) = &disk {
@@ -552,7 +414,7 @@ fn main() {
             }
         }
     }
-    let failures = ctx.run.stats.patches - ctx.run.stats.checked;
+    let failures = ctx.run.stats.commits - ctx.run.stats.checked;
     if failures > 0 {
         eprintln!(
             "WARNING: {failures} patch(es) did not produce a report (checkout {}, show {}, panics {}, degraded {})",
@@ -565,11 +427,7 @@ fn main() {
     if fault_spec.is_some() {
         eprintln!("fault recovery: {}", ctx.run.stats.faults);
     }
-    // Freeze the evaluation wall clock before the remediation pass so
-    // `patches_per_sec` keeps measuring checking throughput, with or
-    // without `--fix`.
-    let wall_secs = started.elapsed().as_secs_f64();
-    let fix_summary: Option<(jmake_fix::FixReport, u64)> = if do_fix {
+    let fix_report = do_fix.then(|| {
         let fctx = jmake_fix::FixContext {
             configs: driver
                 .config_cache_handle
@@ -581,7 +439,6 @@ fn main() {
         };
         let fix_started = std::time::Instant::now();
         let fix = jmake_fix::remediate_with(&ctx.workload.repo, &ctx.run, &fctx);
-        let host_us = fix_started.elapsed().as_micros() as u64;
         jmake_fix::annotate_run(&mut ctx.run, &fix);
         eprintln!(
             "remediation finished in {:.1}s wall clock ({} missed line(s), {} delta(s) emitted, {} verified, {} unfixable)",
@@ -591,35 +448,10 @@ fn main() {
             fix.deltas_verified,
             fix.unfixable,
         );
-        Some((fix, host_us))
-    } else {
-        None
-    };
+        fix
+    });
     if show_stats {
-        eprint!("{}", ctx.run.stats.render());
-    }
-    if let Some(path) = &bench_json {
-        let portfolio_summary = portfolio
-            .as_ref()
-            .map(|p| (p.clone(), jmake_bench::rand_certified_tokens(&ctx, &p.seeds())));
-        let json = render_bench_json(
-            &profile,
-            &driver,
-            &ctx.run,
-            wall_secs,
-            fix_summary.as_ref(),
-            portfolio_summary.as_ref(),
-        );
-        if let Err(e) = write_bench_json(path, &json) {
-            eprintln!("cannot write bench summary {path}: {e}");
-            // Flush the trace file before bailing out: exiting with spans
-            // still buffered would silently truncate `--trace` output.
-            if let Err(e) = tracer.flush() {
-                eprintln!("WARNING: flushing trace file failed: {e}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("bench summary written to {path}");
+        eprint!("{}", ctx.run.render_stats());
     }
     if let Err(e) = tracer.flush() {
         eprintln!("WARNING: flushing trace file failed: {e}");
@@ -677,11 +509,11 @@ fn main() {
             );
         }
     }
-    if let Some((fix, _)) = &fix_summary {
+    if let Some(fix) = &fix_report {
         let json = fix.to_json();
         print!("{json}");
         if let Some(path) = &fix_json {
-            if let Err(e) = write_bench_json(path, &json) {
+            if let Err(e) = write_report(path, &json) {
                 eprintln!("cannot write remediation report {path}: {e}");
                 std::process::exit(1);
             }

@@ -187,27 +187,6 @@ pub fn render_portfolio_json(portfolio: &jmake_core::Portfolio, ctx: &EvalContex
     )
 }
 
-/// Count certified tokens attributed to any of the given randconfig
-/// seeds — the `--bench-json` schema-4 `tokens_by_rand` field and the CI
-/// gate's dynamic evidence that the portfolio certified mutations
-/// allyesconfig alone missed.
-pub fn rand_certified_tokens(ctx: &EvalContext, seeds: &[u64]) -> usize {
-    ctx.run
-        .results
-        .iter()
-        .filter_map(|r| r.report())
-        .flat_map(|report| &report.files)
-        .flat_map(|file| &file.covered)
-        .filter(|(_, desc)| {
-            desc.rsplit('/')
-                .next()
-                .and_then(|kind| kind.strip_prefix("randconfig:"))
-                .and_then(|s| s.parse::<u64>().ok())
-                .is_some_and(|seed| seeds.contains(&seed))
-        })
-        .count()
-}
-
 /// Render a CDF as a fixed set of `(seconds, fraction)` checkpoints plus
 /// the quantiles the paper quotes.
 pub fn render_cdf(title: &str, samples_us: &[u64], checkpoints_secs: &[f64]) -> String {

@@ -1,4 +1,5 @@
-//! `jmake-eval` command-line handling, driven through the built binary.
+//! `jmake-eval` command-line handling and its run summary, driven
+//! through the built binary.
 //!
 //! Numeric flags must reject values they cannot parse: `--commits 12k`
 //! silently running the default 1,200 commits would report on a workload
@@ -74,4 +75,66 @@ fn parsable_numeric_flags_run() {
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert!(!out.stdout.is_empty());
+}
+
+#[test]
+fn bench_json_is_gone() {
+    let out = jmake_eval(&["--bench-json", "f", "summary"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--bench-json"), "{}", stderr(&out));
+    assert!(out.stdout.is_empty(), "a usage error must not run anything");
+}
+
+/// The `--stats` summary's exact lines: the block under its
+/// `run work` header.
+fn work_lines(args: &[&str]) -> Vec<String> {
+    let out = jmake_eval(args);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+    let err = stderr(&out);
+    let lines: Vec<String> = err
+        .lines()
+        .skip_while(|l| !l.starts_with("run work"))
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .map(str::to_string)
+        .collect();
+    assert!(
+        lines.iter().any(|l| l.trim_start().starts_with("make_o")),
+        "{args:?}: no work lines in\n{err}"
+    );
+    lines
+}
+
+#[test]
+fn summary_work_lines_repeat_exactly_at_one_worker() {
+    let args = ["--commits", "120", "--workers", "1", "--stats", "summary"];
+    let first = work_lines(&args);
+    assert!(first.iter().any(|l| l.contains("config cache")), "{first:?}");
+    assert_eq!(first, work_lines(&args));
+}
+
+#[test]
+fn invocations_and_virtual_time_ignore_workers_and_caches() {
+    let invocations = |args: &[&str]| -> Vec<String> {
+        work_lines(args)
+            .into_iter()
+            .filter(|l| l.trim_start().starts_with("make_"))
+            .collect()
+    };
+    let one = invocations(&["--commits", "120", "--workers", "1", "--stats", "summary"]);
+    assert_eq!(one.len(), 3, "{one:?}");
+    let eight = invocations(&["--commits", "120", "--workers", "8", "--stats", "summary"]);
+    assert_eq!(one, eight, "worker count moved the virtual clock");
+    let uncached = invocations(&[
+        "--commits",
+        "120",
+        "--workers",
+        "1",
+        "--no-shared-cache",
+        "--no-object-cache",
+        "--no-preproc-cache",
+        "--stats",
+        "summary",
+    ]);
+    assert_eq!(one, uncached, "turning the caches off moved the virtual clock");
 }

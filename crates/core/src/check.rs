@@ -507,53 +507,28 @@ impl JMake {
                 }
             }
         }
+        // An invocation-level failure lands on every file that tried
+        // this target.
+        let fail_tried = |works: &mut [Work], e: &BuildError| {
+            for i in record_tried.iter().filter_map(|path| work_of(path)) {
+                works[i].record_error(&desc, e);
+            }
+        };
         let cfg = match engine.make_config(&target.arch, &target.kind) {
             Ok(c) => c,
-            Err(e) => {
-                let gave_up = matches!(e, BuildError::RetriesExhausted { .. });
-                for path in record_tried {
-                    if let Some(i) = work_of(path) {
-                        let w = &mut works[i];
-                        let msg = format!("{desc}: {e}");
-                        if gave_up && !w.degraded.contains(&msg) {
-                            w.degraded.push(msg.clone());
-                        }
-                        if !w.errors.contains(&msg) {
-                            w.errors.push(msg);
-                        }
-                    }
-                }
-                return;
-            }
+            Err(e) => return fail_tried(works, &e),
         };
         for chunk in c_files.chunks(self.options.group_limit.max(1)) {
             let results = match engine.make_i(&cfg, mutated, chunk) {
                 Ok(r) => r,
-                Err(e) => {
-                    let gave_up = matches!(e, BuildError::RetriesExhausted { .. });
-                    for path in record_tried {
-                        if let Some(i) = work_of(path) {
-                            let w = &mut works[i];
-                            let msg = format!("{desc}: {e}");
-                            if gave_up && !w.degraded.contains(&msg) {
-                                w.degraded.push(msg.clone());
-                            }
-                            w.errors.push(msg);
-                        }
-                    }
-                    return;
-                }
+                Err(e) => return fail_tried(works, &e),
             };
             for (c_path, res) in results {
                 let ifile = match res {
                     Ok(f) => f,
                     Err(e) => {
                         if let Some(i) = work_of(&c_path) {
-                            let w = &mut works[i];
-                            let msg = format!("{desc}: {e}");
-                            if !w.errors.contains(&msg) {
-                                w.errors.push(msg);
-                            }
+                            works[i].record_error(&desc, &e);
                         }
                         continue;
                     }
@@ -613,16 +588,7 @@ impl JMake {
                     }
                     Err(e) => {
                         if let Some(i) = work_of(&c_path) {
-                            let w = &mut works[i];
-                            let msg = format!("{desc}: {e}");
-                            if matches!(e, BuildError::RetriesExhausted { .. })
-                                && !w.degraded.contains(&msg)
-                            {
-                                w.degraded.push(msg.clone());
-                            }
-                            if !w.errors.contains(&msg) {
-                                w.errors.push(msg);
-                            }
+                            works[i].record_error(&desc, &e);
                         }
                     }
                 }
@@ -791,6 +757,20 @@ struct Work {
     header_covered_by_patch_c: bool,
     errors: Vec<String>,
     degraded: Vec<String>,
+}
+
+impl Work {
+    /// Record a failed step of the target `desc`: each distinct error
+    /// once, and one whose retry budget ran out as a degraded trial too.
+    fn record_error(&mut self, desc: &str, e: &BuildError) {
+        let msg = format!("{desc}: {e}");
+        if matches!(e, BuildError::RetriesExhausted { .. }) && !self.degraded.contains(&msg) {
+            self.degraded.push(msg.clone());
+        }
+        if !self.errors.contains(&msg) {
+            self.errors.push(msg);
+        }
+    }
 }
 
 /// A synthesized coverage configuration. The name is the content's

@@ -44,7 +44,7 @@
 
 use crate::check::{JMake, Options};
 use crate::report::PatchReport;
-use jmake_faults::{FaultKind, FaultSite, FaultStatsSnapshot, Faults};
+use jmake_faults::{FaultSite, FaultStatsSnapshot, Faults};
 use jmake_kbuild::{
     BuildEngine, ConfigCache, ContentHash, ObjectCache, PreprocCache, Samples, StoreStats,
 };
@@ -182,12 +182,14 @@ impl PatchResult {
     }
 }
 
-/// Host-side accounting for one run: outcome counts, shared-cache
-/// effectiveness, and real (not virtual) per-stage wall-clock.
+/// Host-side accounting for one run: outcome counts, cache and lint
+/// work, and real (not virtual) per-stage wall-clock. The run summary
+/// ([`EvaluationRun::render_stats`]) renders it together with the
+/// virtual-clock samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DriverStats {
     /// Commits handed to the driver.
-    pub patches: usize,
+    pub commits: usize,
     /// Outcomes that are [`PatchOutcome::Checked`].
     pub checked: usize,
     /// Outcomes that are [`PatchOutcome::CheckoutFailed`].
@@ -211,67 +213,18 @@ pub struct DriverStats {
     /// The preprocess cache's closure-fingerprint memo counters (zero
     /// when the cache is off).
     pub closure_memo: StoreStats,
+    /// Kconfig lint expression evaluations the workers ran
+    /// ([`jmake_kconfig::lint::evaluations`]), summed over workers.
+    pub lint_evaluations: u64,
     /// Wall-clock spent in `checkout`, summed across workers (µs).
     pub checkout_wall_us: u64,
     /// Wall-clock spent producing patches (`show`), summed (µs).
     pub show_wall_us: u64,
     /// Wall-clock spent inside JMake checking, summed (µs).
     pub check_wall_us: u64,
-    /// End-to-end wall-clock of the whole run (µs, not summed).
+    /// End-to-end wall-clock of [`run_evaluation`] (µs, not summed):
+    /// the driver alone, without workload synthesis or reporting.
     pub total_wall_us: u64,
-}
-
-impl DriverStats {
-    /// Patches processed per wall-clock second.
-    pub fn patches_per_sec(&self) -> f64 {
-        if self.total_wall_us == 0 {
-            0.0
-        } else {
-            self.patches as f64 / (self.total_wall_us as f64 / 1e6)
-        }
-    }
-
-    /// Human-readable rendering for `jmake-eval --stats`.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("driver statistics (host wall-clock, not simulated time)\n");
-        out.push_str(&format!(
-            "  patches         {:>8}  (checked {}, checkout-failed {}, show-failed {}, panicked {})\n",
-            self.patches, self.checked, self.checkout_failures, self.show_failures, self.panics
-        ));
-        let memo = &self.closure_memo;
-        let memo = format!(", closure memo {}/{}", memo.hits, memo.hits + memo.misses);
-        out.push_str(&format!(
-            "  config cache    {}\n",
-            self.cache.render(false, "")
-        ));
-        out.push_str(&format!(
-            "  object cache    {}\n",
-            self.object.render(true, "")
-        ));
-        out.push_str(&format!(
-            "  preproc cache   {}\n",
-            self.preproc.render(false, &memo)
-        ));
-        out.push_str(&format!(
-            "  stage wall      checkout {:.1} ms, show {:.1} ms, check {:.1} ms (summed over workers)\n",
-            self.checkout_wall_us as f64 / 1e3,
-            self.show_wall_us as f64 / 1e3,
-            self.check_wall_us as f64 / 1e3
-        ));
-        out.push_str(&format!(
-            "  throughput      {:.1} patches/s over {:.1} ms total\n",
-            self.patches_per_sec(),
-            self.total_wall_us as f64 / 1e3
-        ));
-        // Fault lines only appear when the harness actually ran, so
-        // fault-free `--stats` output is unchanged.
-        if self.degraded > 0 || self.faults.injected_total() > 0 {
-            out.push_str(&format!("  degraded        {:>8}\n", self.degraded));
-            out.push_str(&format!("  faults          {}\n", self.faults));
-        }
-        out
-    }
 }
 
 /// The whole run: per-patch results plus merged timing samples.
@@ -301,6 +254,79 @@ impl EvaluationRun {
             .iter()
             .filter_map(|r| r.outcome.failure().map(|m| (r, m)))
     }
+
+    /// The run summary `jmake-eval --stats` prints. A `run work` block
+    /// comes first: outcomes, `make` invocations with their virtual µs,
+    /// lint evaluations, and each cache's counters. The invocation lines
+    /// are a pure function of (seed, commits, options), whatever the
+    /// worker count or cache mode; at one worker every line of the block
+    /// is. Host wall-clock follows, with throughput as commits per
+    /// second of driver wall.
+    pub fn render_stats(&self) -> String {
+        let s = &self.stats;
+        let driver_s = s.total_wall_us as f64 / 1e6;
+        let throughput = if driver_s > 0.0 {
+            s.commits as f64 / driver_s
+        } else {
+            0.0
+        };
+        let mut out = self.render_work();
+        out.push_str("host wall-clock (varies run to run)\n");
+        out.push_str(&format!(
+            "  stage wall      checkout {:.1} ms, show {:.1} ms, check {:.1} ms (summed over workers)\n",
+            s.checkout_wall_us as f64 / 1e3,
+            s.show_wall_us as f64 / 1e3,
+            s.check_wall_us as f64 / 1e3
+        ));
+        out.push_str(&format!(
+            "  throughput      {throughput:.1} commits/s over {:.1} ms of driver wall\n",
+            s.total_wall_us as f64 / 1e3
+        ));
+        out
+    }
+
+    /// The summary's `run work` block.
+    fn render_work(&self) -> String {
+        let s = &self.stats;
+        let with_changes = self
+            .results
+            .iter()
+            .filter_map(PatchResult::report)
+            .filter(|report| !report.files.is_empty())
+            .count();
+        let mut out = String::from("run work (exact counts)\n");
+        out.push_str(&format!(
+            "  commits         {:>8}  (checked {}, checkout-failed {}, show-failed {}, panicked {}; {with_changes} patches with .c/.h changes)\n",
+            s.commits, s.checked, s.checkout_failures, s.show_failures, s.panics
+        ));
+        for (name, samples) in [
+            ("make_config", &self.samples.config),
+            ("make_i", &self.samples.i_gen),
+            ("make_o", &self.samples.o_gen),
+        ] {
+            out.push_str(&format!(
+                "  {name:<15} {:>8}  invocations, {} virtual µs\n",
+                samples.len(),
+                samples.iter().sum::<u64>()
+            ));
+        }
+        out.push_str(&format!(
+            "  kconfig lint    {:>8}  expression evaluations\n",
+            s.lint_evaluations
+        ));
+        let memo = &s.closure_memo;
+        let memo = format!(", closure memo {}/{}", memo.hits, memo.hits + memo.misses);
+        out.push_str(&format!("  config cache    {}\n", s.cache.render(false, "")));
+        out.push_str(&format!("  object cache    {}\n", s.object.render(true, "")));
+        out.push_str(&format!("  preproc cache   {}\n", s.preproc.render(false, &memo)));
+        // Fault lines only appear when the harness actually ran, so
+        // fault-free summaries are unchanged.
+        if s.degraded > 0 || s.faults.injected_total() > 0 {
+            out.push_str(&format!("  degraded        {:>8}\n", s.degraded));
+            out.push_str(&format!("  faults          {}\n", s.faults));
+        }
+        out
+    }
 }
 
 /// Per-worker output: completed slots plus stage wall-clock accumulators.
@@ -310,6 +336,7 @@ struct WorkerOutput {
     checkout_us: u64,
     show_us: u64,
     check_us: u64,
+    lint_evaluations: u64,
 }
 
 /// Extract a readable message from a panic payload.
@@ -348,50 +375,15 @@ struct CheckCtx<'a> {
     faults: &'a Faults,
 }
 
-/// Consult the fault plan before a host-side stage (checkout/show) runs.
-///
-/// Host stages live outside the virtual clock, so recovery here is pure
-/// control flow: a transient fault fails the attempt, a hang consumes
-/// the (virtual) timeout budget, and a latency spike is a no-op — there
-/// is no clock to charge it to. Retries and timeouts are still visible
-/// as trace spans and [`FaultStatsSnapshot`] counters. Returns the
+/// Consult the fault plan before a host-side stage (checkout/show) runs
+/// ([`Faults::gate`]). Host stages live outside the virtual clock, so
+/// recovery delays charge nothing; retries and timeouts still show as
+/// trace spans and [`FaultStatsSnapshot`] counters. Returns the
 /// degradation reason when the retry budget is exhausted.
 fn host_fault_gate(faults: &Faults, site: FaultSite, tracer: &Tracer) -> Result<(), String> {
-    if !faults.is_enabled() {
-        return Ok(());
-    }
-    let policy = faults.policy();
-    let stats = faults.stats();
-    let mut attempt = 0u32;
-    loop {
-        match faults.decide(site, "", attempt) {
-            None | Some(FaultKind::Latency) => return Ok(()),
-            Some(FaultKind::Corrupt) => unreachable!("corruption only fires on cache lookups"),
-            Some(kind @ (FaultKind::Transient | FaultKind::Hang)) => {
-                if kind == FaultKind::Hang {
-                    if let Some(stats) = &stats {
-                        stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let mut span = tracer.span(Stage::Timeout);
-                    span.set_virtual_us(policy.timeout_us);
-                }
-                attempt += 1;
-                if attempt >= policy.max_attempts {
-                    if let Some(stats) = &stats {
-                        stats.exhausted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Err(format!(
-                        "{site} gave up after {attempt} attempts under injected faults"
-                    ));
-                }
-                if let Some(stats) = &stats {
-                    stats.retries.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut span = tracer.span(Stage::Retry);
-                span.set_virtual_us(policy.backoff_us(attempt - 1));
-            }
-        }
-    }
+    faults.gate(site, "", tracer, |_| {}).map_err(|attempts| {
+        format!("{site} gave up after {attempts} attempts under injected faults")
+    })
 }
 
 /// Check one commit end to end; timings land in `out`'s accumulators.
@@ -525,6 +517,7 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
                 scope.spawn(move || {
                     let jmake = JMake::with_options(opts.jmake.clone());
                     let mut out = WorkerOutput::default();
+                    let lint_before = jmake_kconfig::lint::evaluations();
                     // Claim the next unchecked commit until none is left.
                     loop {
                         let idx = next.fetch_add(1, Ordering::Relaxed);
@@ -534,6 +527,7 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
                         }));
                         out.items.push((idx, PatchResult { commit, outcome }, samples));
                     }
+                    out.lint_evaluations = jmake_kconfig::lint::evaluations() - lint_before;
                     out
                 })
             })
@@ -548,7 +542,7 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
     });
 
     let mut stats = DriverStats {
-        patches: commits.len(),
+        commits: commits.len(),
         ..DriverStats::default()
     };
     let mut slots: Vec<Option<(PatchResult, Samples)>> = vec![None; commits.len()];
@@ -556,6 +550,7 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
         stats.checkout_wall_us += out.checkout_us;
         stats.show_wall_us += out.show_us;
         stats.check_wall_us += out.check_us;
+        stats.lint_evaluations += out.lint_evaluations;
         for (idx, result, samples) in out.items {
             slots[idx] = Some((result, samples));
         }
@@ -639,19 +634,36 @@ mod tests {
     }
 
     #[test]
-    fn stats_render_and_rate() {
-        let stats = DriverStats {
-            patches: 10,
-            checked: 8,
-            checkout_failures: 1,
-            panics: 1,
-            total_wall_us: 2_000_000,
-            ..DriverStats::default()
+    fn summary_renders_work_then_wall() {
+        let run = EvaluationRun {
+            samples: Samples {
+                config: vec![3, 4],
+                i_gen: vec![10],
+                o_gen: vec![],
+            },
+            stats: DriverStats {
+                commits: 10,
+                checked: 8,
+                checkout_failures: 1,
+                panics: 1,
+                lint_evaluations: 42,
+                total_wall_us: 2_000_000,
+                ..DriverStats::default()
+            },
+            ..EvaluationRun::default()
         };
-        assert!((stats.patches_per_sec() - 5.0).abs() < 1e-9);
-        let text = stats.render();
-        assert!(text.contains("checked 8"));
-        assert!(text.contains("panicked 1"));
-        assert_eq!(DriverStats::default().patches_per_sec(), 0.0);
+        let work = run.render_work();
+        assert!(work.contains("checked 8"), "{work}");
+        assert!(work.contains("panicked 1"), "{work}");
+        assert!(work.contains("make_config            2  invocations, 7 virtual µs"), "{work}");
+        assert!(work.contains("make_o                 0  invocations, 0 virtual µs"), "{work}");
+        assert!(work.contains("42  expression evaluations"), "{work}");
+        assert!(!work.contains("faults"), "{work}");
+        let text = run.render_stats();
+        assert!(text.starts_with(&work), "{text}");
+        assert!(text.contains("5.0 commits/s over 2000.0 ms of driver wall"), "{text}");
+        assert!(EvaluationRun::default()
+            .render_stats()
+            .contains("0.0 commits/s"));
     }
 }

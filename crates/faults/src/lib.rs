@@ -9,14 +9,14 @@
 //! same seed inject exactly the same faults; a run with no spec injects
 //! nothing and costs nothing.
 //!
-//! The crate is a leaf: it knows nothing about builds, repositories, or
-//! tracing.  Call sites (the driver's checkout/show loop, the build engine's
-//! `make_config`/`make_i`/`make_o` wrappers, the object-cache lookup path)
-//! ask [`Faults::decide`] whether a fault fires for the current attempt and
-//! implement their own recovery — bounded retry with exponential backoff,
-//! simulated per-unit timeouts, or cache-shard quarantine — using the knobs
-//! in [`RetryPolicy`] and recording what happened in the shared
-//! [`FaultStats`].
+//! The crate knows nothing about builds or repositories; it depends only
+//! on `jmake-trace`, for the spans its recovery emits.  Operation sites
+//! (the driver's checkout/show stages, the build engine's
+//! `make_config`/`make_i`/`make_o` wrappers) run behind [`Faults::gate`],
+//! the one bounded-retry loop with exponential backoff and simulated
+//! per-unit timeouts.  The cache lookup path asks [`Faults::decide`]
+//! directly and quarantines the shard itself.  Both record what happened
+//! in the shared [`FaultStats`], using the knobs in [`RetryPolicy`].
 //!
 //! # Example
 //!
@@ -44,6 +44,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use jmake_trace::{Stage, Tracer};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -537,6 +538,74 @@ impl Faults {
             }
         }
         None
+    }
+
+    /// Consult the plan before one operation at `site` and run its
+    /// bounded-retry recovery. Returns `Ok(())` when the operation should
+    /// run, or `Err(attempts)` when every attempt failed and the caller
+    /// must degrade.
+    ///
+    /// A transient fault fails the attempt; a hang fails it after the
+    /// per-unit timeout. Each failed attempt but the last is followed by
+    /// exponential backoff. A latency spike lets the attempt succeed
+    /// late. `advance` receives every recovery delay (spike, timeout,
+    /// backoff): the build engine charges them to its virtual clock
+    /// without minting a Fig. 4 sample, and host stages, which have no
+    /// clock, ignore them. `retry` and `timeout` spans carry their delay
+    /// as virtual µs and `identity` as their file label when it is
+    /// non-empty.
+    ///
+    /// A disabled plan returns at once, so fault-free runs pay one branch.
+    pub fn gate(
+        &self,
+        site: FaultSite,
+        identity: &str,
+        tracer: &Tracer,
+        mut advance: impl FnMut(u64),
+    ) -> Result<(), u32> {
+        let Some(plan) = &self.plan else {
+            return Ok(());
+        };
+        let policy = plan.policy;
+        let stats = &plan.stats;
+        let span = |stage, us| {
+            let mut span = tracer.span(stage);
+            if !identity.is_empty() {
+                span = span.with_file(identity);
+            }
+            span.set_virtual_us(us);
+        };
+        let mut attempt = 0u32;
+        loop {
+            match self.decide(site, identity, attempt) {
+                None => return Ok(()),
+                Some(FaultKind::Latency) => {
+                    advance(policy.latency_spike_us);
+                    return Ok(());
+                }
+                Some(kind @ (FaultKind::Transient | FaultKind::Hang)) => {
+                    if kind == FaultKind::Hang {
+                        // The attempt hangs; the per-unit timeout cancels
+                        // it after consuming its virtual budget.
+                        advance(policy.timeout_us);
+                        span(Stage::Timeout, policy.timeout_us);
+                        stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                    }
+                    attempt += 1;
+                    if attempt >= policy.max_attempts {
+                        stats.exhausted.fetch_add(1, Ordering::Relaxed);
+                        return Err(attempt);
+                    }
+                    let backoff = policy.backoff_us(attempt - 1);
+                    advance(backoff);
+                    span(Stage::Retry, backoff);
+                    stats.retries.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(FaultKind::Corrupt) => {
+                    unreachable!("corrupt faults only fire at cache-lookup sites")
+                }
+            }
+        }
     }
 }
 

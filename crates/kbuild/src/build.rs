@@ -12,13 +12,12 @@ use crate::tree::SourceTree;
 use jmake_cpp::{
     validate, IncludeResolver, MacroDef, MacroTable, PreprocessOutput, Preprocessor, SyntaxError,
 };
-use jmake_faults::{FaultKind, FaultSite, Faults};
+use jmake_faults::{FaultSite, Faults};
 use jmake_kconfig::{Config, DeadSymbols, KconfigModel, Tristate};
 use jmake_trace::{CacheOutcome, Span, Stage, Tracer};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 /// Which configuration to create (paper §II.B).
@@ -499,60 +498,20 @@ impl BuildEngine {
         &self.faults
     }
 
-    /// Consult the fault plan before one build operation. Returns `Ok(())`
-    /// when the operation should run — possibly after charging latency
-    /// spikes, cancelled-hang timeouts, and retry backoff to the virtual
-    /// clock (via `advance`, which adds time without minting a Fig. 4
-    /// sample, so sample streams keep their one-per-invocation shape) —
-    /// or [`BuildError::RetriesExhausted`] when every attempt failed.
+    /// Consult the fault plan before one build operation
+    /// ([`Faults::gate`]). Recovery delays are charged to the virtual
+    /// clock via `advance`, which adds time without minting a Fig. 4
+    /// sample, so sample streams keep their one-per-invocation shape.
+    /// Fails with [`BuildError::RetriesExhausted`] when every attempt
+    /// failed.
     fn fault_gate(&mut self, site: FaultSite, identity: &str) -> Result<(), BuildError> {
-        if !self.faults.is_enabled() {
-            return Ok(());
-        }
-        let policy = self.faults.policy();
-        let stats = self.faults.stats();
-        let mut attempt = 0u32;
-        loop {
-            match self.faults.decide(site, identity, attempt) {
-                None => return Ok(()),
-                Some(FaultKind::Latency) => {
-                    self.clock.advance(policy.latency_spike_us);
-                    return Ok(());
-                }
-                Some(kind @ (FaultKind::Transient | FaultKind::Hang)) => {
-                    if kind == FaultKind::Hang {
-                        // The attempt hangs; the per-unit timeout cancels
-                        // it after consuming its virtual budget.
-                        self.clock.advance(policy.timeout_us);
-                        let mut span = self.tracer.span(Stage::Timeout).with_file(identity);
-                        span.set_virtual_us(policy.timeout_us);
-                        if let Some(s) = &stats {
-                            s.timeouts.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    attempt += 1;
-                    if attempt >= policy.max_attempts {
-                        if let Some(s) = &stats {
-                            s.exhausted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Err(BuildError::RetriesExhausted {
-                            op: site.name(),
-                            attempts: attempt,
-                        });
-                    }
-                    let backoff = policy.backoff_us(attempt - 1);
-                    self.clock.advance(backoff);
-                    let mut span = self.tracer.span(Stage::Retry).with_file(identity);
-                    span.set_virtual_us(backoff);
-                    if let Some(s) = &stats {
-                        s.retries.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Some(FaultKind::Corrupt) => {
-                    unreachable!("corrupt faults only fire at cache-lookup sites")
-                }
-            }
-        }
+        let clock = &mut self.clock;
+        self.faults
+            .gate(site, identity, &self.tracer, |us| clock.advance(us))
+            .map_err(|attempts| BuildError::RetriesExhausted {
+                op: site.name(),
+                attempts,
+            })
     }
 
     /// The engine's tracer (disabled unless [`set_tracer`] was called).

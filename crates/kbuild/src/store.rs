@@ -111,22 +111,6 @@ impl StoreStats {
             self.entries
         )
     }
-
-    /// The same counters as `--bench-json` object fields (no braces).
-    pub fn json_fields(&self, negatives: bool) -> String {
-        let negative = if negatives {
-            format!("\"negative_hits\": {}, ", self.negative_hits)
-        } else {
-            String::new()
-        };
-        format!(
-            "\"hits\": {}, {negative}\"misses\": {}, \"entries\": {}, \"hit_rate\": {:.4}",
-            self.hits,
-            self.misses,
-            self.entries,
-            self.hit_rate()
-        )
-    }
 }
 
 /// What one [`Store::lookup`] found.
@@ -460,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_render_for_stats_and_bench_json() {
+    fn stats_render_for_the_run_summary() {
         let stats = StoreStats {
             hits: 3,
             misses: 1,
@@ -475,14 +459,6 @@ mod tests {
         assert_eq!(
             stats.render(false, ", closure memo 1/2"),
             "    75.0% hit rate  (3 hits, 1 misses, 4 entries, closure memo 1/2)"
-        );
-        assert_eq!(
-            stats.json_fields(true),
-            "\"hits\": 3, \"negative_hits\": 2, \"misses\": 1, \"entries\": 4, \"hit_rate\": 0.7500"
-        );
-        assert_eq!(
-            stats.json_fields(false),
-            "\"hits\": 3, \"misses\": 1, \"entries\": 4, \"hit_rate\": 0.7500"
         );
     }
 }

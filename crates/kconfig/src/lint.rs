@@ -244,11 +244,17 @@ impl Lint {
     }
 }
 
-#[cfg(test)]
 thread_local! {
-    /// Fixed-point runs on this thread, so tests can assert that a model
-    /// pays for its lint once.
-    static RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Expression evaluations the lints have run on this thread.
+    static EVALUATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Lint expression evaluations run on the calling thread so far. The
+/// count is exact work, not time: the evaluation driver reads it before
+/// and after each worker's claim loop, so a model that pays for its lint
+/// more than once shows in the run summary.
+pub fn evaluations() -> u64 {
+    EVALUATIONS.with(std::cell::Cell::get)
 }
 
 /// The least fixed point of `lint` over `model`, as one flag per symbol
@@ -266,8 +272,6 @@ thread_local! {
 /// every edge at most once more: O(symbols + edges) evaluations in all.
 /// Undeclared names never join, whether referenced or selected.
 fn least_fixed_point(model: &KconfigModel, lint: Lint) -> (Vec<bool>, usize) {
-    #[cfg(test)]
-    RUNS.with(|runs| runs.set(runs.get() + 1));
     let syms: Vec<&Symbol> = model.symbols().collect();
     let ids: HashMap<&str, usize> = syms
         .iter()
@@ -338,6 +342,7 @@ fn least_fixed_point(model: &KconfigModel, lint: Lint) -> (Vec<bool>, usize) {
             }
         }
     }
+    EVALUATIONS.with(|total| total.set(total.get() + evaluations as u64));
     (member, evaluations)
 }
 
@@ -392,7 +397,6 @@ mod tests {
     use super::*;
     use crate::ast::SymbolType;
     use crate::solve::{ConjunctionVerdict, DeadnessProof};
-    use std::cell::Cell;
 
     fn model(src: &str) -> KconfigModel {
         let mut m = KconfigModel::new();
@@ -462,11 +466,20 @@ mod tests {
 
     #[test]
     fn solve_conjunction_computes_the_lint_once_per_model() {
-        let runs = || RUNS.with(Cell::get);
+        // What one dead-symbol lint of `m` costs; the thread's count
+        // records exactly that.
+        let one_lint = |m: &KconfigModel| {
+            let before = evaluations();
+            let (_, n) = least_fixed_point(m, Lint::Live);
+            assert_eq!(evaluations() - before, n as u64);
+            n as u64
+        };
         let mut m = model(
             "config A\n\tbool \"a\"\nconfig B\n\tbool \"b\"\n\tdepends on MISSING\n",
         );
-        let before = runs();
+        let cost = one_lint(&m);
+        assert!(cost > 0);
+        let before = evaluations();
         let on = |name: &str| BTreeMap::from([(name.to_string(), Tristate::Y)]);
         for _ in 0..5 {
             assert!(m.solve_conjunction(&on("A")).witness().is_some());
@@ -476,20 +489,24 @@ mod tests {
             );
         }
         assert!(m.dead_symbols().is_dead(&m, "B"));
-        assert_eq!(runs() - before, 1, "ten queries and a lookup share one lint");
+        assert_eq!(evaluations() - before, cost, "ten queries and a lookup share one lint");
 
         // Declaring MISSING revives B: parse_str resets the memo.
         m.parse_str("Kconfig.more", "config MISSING\n\tbool \"m\"\n").unwrap();
+        let cost = one_lint(&m);
+        let before = evaluations();
         assert!(m.solve_conjunction(&on("B")).witness().is_some());
         assert!(!m.dead_symbols().is_dead(&m, "B"));
-        assert_eq!(runs() - before, 2);
+        assert_eq!(evaluations() - before, cost);
 
         // So does insert.
         let mut gone = Symbol::new("MISSING", SymbolType::Bool);
         gone.depends = Some(Expr::Const(Tristate::N));
         m.insert(gone);
+        let cost = one_lint(&m);
+        let before = evaluations();
         assert!(m.dead_symbols().is_dead(&m, "B"));
-        assert_eq!(runs() - before, 3);
+        assert_eq!(evaluations() - before, cost);
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //!   exits.
 //! - Per-client counters (requests, responses, errors) answer
 //!   [`Request::Stats`] and are logged when the connection closes.
+//! - A request line may hold at most [`MAX_REQUEST_LINE`] bytes. A longer
+//!   one is answered with an error and its connection closed, so a
+//!   client that never sends a newline cannot grow the daemon's memory.
 
 use crate::protocol::{self, EvalRequest, Request, Response};
 use jmake_bench::{build_context_with_driver, render_command};
@@ -33,11 +36,15 @@ use jmake_faults::Faults;
 use jmake_kbuild::{ConfigCache, DiskCache, ObjectCache, PreprocCache};
 use jmake_synth::WorkloadProfile;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// The longest request line the daemon reads, newline excluded: far
+/// above the ~150 bytes a request takes.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -355,13 +362,33 @@ fn serve_client(
         writer: Mutex::new(stream.try_clone()?),
         stats: ClientStats::default(),
     });
-    for line in BufReader::new(stream).lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    // One byte past the cap tells an over-long line from a full one.
+    let cap = MAX_REQUEST_LINE as u64 + 1;
+    loop {
+        buf.clear();
+        if (&mut reader).take(cap).read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_REQUEST_LINE {
+            client.stats.requests.fetch_add(1, Ordering::Relaxed);
+            client.send(&Response::Error {
+                id: 0,
+                error: format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing"),
+            });
+            break;
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
         client.stats.requests.fetch_add(1, Ordering::Relaxed);
-        match protocol::decode_request(&line) {
+        match protocol::decode_request(line) {
             Err(e) => client.send(&Response::Error {
                 id: 0,
                 error: format!("bad request: {e}"),
@@ -565,6 +592,44 @@ mod tests {
         assert_eq!(resp, Response::ShuttingDown);
         server.join().unwrap().unwrap();
         assert!(!socket.exists(), "socket file removed on clean shutdown");
+    }
+
+    #[test]
+    fn over_long_request_line_is_refused_and_others_are_served() {
+        let socket = temp_socket("long-line");
+        let opts = ServerOptions {
+            socket: socket.clone(),
+            parallel: 1,
+            queue_capacity: 1,
+            cache_dir: None,
+        };
+        let server = std::thread::spawn(move || serve(&opts));
+        wait_for_socket(&socket);
+
+        // One byte over the cap and no newline: an unbounded line reader
+        // would wait for more input forever.
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("an answer, not a timeout");
+        match protocol::decode_response(&line).unwrap() {
+            Response::Error { id: 0, error } => {
+                assert!(error.contains(&MAX_REQUEST_LINE.to_string()), "{error}");
+            }
+            other => panic!("expected an error, got {other:?}"),
+        }
+        // The daemon closed that connection.
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "{line:?}");
+
+        // Other clients are still served.
+        let resp = request(&socket, &Request::Stats).unwrap();
+        assert!(matches!(resp, Response::Stats { requests: 1, .. }), "{resp:?}");
+        let resp = request(&socket, &Request::Shutdown).unwrap();
+        assert_eq!(resp, Response::ShuttingDown);
+        server.join().unwrap().unwrap();
     }
 
     #[test]

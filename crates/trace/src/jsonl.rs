@@ -135,8 +135,7 @@ pub fn parse_line(line: &str) -> Result<SpanRecord, String> {
 }
 
 /// Parse a whole event log, skipping blank lines. Errors carry the 1-based
-/// line number. Counter lines are an error here — use [`parse_all`] for
-/// logs that may carry them.
+/// line number.
 pub fn parse(text: &str) -> Result<Vec<SpanRecord>, String> {
     let mut records = Vec::new();
     for (idx, line) in text.lines().enumerate() {
@@ -148,83 +147,16 @@ pub fn parse(text: &str) -> Result<Vec<SpanRecord>, String> {
     Ok(records)
 }
 
-/// One line of an event log: a completed span, or a named counter
-/// (written by [`crate::Tracer::counter`]).
+/// One line of an event log: a completed span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceLine {
     /// A completed [`SpanRecord`].
     Span(SpanRecord),
-    /// A named monotonic counter value.
-    Counter {
-        /// Counter name.
-        name: String,
-        /// Final value.
-        value: u64,
-    },
 }
 
-/// Serialize one counter as a single JSON line (no trailing newline).
-pub fn counter_line(name: &str, value: u64) -> String {
-    let mut out = String::with_capacity(48);
-    out.push('{');
-    push_str_field(&mut out, "counter", name);
-    push_num_field(&mut out, "value", value);
-    out.push('}');
-    out
-}
-
-/// Parse one JSONL line that may be either a span or a counter. Strict,
-/// like [`parse_line`]: a counter line admits exactly the keys `counter`
-/// and `value`.
+/// Parse one JSONL line of an event log. Strict, like [`parse_line`].
 pub fn parse_any(line: &str) -> Result<TraceLine, String> {
-    if !line.trim_start().starts_with("{\"counter\"") {
-        return parse_line(line).map(TraceLine::Span);
-    }
-    let mut p = JsonParser::new(line.trim());
-    p.expect('{')?;
-    let mut name = None;
-    let mut value = None;
-    loop {
-        p.skip_ws();
-        if p.eat('}') {
-            break;
-        }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "counter" => name = Some(p.string()?),
-            "value" => value = Some(p.number()?),
-            other => return Err(format!("unknown counter field {other:?}")),
-        }
-        p.skip_ws();
-        if !p.eat(',') {
-            p.expect('}')?;
-            break;
-        }
-    }
-    p.skip_ws();
-    if !p.at_end() {
-        return Err("trailing content after object".to_owned());
-    }
-    match (name, value) {
-        (Some(name), Some(value)) => Ok(TraceLine::Counter { name, value }),
-        _ => Err("counter line missing \"counter\" or \"value\"".to_owned()),
-    }
-}
-
-/// Parse a whole event log that may mix spans and counters, skipping
-/// blank lines. Errors carry the 1-based line number.
-pub fn parse_all(text: &str) -> Result<Vec<TraceLine>, String> {
-    let mut lines = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines.push(parse_any(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
-    }
-    Ok(lines)
+    parse_line(line).map(TraceLine::Span)
 }
 
 /// Minimal hand-rolled JSON scanner shared by the trace-log parser above

@@ -321,25 +321,6 @@ impl Tracer {
         }
     }
 
-    /// Record a named counter: added into the metrics snapshot and
-    /// written to the sink as its own JSONL line (`{"counter":…,
-    /// "value":…}`). No-op when disabled. Counters carry host-side
-    /// bookkeeping that has no span to live on.
-    pub fn counter(&self, name: &str, value: u64) {
-        let Some(inner) = &self.inner else { return };
-        {
-            let mut metrics = inner.metrics.lock().expect("metrics poisoned");
-            metrics.record_counter(name, value);
-        }
-        let line = jsonl::counter_line(name, value);
-        match &mut *inner.sink.lock().expect("sink poisoned") {
-            Sink::Memory(lines) => lines.push(line),
-            Sink::File(writer) => {
-                let _ = writeln!(writer, "{line}");
-            }
-        }
-    }
-
     /// Snapshot of the per-stage histograms. Empty when disabled.
     pub fn metrics(&self) -> Metrics {
         match &self.inner {

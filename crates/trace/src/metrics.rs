@@ -78,7 +78,6 @@ impl StageMetrics {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     stages: BTreeMap<Stage, StageMetrics>,
-    counters: BTreeMap<String, u64>,
 }
 
 impl Metrics {
@@ -88,23 +87,9 @@ impl Metrics {
         }
     }
 
-    pub(crate) fn record_counter(&mut self, name: &str, value: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += value;
-    }
-
     /// All stages with at least one recorded span, in pipeline order.
     pub fn stages(&self) -> &BTreeMap<Stage, StageMetrics> {
         &self.stages
-    }
-
-    /// All named counters recorded so far, in name order.
-    pub fn counters(&self) -> &BTreeMap<String, u64> {
-        &self.counters
-    }
-
-    /// One counter's value (0 when never recorded).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Measurements for one stage, if any span of it was recorded.
@@ -171,9 +156,6 @@ impl Metrics {
             "  config cache: {:.1}% hit rate ({hits} hits, {misses} misses, {local} local memo)\n",
             self.cache_hit_rate() * 100.0
         ));
-        for (name, value) in &self.counters {
-            out.push_str(&format!("  counter {name}: {value}\n"));
-        }
         out
     }
 }

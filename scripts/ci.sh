@@ -27,6 +27,10 @@ echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
 echo "==> cargo test -q (workspace)"
+# Includes tests/counts.rs, the perf gate: it pins the standard window's
+# exact work (make invocations and virtual µs, cache hits and misses,
+# lint evaluations), so a cache, memo or lint that stops doing its job
+# fails on any machine, however fast.
 cargo test --workspace -q
 
 echo "==> equivalence properties at 5,000 cases (release)"
@@ -219,44 +223,5 @@ if [ -z "$PF_RAND" ] || [ "$PF_RAND" -eq 0 ]; then
   exit 1
 fi
 echo "    portfolio covers $PF_COND conditional line(s), $PF_RAND token(s) via randconfig"
-
-echo "==> bench-regression gate (patches/s vs committed BENCH_5.json, -10% floor)"
-BENCH_OUT="$WORK/bench.json"
-# Re-run the standard 1,200-commit sweep (same seed/workers as the
-# committed baseline) and fail if throughput drops more than 10% below
-# the BENCH_5.json this repo ships. Wall-clock varies by machine, so
-# the gate is a floor, not an equality check; refresh the baseline with
-# the jmake-eval invocation documented in EXPERIMENTS.md when a PR
-# legitimately moves it.
-./target/release/jmake-eval --commits 1200 --seed 319123704645 --workers 4 \
-  --bench-json "$BENCH_OUT" summary > /dev/null
-# The artifact must carry the documented schema — exactly these
-# top-level keys, in this order, so schema 4's retired blocks cannot
-# come back unnoticed — and the portfolio summary block (with "ran":
-# false on a portfolio-less sweep).
-grep -q '"schema": 5' "$BENCH_OUT"
-BENCH_KEYS="$(sed -n 's/^  "\([a-z_]*\)":.*/\1/p' "$BENCH_OUT" | tr '\n' ' ')"
-EXPECTED_KEYS="schema commits seed workers shared_config_cache object_cache preproc_cache patches checked wall_seconds patches_per_sec wall_us host_cpu_us config_cache_stats object_cache_stats preproc_cache_stats remediate portfolio "
-if [ "$BENCH_KEYS" != "$EXPECTED_KEYS" ]; then
-  echo "bench artifact keys differ from schema 5:" >&2
-  echo "  got:      $BENCH_KEYS" >&2
-  echo "  expected: $EXPECTED_KEYS" >&2
-  exit 1
-fi
-grep -q '"portfolio": { "ran": false' "$BENCH_OUT"
-extract_pps() { sed -n 's/.*"patches_per_sec": \([0-9.]*\).*/\1/p' "$1"; }
-BASELINE_PPS="$(extract_pps BENCH_5.json)"
-CURRENT_PPS="$(extract_pps "$BENCH_OUT")"
-if [ -z "$BASELINE_PPS" ] || [ -z "$CURRENT_PPS" ]; then
-  echo "could not extract patches_per_sec (baseline='$BASELINE_PPS' current='$CURRENT_PPS')" >&2
-  exit 1
-fi
-echo "    baseline $BASELINE_PPS patches/s, current $CURRENT_PPS patches/s"
-# Integer math in awk: fail when current < 0.9 * baseline.
-if ! awk -v cur="$CURRENT_PPS" -v base="$BASELINE_PPS" \
-    'BEGIN { exit !(cur >= 0.9 * base) }'; then
-  echo "bench regression: $CURRENT_PPS patches/s is >10% below the committed $BASELINE_PPS" >&2
-  exit 1
-fi
 
 echo "==> tier-1 gate passed"

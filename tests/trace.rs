@@ -150,19 +150,10 @@ fn jsonl_sink_round_trips_every_span() {
     let lines = tracer.jsonl_lines();
     let balance = tracer.balance();
     let text = lines.join("\n");
-    let parsed = jsonl::parse_all(&text).expect("every emitted line parses");
-    assert_eq!(parsed.len(), lines.len());
-    // The driver emits no counter lines: every line is a span, and spans
-    // reconcile with the open/close balance.
-    let mut records = Vec::new();
-    for line in parsed {
-        match line {
-            jsonl::TraceLine::Span(r) => records.push(r),
-            jsonl::TraceLine::Counter { name, value } => {
-                panic!("unexpected counter line {name} = {value}")
-            }
-        }
-    }
+    let records = jsonl::parse(&text).expect("every emitted line parses");
+    assert_eq!(records.len(), lines.len());
+    // Every line is a span, and spans reconcile with the open/close
+    // balance.
     assert_eq!(records.len() as u64, balance.closed);
     let commits: std::collections::BTreeSet<String> = run
         .results
