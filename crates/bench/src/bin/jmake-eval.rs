@@ -96,10 +96,11 @@
 use jmake_bench::{build_context_from_workload, render_command, render_portfolio_json};
 use jmake_core::DriverOptions;
 use jmake_faults::{FaultSpec, Faults};
-use jmake_kbuild::{BuildEngine, ConfigCache, DiskCache, ObjectCache, PreprocCache, SourceTree};
+use jmake_kbuild::{BuildEngine, DiskCache, SourceTree};
 use jmake_reach::Reach;
 use jmake_synth::WorkloadProfile;
 use jmake_trace::{Stage, Tracer};
+use std::sync::Arc;
 
 /// Classify the whole `tree` statically: one model and one
 /// allyes/allmod environment pair per architecture present, host
@@ -230,9 +231,9 @@ fn main() {
                 portfolio_k = Some(k);
             }
             "--rand-seed" => rand_seed = integer_arg("--rand-seed", it.next()),
-            "--no-shared-cache" => driver.shared_cache = false,
-            "--no-object-cache" => driver.object_cache = false,
-            "--no-preproc-cache" => driver.preproc_cache = false,
+            "--no-shared-cache" => driver.config_cache_handle = None,
+            "--no-object-cache" => driver.object_cache_handle = None,
+            "--no-preproc-cache" => driver.preproc_cache_handle = None,
             "--cache-dir" => {
                 let Some(dir) = it.next() else {
                     eprintln!("--cache-dir needs a directory path");
@@ -297,8 +298,10 @@ fn main() {
         driver.faults = Faults::new(*spec, fault_seed);
         eprintln!("fault injection enabled: {spec} (seed {fault_seed})");
     }
-    // Open the persistent tier and pre-load all three caches before the run;
-    // corrupt entries quarantine on load and are recomputed live.
+    // Open the persistent tier and pre-load all three stores before the
+    // run (a store a `--no-*` flag turned off is loaded too, but the run
+    // does not use it); corrupt entries quarantine on load and are
+    // recomputed live.
     let disk = cache_dir.as_ref().map(|dir| match DiskCache::open(dir) {
         Ok(d) => d,
         Err(e) => {
@@ -306,10 +309,10 @@ fn main() {
             std::process::exit(1);
         }
     });
+    let objects = driver.object_cache_handle.clone().unwrap_or_default();
+    let configs = driver.config_cache_handle.clone().unwrap_or_default();
+    let preproc = driver.preproc_cache_handle.clone().unwrap_or_default();
     if let Some(disk) = &disk {
-        let objects = std::sync::Arc::new(ObjectCache::new());
-        let configs = std::sync::Arc::new(ConfigCache::new());
-        let preproc = std::sync::Arc::new(PreprocCache::new());
         match disk.load(&objects, &configs, &preproc, &driver.faults) {
             Ok(s) => eprintln!(
                 "disk cache: loaded {} object / {} config / {} preproc entr{} from {} ({} quarantined)",
@@ -325,9 +328,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        driver.object_cache_handle = Some(objects);
-        driver.config_cache_handle = Some(configs);
-        driver.preproc_cache_handle = Some(preproc);
     }
 
     eprintln!(
@@ -335,7 +335,7 @@ fn main() {
         profile.seed,
         profile.commits,
         driver.workers,
-        if driver.shared_cache { "on" } else { "off" },
+        if driver.config_cache_handle.is_some() { "on" } else { "off" },
     );
     let started = std::time::Instant::now();
     let workload = jmake_synth::generate(&profile);
@@ -387,21 +387,9 @@ fn main() {
         ctx.all.patches
     );
     if let Some(disk) = &disk {
-        let objects = driver
-            .object_cache_handle
-            .as_ref()
-            .expect("set alongside --cache-dir");
-        let configs = driver
-            .config_cache_handle
-            .as_ref()
-            .expect("set alongside --cache-dir");
-        let preproc = driver
-            .preproc_cache_handle
-            .as_ref()
-            .expect("set alongside --cache-dir");
         // Persisting is best-effort: a full disk loses warm starts, not
         // results.
-        match disk.store(objects, configs, preproc) {
+        match disk.store(&objects, &configs, &preproc) {
             Ok(s) => eprintln!(
                 "disk cache: stored {} new object / {} new config / {} new preproc entries under {}",
                 s.objects_stored,
@@ -429,10 +417,7 @@ fn main() {
     }
     let fix_report = do_fix.then(|| {
         let fctx = jmake_fix::FixContext {
-            configs: driver
-                .config_cache_handle
-                .clone()
-                .unwrap_or_else(|| std::sync::Arc::new(ConfigCache::new())),
+            configs: Arc::clone(&configs),
             objects: driver.object_cache_handle.clone(),
             preproc: driver.preproc_cache_handle.clone(),
             tracer: tracer.clone(),

@@ -3,8 +3,9 @@
 //!
 //! The `jmake-eval` binary is the entry point
 //! (`cargo run -p jmake-bench --release --bin jmake-eval -- all`);
-//! this library holds the shared machinery so integration tests and the
-//! criterion benches reuse it.
+//! this library holds the shared machinery so integration tests and
+//! `jmake-serve` reuse it. Wall-clock throughput is measured by the
+//! standalone `benchmark/` package, not here.
 
 use jmake_core::{run_evaluation, DriverOptions, EvaluationRun, SliceStats};
 use jmake_janitor::{compute_metrics, identify_janitors, JanitorReport, Maintainers, Thresholds};
@@ -53,7 +54,7 @@ pub fn build_context_with(
 }
 
 /// [`build_context`] with full driver options (worker count, pipeline
-/// options, shared configuration cache on or off).
+/// options, the cache stores attached or not).
 pub fn build_context_with_driver(profile: &WorkloadProfile, driver: &DriverOptions) -> EvalContext {
     let workload = jmake_synth::generate(profile);
     build_context_from_workload(profile, workload, driver)

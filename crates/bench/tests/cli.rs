@@ -5,7 +5,7 @@
 //! silently running the default 1,200 commits would report on a workload
 //! nobody asked for.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn jmake_eval(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_jmake-eval"))
@@ -137,4 +137,51 @@ fn invocations_and_virtual_time_ignore_workers_and_caches() {
         "summary",
     ]);
     assert_eq!(one, uncached, "turning the caches off moved the virtual clock");
+}
+
+/// Two processes started together on one empty `--cache-dir` both load,
+/// run and store into it; each must print the bytes a run without the
+/// tier prints. A third run then loads every entry they wrote, with none
+/// quarantined, and has nothing new to store.
+#[test]
+fn two_processes_share_one_cache_dir() {
+    let dir = std::env::temp_dir().join(format!("jmake-cli-shared-tier-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tier = dir.to_str().expect("temp paths are UTF-8");
+    let window = ["--commits", "120", "--workers", "2"];
+    let expected = jmake_eval(&[&window[..], &["all"]].concat());
+    assert_eq!(expected.status.code(), Some(0), "{}", stderr(&expected));
+
+    let shared = [&window[..], &["--cache-dir", tier, "all"]].concat();
+    let start = || {
+        Command::new(env!("CARGO_BIN_EXE_jmake-eval"))
+            .args(&shared)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("jmake-eval starts")
+    };
+    let both = [start(), start()];
+    for child in both {
+        let out = child.wait_with_output().expect("jmake-eval runs");
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        assert!(
+            out.stdout == expected.stdout,
+            "a sharing process printed other reports"
+        );
+    }
+
+    let third = jmake_eval(&[&window[..], &["--cache-dir", tier, "--stats", "all"]].concat());
+    assert_eq!(third.status.code(), Some(0), "{}", stderr(&third));
+    assert!(
+        third.stdout == expected.stdout,
+        "the warm run printed other reports"
+    );
+    let err = stderr(&third);
+    assert!(err.contains("(0 quarantined)"), "{err}");
+    assert!(
+        err.contains("stored 0 new object / 0 new config / 0 new preproc entries"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -22,8 +22,8 @@ fn eval(
         commits,
         &DriverOptions {
             workers,
-            shared_cache: caches,
-            object_cache: caches,
+            config_cache_handle: caches.then(Default::default),
+            object_cache_handle: caches.then(Default::default),
             ..DriverOptions::default()
         },
     )

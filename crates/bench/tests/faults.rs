@@ -49,8 +49,8 @@ fn eval(
         commits,
         &DriverOptions {
             workers,
-            shared_cache: caches,
-            object_cache: caches,
+            config_cache_handle: caches.then(Default::default),
+            object_cache_handle: caches.then(Default::default),
             faults,
             tracer,
             ..DriverOptions::default()

@@ -1,12 +1,13 @@
 //! Soundness and bit-identity tests for the content-addressed object
-//! cache and the parallel driver (DESIGN.md §7).
+//! cache, and the identity matrix over every store and the parallel
+//! driver (DESIGN.md §7).
 //!
 //! The contract under test: host-side caches may change wall-clock time
 //! only — every report, every virtual-time sample,
-//! and every per-patch outcome must be bit-identical whichever caches are
-//! on and however many workers run.
+//! and every per-patch outcome must be bit-identical whichever stores are
+//! attached and however many workers run.
 
-use jmake_core::{run_evaluation, DriverOptions, EvaluationRun};
+use jmake_core::{run_evaluation, DriverOptions};
 use jmake_kbuild::{BuildEngine, BuildError, ConfigKind, ObjectCache, SourceTree};
 use jmake_synth::WorkloadProfile;
 use jmake_vcs::LogOptions;
@@ -95,30 +96,10 @@ fn failed_preprocessing_is_cached_negatively() {
     assert_eq!(cache.stats().negative_hits, 2);
 }
 
-fn eval(
-    workload: &jmake_synth::SynthOutput,
-    commits: &[jmake_vcs::CommitId],
-    workers: usize,
-    shared_cache: bool,
-    object_cache: bool,
-    handle: Option<Arc<ObjectCache>>,
-) -> EvaluationRun {
-    run_evaluation(
-        &workload.repo,
-        commits,
-        &DriverOptions {
-            workers,
-            shared_cache,
-            object_cache,
-            object_cache_handle: handle,
-            ..DriverOptions::default()
-        },
-    )
-}
-
-/// The full matrix: {workers 1, 8} × {object cache on/off} × {shared
-/// config cache on/off}. Reports AND Figure-4 sample streams must match
-/// the most conservative configuration bit for bit.
+/// The full matrix: {workers 1, 8} × every combination of the config,
+/// object and preprocess stores attached or not. Reports AND Figure-4
+/// sample streams must match the one-worker run with no store bit for
+/// bit.
 #[test]
 fn reports_and_samples_bit_identical_across_the_matrix() {
     let profile = WorkloadProfile {
@@ -132,26 +113,37 @@ fn reports_and_samples_bit_identical_across_the_matrix() {
         .unwrap();
     assert!(!commits.is_empty());
 
-    let baseline = eval(&workload, &commits, 1, false, false, None);
+    let baseline = run_evaluation(
+        &workload.repo,
+        &commits,
+        &DriverOptions {
+            workers: 1,
+            config_cache_handle: None,
+            object_cache_handle: None,
+            preproc_cache_handle: None,
+            ..DriverOptions::default()
+        },
+    );
     assert_eq!(baseline.results.len(), commits.len());
 
     for workers in [1, 8] {
-        for object_cache in [false, true] {
-            for shared_cache in [false, true] {
-                let run = eval(
-                    &workload,
-                    &commits,
+        for stores in 0..8u8 {
+            let (config, object, preproc) = (stores & 1 != 0, stores & 2 != 0, stores & 4 != 0);
+            let run = run_evaluation(
+                &workload.repo,
+                &commits,
+                &DriverOptions {
                     workers,
-                    shared_cache,
-                    object_cache,
-                    None,
-                );
-                let label = format!(
-                    "workers={workers} shared={shared_cache} object={object_cache}"
-                );
-                assert_eq!(run.results, baseline.results, "reports differ: {label}");
-                assert_eq!(run.samples, baseline.samples, "samples differ: {label}");
-            }
+                    config_cache_handle: config.then(Default::default),
+                    object_cache_handle: object.then(Default::default),
+                    preproc_cache_handle: preproc.then(Default::default),
+                    ..DriverOptions::default()
+                },
+            );
+            let label =
+                format!("workers={workers} config={config} object={object} preproc={preproc}");
+            assert_eq!(run.results, baseline.results, "reports differ: {label}");
+            assert_eq!(run.samples, baseline.samples, "samples differ: {label}");
         }
     }
 }
@@ -171,22 +163,13 @@ fn warm_cache_replays_identically_and_hits() {
         .unwrap();
 
     let handle = Arc::new(ObjectCache::new());
-    let cold = eval(
-        &workload,
-        &commits,
-        4,
-        true,
-        true,
-        Some(Arc::clone(&handle)),
-    );
-    let warm = eval(
-        &workload,
-        &commits,
-        4,
-        true,
-        true,
-        Some(Arc::clone(&handle)),
-    );
+    let opts = || DriverOptions {
+        workers: 4,
+        object_cache_handle: Some(Arc::clone(&handle)),
+        ..DriverOptions::default()
+    };
+    let cold = run_evaluation(&workload.repo, &commits, &opts());
+    let warm = run_evaluation(&workload.repo, &commits, &opts());
     assert_eq!(cold.results, warm.results);
     assert_eq!(cold.samples, warm.samples);
     assert!(

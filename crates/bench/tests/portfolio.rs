@@ -9,10 +9,9 @@
 use jmake_bench::{build_context_from_workload, render_portfolio_json};
 use jmake_core::{select_portfolio, DriverOptions, Portfolio};
 use jmake_faults::Faults;
-use jmake_kbuild::{ConfigCache, DiskCache, ObjectCache, PreprocCache};
+use jmake_kbuild::DiskCache;
 use jmake_synth::WorkloadProfile;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 fn profile() -> WorkloadProfile {
     WorkloadProfile {
@@ -52,22 +51,19 @@ fn run(
 
     let mut driver = DriverOptions {
         workers,
-        shared_cache: caches,
-        object_cache: caches,
-        preproc_cache: caches,
+        config_cache_handle: caches.then(Default::default),
+        object_cache_handle: caches.then(Default::default),
+        preproc_cache_handle: caches.then(Default::default),
         ..DriverOptions::default()
     };
     driver.jmake.portfolio = selected.seeds();
     let disk = cache_dir.map(|dir| {
-        let objects = Arc::new(ObjectCache::new());
-        let configs = Arc::new(ConfigCache::new());
-        let preproc = Arc::new(PreprocCache::new());
+        let objects = driver.object_cache_handle.clone().unwrap_or_default();
+        let configs = driver.config_cache_handle.clone().unwrap_or_default();
+        let preproc = driver.preproc_cache_handle.clone().unwrap_or_default();
         let disk = DiskCache::open(dir).unwrap();
         disk.load(&objects, &configs, &preproc, &Faults::disabled())
             .unwrap();
-        driver.object_cache_handle = Some(Arc::clone(&objects));
-        driver.config_cache_handle = Some(Arc::clone(&configs));
-        driver.preproc_cache_handle = Some(Arc::clone(&preproc));
         (disk, objects, configs, preproc)
     });
 

@@ -1,11 +1,11 @@
-//! Bit-identity tests for the cross-patch preprocess memo (the
+//! Warm-replay test for the cross-patch preprocess memo (the
 //! `PreprocCache`).
 //!
 //! The contract: replaying recorded header-inclusion effects may change
 //! wall-clock time only. Reports, per-patch outcomes, and Figure-4
-//! virtual-time sample streams must be bit-identical with the memo on or
-//! off, at any worker count, and whether the cache starts cold or is
-//! reused warm across runs.
+//! virtual-time sample streams must be bit-identical whether the store
+//! starts cold or is reused warm across runs. The identity matrix over
+//! worker counts and every store combination is in `object_cache.rs`.
 
 use jmake_core::{run_evaluation, DriverOptions, EvaluationRun};
 use jmake_kbuild::PreprocCache;
@@ -16,48 +16,17 @@ use std::sync::Arc;
 fn eval(
     workload: &jmake_synth::SynthOutput,
     commits: &[jmake_vcs::CommitId],
-    workers: usize,
-    preproc_cache: bool,
-    handle: Option<Arc<PreprocCache>>,
+    handle: &Arc<PreprocCache>,
 ) -> EvaluationRun {
     run_evaluation(
         &workload.repo,
         commits,
         &DriverOptions {
-            workers,
-            preproc_cache,
-            preproc_cache_handle: handle,
+            workers: 4,
+            preproc_cache_handle: Some(Arc::clone(handle)),
             ..DriverOptions::default()
         },
     )
-}
-
-/// {workers 1, 8} × {preproc memo on/off}: every configuration must
-/// reproduce the single-worker memo-off baseline bit for bit.
-#[test]
-fn reports_and_samples_bit_identical_with_memo_on_or_off() {
-    let profile = WorkloadProfile {
-        commits: 30,
-        ..WorkloadProfile::tiny()
-    };
-    let workload = jmake_synth::generate(&profile);
-    let commits = workload
-        .repo
-        .log(&LogOptions::paper_defaults().range("v4.3", "v4.4"))
-        .unwrap();
-    assert!(!commits.is_empty());
-
-    let baseline = eval(&workload, &commits, 1, false, None);
-    assert_eq!(baseline.results.len(), commits.len());
-
-    for workers in [1, 8] {
-        for preproc_cache in [false, true] {
-            let run = eval(&workload, &commits, workers, preproc_cache, None);
-            let label = format!("workers={workers} preproc_cache={preproc_cache}");
-            assert_eq!(run.results, baseline.results, "reports differ: {label}");
-            assert_eq!(run.samples, baseline.samples, "samples differ: {label}");
-        }
-    }
 }
 
 /// A memo handle reused across runs (cold vs warm) changes wall-clock
@@ -76,8 +45,8 @@ fn warm_preproc_cache_replays_identically_and_hits() {
         .unwrap();
 
     let handle = Arc::new(PreprocCache::new());
-    let cold = eval(&workload, &commits, 4, true, Some(Arc::clone(&handle)));
-    let warm = eval(&workload, &commits, 4, true, Some(Arc::clone(&handle)));
+    let cold = eval(&workload, &commits, &handle);
+    let warm = eval(&workload, &commits, &handle);
     assert_eq!(cold.results, warm.results);
     assert_eq!(cold.samples, warm.samples);
     assert!(

@@ -15,8 +15,8 @@
 //!   `catch_unwind`; the panic message is captured in
 //!   [`PatchOutcome::Panicked`] and the remaining patches still run.
 //! - **Configuration solving is shared.** With
-//!   [`DriverOptions::shared_cache`] (the default), all workers share a
-//!   content-addressed [`ConfigCache`], so identical Kconfig/defconfig
+//!   [`DriverOptions::config_cache_handle`] set (the default), all workers
+//!   share a content-addressed [`ConfigCache`], so identical Kconfig/defconfig
 //!   sources are solved once per run instead of once per patch. Cache
 //!   hits still charge the virtual clock the full creation cost, so the
 //!   simulated timings (Figure 4a) are identical either way — only host
@@ -27,15 +27,15 @@
 //! the same bit-identity contract:
 //!
 //! - **Preprocess/compile results are shared.** With
-//!   [`DriverOptions::object_cache`] (the default), workers share a
-//!   content-addressed [`ObjectCache`] keyed on file content, include
+//!   [`DriverOptions::object_cache_handle`] set (the default), workers
+//!   share a content-addressed [`ObjectCache`] keyed on file content, include
 //!   closure, macro environment, architecture, and build kind. `make .i`
 //!   and `make .o` outcomes — including *failures* (negative caching) —
 //!   are memoized across patches; hits replay the stored result and
 //!   charge the virtual clock exactly what a live run would.
 //! - **Preprocessed headers are shared.** With
-//!   [`DriverOptions::preproc_cache`] (the default), workers share a
-//!   content-addressed [`PreprocCache`] of recorded header-inclusion
+//!   [`DriverOptions::preproc_cache_handle`] set (the default), workers
+//!   share a content-addressed [`PreprocCache`] of recorded header-inclusion
 //!   effects keyed on include-closure, macro-environment, and
 //!   pragma-once fingerprints. Re-including an identical header replays
 //!   the recording instead of re-expanding it; the virtual clock is
@@ -62,30 +62,19 @@ pub struct DriverOptions {
     pub workers: usize,
     /// JMake pipeline options.
     pub jmake: Options,
-    /// Share solved configurations across patches and workers. Affects
-    /// host wall-clock only; reports and virtual timings are identical
-    /// with or without it.
-    pub shared_cache: bool,
-    /// Share memoized preprocess/compile outcomes across patches and
-    /// workers (the content-addressed [`ObjectCache`]). Host wall-clock
-    /// only; reports and virtual timings are identical with or without.
-    pub object_cache: bool,
-    /// Share recorded header-inclusion effects across patches and
-    /// workers (the content-addressed [`PreprocCache`]). Host wall-clock
-    /// only; reports and virtual timings are identical with or without.
-    pub preproc_cache: bool,
-    /// Reuse an existing object cache instead of starting cold — lets
-    /// benchmarks measure warm runs and long-lived tools keep their cache
-    /// across `run_evaluation` calls. Ignored when `object_cache` is off.
-    pub object_cache_handle: Option<Arc<ObjectCache>>,
-    /// Reuse an existing configuration cache instead of starting cold —
-    /// the companion of `object_cache_handle` for the solved-config
-    /// store (`--cache-dir` pre-loads both from disk). Ignored when
-    /// `shared_cache` is off.
+    /// The solved-configuration store every worker shares; `None` solves
+    /// each configuration per patch. Host wall-clock only: reports and
+    /// virtual timings are identical with or without it. `Default` holds
+    /// a fresh store; pass one in to run warm (`--cache-dir` pre-loads
+    /// it from disk, `jmake-serve` keeps it across requests).
     pub config_cache_handle: Option<Arc<ConfigCache>>,
-    /// Reuse an existing preprocess cache instead of starting cold — the
-    /// companion of `object_cache_handle` for recorded header-inclusion
-    /// effects. Ignored when `preproc_cache` is off.
+    /// The store of memoized preprocess/compile outcomes every worker
+    /// shares ([`ObjectCache`]); `None` preprocesses every `.i`/`.o` live.
+    /// Host wall-clock only, like `config_cache_handle`.
+    pub object_cache_handle: Option<Arc<ObjectCache>>,
+    /// The store of recorded header-inclusion effects every worker shares
+    /// ([`PreprocCache`]); `None` expands every inclusion live. Host
+    /// wall-clock only, like `config_cache_handle`.
     pub preproc_cache_handle: Option<Arc<PreprocCache>>,
     /// Span emitter for per-stage tracing. Disabled by default — a
     /// disabled tracer is a no-op and leaves reports and the Figure 4
@@ -103,12 +92,9 @@ impl Default for DriverOptions {
         DriverOptions {
             workers: 4,
             jmake: Options::default(),
-            shared_cache: true,
-            object_cache: true,
-            preproc_cache: true,
-            object_cache_handle: None,
-            config_cache_handle: None,
-            preproc_cache_handle: None,
+            config_cache_handle: Some(Arc::new(ConfigCache::new())),
+            object_cache_handle: Some(Arc::new(ObjectCache::new())),
+            preproc_cache_handle: Some(Arc::new(PreprocCache::new())),
             tracer: Tracer::disabled(),
             faults: Faults::disabled(),
         }
@@ -204,15 +190,12 @@ pub struct DriverStats {
     /// Fault-injection and recovery counters (all zero without
     /// `--faults`).
     pub faults: FaultStatsSnapshot,
-    /// Shared configuration-cache counters (zero when sharing is off).
+    /// Shared configuration-store counters (zero without the store).
     pub cache: StoreStats,
-    /// Shared object-cache counters (zero when the object cache is off).
+    /// Shared object-store counters (zero without the store).
     pub object: StoreStats,
-    /// Shared preprocess-cache counters (zero when the cache is off).
+    /// Shared preprocess-store counters (zero without the store).
     pub preproc: StoreStats,
-    /// The preprocess cache's closure-fingerprint memo counters (zero
-    /// when the cache is off).
-    pub closure_memo: StoreStats,
     /// Kconfig lint expression evaluations the workers ran
     /// ([`jmake_kconfig::lint::evaluations`]), summed over workers.
     pub lint_evaluations: u64,
@@ -314,11 +297,9 @@ impl EvaluationRun {
             "  kconfig lint    {:>8}  expression evaluations\n",
             s.lint_evaluations
         ));
-        let memo = &s.closure_memo;
-        let memo = format!(", closure memo {}/{}", memo.hits, memo.hits + memo.misses);
-        out.push_str(&format!("  config cache    {}\n", s.cache.render(false, "")));
-        out.push_str(&format!("  object cache    {}\n", s.object.render(true, "")));
-        out.push_str(&format!("  preproc cache   {}\n", s.preproc.render(false, &memo)));
+        out.push_str(&format!("  config cache    {}\n", s.cache.render(false)));
+        out.push_str(&format!("  object cache    {}\n", s.object.render(true)));
+        out.push_str(&format!("  preproc cache   {}\n", s.preproc.render(false)));
         // Fault lines only appear when the harness actually ran, so
         // fault-free summaries are unchanged.
         if s.degraded > 0 || s.faults.injected_total() > 0 {
@@ -365,16 +346,6 @@ where
     }
 }
 
-/// Everything a worker shares across the commits it checks: the
-/// cross-patch caches, the span emitter and the fault plan.
-struct CheckCtx<'a> {
-    cache: Option<&'a Arc<ConfigCache>>,
-    object: Option<&'a Arc<ObjectCache>>,
-    preproc: Option<&'a Arc<PreprocCache>>,
-    tracer: &'a Tracer,
-    faults: &'a Faults,
-}
-
 /// Consult the fault plan before a host-side stage (checkout/show) runs
 /// ([`Faults::gate`]). Host stages live outside the virtual clock, so
 /// recovery delays charge nothing; retries and timeouts still show as
@@ -396,16 +367,16 @@ fn check_commit(
     repo: &Repo,
     commit: CommitId,
     jmake: &JMake,
-    ctx: &CheckCtx<'_>,
+    opts: &DriverOptions,
     out: &mut WorkerOutput,
 ) -> (PatchOutcome, Samples) {
-    let tracer = ctx.tracer.for_patch_with(|| commit.to_string());
+    let tracer = opts.tracer.for_patch_with(|| commit.to_string());
 
     // Salt the fault plan with the commit identity so each operation's
     // fate travels with the commit: the same seed faults the same
     // commits regardless of worker count, scheduling, or cache mode.
-    let faults = if ctx.faults.is_enabled() {
-        ctx.faults.with_salt(ContentHash::of(&commit.to_string()).hi())
+    let faults = if opts.faults.is_enabled() {
+        opts.faults.with_salt(ContentHash::of(&commit.to_string()).hi())
     } else {
         Faults::disabled()
     };
@@ -458,14 +429,14 @@ fn check_commit(
         .get(commit)
         .map(|c| c.author.clone())
         .unwrap_or_default();
-    let mut engine = match ctx.cache {
+    let mut engine = match &opts.config_cache_handle {
         Some(cache) => BuildEngine::with_shared_cache(tree, Arc::clone(cache)),
         None => BuildEngine::new(tree),
     };
-    if let Some(object) = ctx.object {
+    if let Some(object) = &opts.object_cache_handle {
         engine.set_object_cache(Arc::clone(object));
     }
-    if let Some(preproc) = ctx.preproc {
+    if let Some(preproc) = &opts.preproc_cache_handle {
         engine.set_preproc_cache(Arc::clone(preproc));
     }
     engine.set_tracer(tracer);
@@ -485,34 +456,12 @@ fn check_commit(
 /// its result; the other patches still run.
 pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -> EvaluationRun {
     let run_started = Instant::now();
-    let cache = opts.shared_cache.then(|| {
-        opts.config_cache_handle
-            .clone()
-            .unwrap_or_else(|| Arc::new(ConfigCache::new()))
-    });
-    let object = opts.object_cache.then(|| {
-        opts.object_cache_handle
-            .clone()
-            .unwrap_or_else(|| Arc::new(ObjectCache::new()))
-    });
-    let preproc = opts.preproc_cache.then(|| {
-        opts.preproc_cache_handle
-            .clone()
-            .unwrap_or_else(|| Arc::new(PreprocCache::new()))
-    });
     let next = AtomicUsize::new(0);
     let workers = opts.workers.max(1).min(commits.len().max(1));
 
     let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let ctx = CheckCtx {
-                    cache: cache.as_ref(),
-                    object: object.as_ref(),
-                    preproc: preproc.as_ref(),
-                    tracer: &opts.tracer,
-                    faults: &opts.faults,
-                };
                 let next = &next;
                 scope.spawn(move || {
                     let jmake = JMake::with_options(opts.jmake.clone());
@@ -523,7 +472,7 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&commit) = commits.get(idx) else { break };
                         let (outcome, samples) = guard_patch(AssertUnwindSafe(|| {
-                            check_commit(repo, commit, &jmake, &ctx, &mut out)
+                            check_commit(repo, commit, &jmake, opts, &mut out)
                         }));
                         out.items.push((idx, PatchResult { commit, outcome }, samples));
                     }
@@ -580,15 +529,14 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
         run.results.push(result);
     }
 
-    if let Some(cache) = &cache {
+    if let Some(cache) = &opts.config_cache_handle {
         stats.cache = cache.stats();
     }
-    if let Some(object) = &object {
+    if let Some(object) = &opts.object_cache_handle {
         stats.object = object.stats();
     }
-    if let Some(preproc) = &preproc {
+    if let Some(preproc) = &opts.preproc_cache_handle {
         stats.preproc = preproc.stats();
-        stats.closure_memo = preproc.closure_stats();
     }
     stats.faults = opts.faults.stats_snapshot();
     stats.total_wall_us = run_started.elapsed().as_micros() as u64;

@@ -529,6 +529,70 @@ fn header_over_candidate_threshold_uses_allyes_only() {
 }
 
 #[test]
+fn defconfigs_off_tries_no_defconfig_target() {
+    // allyesconfig sets E1000; only the arm defconfig picked for PL330
+    // leaves it unset and so reaches the `#ifndef` branch.
+    let (tree, patch) = edit(
+        mini_kernel(),
+        "drivers/dma/pl330.c",
+        "#include <asm/dma.h>\n#ifndef CONFIG_E1000\nint pl330_alone;\n#endif\nint pl330_probe(void)\n{\nreturn DMA_BASE;\n}\n",
+    );
+    let run = |use_defconfigs| {
+        let mut engine = BuildEngine::new(tree.clone());
+        let jmake = JMake::with_options(Options {
+            use_defconfigs,
+            ..Options::default()
+        });
+        jmake.check_patch(&mut engine, &patch, "t")
+    };
+    let on = run(true);
+    assert!(on.is_success(), "{on}");
+    let tried = &on.files[0].targets_tried;
+    assert!(tried.iter().any(|t| t.contains("/defconfig:")), "{tried:?}");
+    let off = run(false);
+    assert!(!off.is_success(), "{off}");
+    let tried = &off.files[0].targets_tried;
+    assert!(!tried.is_empty(), "{off}");
+    assert!(tried.iter().all(|t| !t.contains("defconfig:")), "{tried:?}");
+}
+
+#[test]
+fn header_hints_off_ranks_by_include_evidence_alone() {
+    // kernel/wrap.c reaches regs.h only through wrap.h: it names the
+    // changed macro but has no `#include` line for the header itself.
+    let mut tree = mini_kernel();
+    tree.insert("kernel/Makefile", "obj-y += sched.o wrap.o\n");
+    tree.insert("include/linux/regs.h", "#define REG_SHIFT 2\n");
+    tree.insert("include/linux/wrap.h", "#include <linux/regs.h>\n");
+    tree.insert(
+        "kernel/wrap.c",
+        "#include <linux/wrap.h>\nint wrap(void)\n{\nreturn 1 << REG_SHIFT;\n}\n",
+    );
+    let (tree, patch) = edit(tree, "include/linux/regs.h", "#define REG_SHIFT 3\n");
+    let run = |use_header_hints| {
+        let mut engine = BuildEngine::new(tree.clone());
+        let jmake = JMake::with_options(Options {
+            use_header_hints,
+            ..Options::default()
+        });
+        jmake.check_patch(&mut engine, &patch, "t")
+    };
+    let on = run(true);
+    assert!(on.is_success(), "{on}");
+    assert_eq!(on.files[0].header_candidates_used, 1);
+    let off = run(false);
+    assert!(!off.is_success(), "{off}");
+    assert_eq!(off.files[0].header_candidates_used, 0);
+    assert!(
+        off.files[0]
+            .errors
+            .iter()
+            .any(|e| e.contains("no .c file found that could exercise include/linux/regs.h")),
+        "{off}"
+    );
+}
+
+#[test]
 fn naive_mutation_option_still_certifies() {
     let (tree, patch) = edit(
         mini_kernel(),

@@ -762,58 +762,22 @@ impl BuildEngine {
                     .object
                     .as_ref()
                     .and_then(|_| object_key_for(tree, cfg, file, module, ObjKind::I));
-                let cached = match (&self.object, &key) {
-                    (Some(cache), Some(k)) => {
-                        let found = cache.lookup(k, &self.faults);
-                        if matches!(found, Lookup::Quarantined) {
-                            let _ = self.tracer.span(Stage::Quarantine).with_file(file);
-                        }
-                        let entry = found.entry();
-                        any_hit |= entry.is_some();
-                        any_miss |= entry.is_none();
-                        entry
-                    }
-                    _ => None,
-                };
-                match cached {
-                    Some(entry) => {
-                        let CachedObj::I { text_len, result } = &*entry else {
-                            unreachable!("kind is part of the key: an I key finds an I entry")
-                        };
-                        invocation_us +=
-                            self.cost.i_base_us + *text_len * self.cost.i_per_byte_us;
-                        match result {
-                            Ok(ifile) => Ok(ifile.clone()),
-                            Err(first_error) => Err(BuildError::PreprocessFailed {
-                                file: file.clone(),
-                                first_error: first_error.clone(),
-                            }),
-                        }
-                    }
+                let found = self.lookup_object(key.as_ref(), file);
+                if let Some(found) = &found {
+                    let hit = matches!(found, Lookup::Hit(_));
+                    any_hit |= hit;
+                    any_miss |= !hit;
+                }
+                let entry = match found.and_then(Lookup::entry) {
+                    Some(entry) => entry,
                     None => {
                         let pp = preprocess_file(tree, cfg, module, file, memo.as_ref());
-                        invocation_us +=
-                            self.cost.i_base_us + pp.text.len() as u64 * self.cost.i_per_byte_us;
-                        if let (Some(cache), Some(k)) = (&self.object, key) {
-                            let entry = i_entry_from_pp(file, pp);
-                            let result = i_result_from_entry(&entry, file);
-                            cache.insert(k, Arc::new(entry));
-                            result
-                        } else if let Some(first) = pp.errors.first() {
-                            Err(BuildError::PreprocessFailed {
-                                file: file.clone(),
-                                first_error: first.to_string(),
-                            })
-                        } else {
-                            Ok(IFile {
-                                path: file.clone(),
-                                text: pp.text,
-                                expanded_macros: pp.expanded_macros,
-                                includes: pp.includes,
-                            })
-                        }
+                        self.keep_object(key, i_entry_from_pp(file, pp))
                     }
-                }
+                };
+                let (text_len, result) = i_result(entry, file);
+                invocation_us += self.cost.i_base_us + text_len * self.cost.i_per_byte_us;
+                result
             };
             out.push((file.clone(), result));
         }
@@ -885,57 +849,53 @@ impl BuildEngine {
             return Err(BuildError::NotEnabled(file.to_string()));
         }
         let module = gating == Tristate::M;
-        let heavy = self.heavy.contains(file);
         let key = self
             .object
             .as_ref()
             .and_then(|_| object_key_for(tree, cfg, file, module, ObjKind::O));
-        if let (Some(cache), Some(k)) = (&self.object, &key) {
-            let found = cache.lookup(k, &self.faults);
+        let found = self.lookup_object(key.as_ref(), file);
+        if let Some(found) = &found {
             span.set_cache(found.outcome());
-            if matches!(found, Lookup::Quarantined) {
-                let _ = self.tracer.span(Stage::Quarantine).with_file(file);
-            }
-            if let Lookup::Hit(entry) = found {
-                let CachedObj::O { text_len, result } = &*entry else {
-                    unreachable!("kind is part of the key: an O key finds an O entry")
-                };
-                *invocation_us += self.cost.o_base_us + *text_len * self.cost.o_per_byte_us;
-                if heavy {
-                    *invocation_us += self.heavy_rebuild_us(tree);
-                }
-                return result.clone();
-            }
         }
-        let memo = tree_memo(tree, cfg, self.preproc.as_ref());
-        let pp = preprocess_file(tree, cfg, module, file, memo.as_ref());
-        *invocation_us += self.cost.o_base_us + pp.text.len() as u64 * self.cost.o_per_byte_us;
-        if heavy {
+        let entry = match found.and_then(Lookup::entry) {
+            Some(entry) => entry,
+            None => {
+                let memo = tree_memo(tree, cfg, self.preproc.as_ref());
+                let pp = preprocess_file(tree, cfg, module, file, memo.as_ref());
+                self.keep_object(key, o_entry_from_pp(file, &pp))
+            }
+        };
+        let (text_len, result) = o_result(entry);
+        *invocation_us += self.cost.o_base_us + text_len * self.cost.o_per_byte_us;
+        if self.heavy.contains(file) {
             // Compiling this file triggers compilation of the entire
             // kernel, whether or not JMake is used (paper §V.C): charge a
             // per-file base for every .c in the tree plus the whole tree's
             // byte-proportional cost, scaled for synthetic file sizes.
             *invocation_us += self.heavy_rebuild_us(tree);
         }
-        if let (Some(cache), Some(k)) = (&self.object, key) {
-            let entry = o_entry_from_pp(file, &pp);
-            let CachedObj::O { result, .. } = &entry else {
-                unreachable!("o_entry_from_pp builds O entries")
-            };
-            let out = result.clone();
-            cache.insert(k, Arc::new(entry));
-            return out;
+        result
+    }
+
+    /// Look `key` up in the attached object store, tracing a shard
+    /// quarantine against `file`; `None` without a store or a key.
+    fn lookup_object(&self, key: Option<&ObjectKey>, file: &str) -> Option<Lookup<CachedObj>> {
+        let found = self.object.as_ref()?.lookup(key?, &self.faults);
+        if matches!(found, Lookup::Quarantined) {
+            let _ = self.tracer.span(Stage::Quarantine).with_file(file);
         }
-        if let Some(first) = pp.errors.first() {
-            return Err(BuildError::PreprocessFailed {
-                file: file.to_string(),
-                first_error: first.to_string(),
-            });
+        Some(found)
+    }
+
+    /// Share a freshly built entry with the object store when one is
+    /// attached and the file has a `key`. Otherwise the returned `Arc` is
+    /// the only reference, and the result is moved out of it, not cloned.
+    fn keep_object(&self, key: Option<ObjectKey>, entry: CachedObj) -> Arc<CachedObj> {
+        let entry = Arc::new(entry);
+        if let (Some(cache), Some(key)) = (&self.object, key) {
+            cache.insert(key, Arc::clone(&entry));
         }
-        validate(&pp.text).map_err(|error| BuildError::FrontEndRejected {
-            file: file.to_string(),
-            error,
-        })
+        entry
     }
 
     /// The whole-kernel rebuild charge a heavy file triggers (paper §V.C).
@@ -995,8 +955,7 @@ pub fn bootstrap_files_of(tree: &SourceTree) -> BTreeSet<String> {
 
 /// Build the cross-patch include memo for preprocessing runs over
 /// `tree` — one per make invocation, shared by every file in the group
-/// (the tree clone inside is one pointer copy; it pins the epoch the
-/// closure-fingerprint memo keys on).
+/// (the tree clone inside is one pointer copy).
 pub(crate) fn tree_memo(
     tree: &SourceTree,
     cfg: &BuildConfig,
@@ -1075,17 +1034,18 @@ fn i_entry_from_pp(file: &str, pp: PreprocessOutput) -> CachedObj {
     CachedObj::I { text_len, result }
 }
 
-fn i_result_from_entry(entry: &CachedObj, file: &str) -> Result<IFile, BuildError> {
-    let CachedObj::I { result, .. } = entry else {
-        unreachable!("i_entry_from_pp builds I entries")
+/// An `I` entry's preprocessed length (what the clock charges by) and
+/// the `make_i` result it records, moved out of the entry when nothing
+/// else holds it.
+fn i_result(entry: Arc<CachedObj>, file: &str) -> (u64, Result<IFile, BuildError>) {
+    let CachedObj::I { text_len, result } = Arc::unwrap_or_clone(entry) else {
+        unreachable!("kind is part of the key: an I key finds an I entry")
     };
-    match result {
-        Ok(ifile) => Ok(ifile.clone()),
-        Err(first_error) => Err(BuildError::PreprocessFailed {
-            file: file.to_string(),
-            first_error: first_error.clone(),
-        }),
-    }
+    let result = result.map_err(|first_error| BuildError::PreprocessFailed {
+        file: file.to_string(),
+        first_error,
+    });
+    (text_len, result)
 }
 
 /// Fold one preprocess run into the cache entry `make_o` stores: the
@@ -1104,6 +1064,15 @@ fn o_entry_from_pp(file: &str, pp: &PreprocessOutput) -> CachedObj {
         })
     };
     CachedObj::O { text_len, result }
+}
+
+/// An `O` entry's preprocessed length and the `make_o` verdict it
+/// records, moved out of the entry when nothing else holds it.
+fn o_result(entry: Arc<CachedObj>) -> (u64, Result<(), BuildError>) {
+    let CachedObj::O { text_len, result } = Arc::unwrap_or_clone(entry) else {
+        unreachable!("kind is part of the key: an O key finds an O entry")
+    };
+    (text_len, result)
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub use diskcache::{DiskCache, DiskTierStats};
 pub use hash::ContentHash;
 pub use makefile::{Cond, Makefile};
 pub use objcache::{include_fingerprint, CachedObj, ObjKind, ObjectCache, ObjectKey};
-pub use objgraph::ObjGraph;
+pub use objgraph::{Barred, ObjGraph};
 pub use ppcache::PreprocCache;
 pub use store::{Entry, Lookup, Store, StoreStats};
 pub use tree::{Blob, ConfigScan, SourceTree, TreeChange};

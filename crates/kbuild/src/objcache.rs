@@ -76,7 +76,7 @@ pub struct ObjectKey {
 /// virtual clock charges by preprocessed-output size whether or not the
 /// preprocessor reported errors, and a hit must charge exactly what the
 /// miss did.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum CachedObj {
     /// A `make file.i` outcome: the full `.i` payload on success (JMake
     /// scans its text for mutation tokens), the first diagnostic on

@@ -10,6 +10,7 @@
 use crate::makefile::{Cond, Makefile};
 use crate::tree::{dir_of, file_name, SourceTree};
 use jmake_kconfig::{Config, Tristate};
+use std::ops::ControlFlow;
 
 /// Answers gating queries for files in a tree.
 #[derive(Debug, Clone)]
@@ -51,67 +52,88 @@ impl<'t> ObjGraph<'t> {
     /// The effective tristate under `config` with which `c_path` is built:
     /// the object's own guard combined with every directory-descent guard
     /// up to the tree root. [`Tristate::N`] when anything along the chain
-    /// is off or a Makefile is missing.
+    /// is off or the chain is [`Barred`].
     pub fn gating_value(&self, c_path: &str, config: &Config) -> Tristate {
-        let dir = dir_of(c_path);
-        let Some(mk) = Makefile::of_dir(self.tree, dir) else {
-            return Tristate::N;
-        };
-        let object = object_of(c_path);
-        let conds = mk.conds_for_object(&object);
-        if conds.is_empty() {
-            return Tristate::N;
+        let mut value = Tristate::Y;
+        let walked = self.walk_chain(c_path, |conds| {
+            let level = conds
+                .iter()
+                .map(|c| cond_value(c, config))
+                .max()
+                .unwrap_or(Tristate::N);
+            value = value.min(level);
+            if value == Tristate::N {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        match walked {
+            Ok(ControlFlow::Continue(())) => value,
+            Ok(ControlFlow::Break(())) | Err(_) => Tristate::N,
         }
-        let own = conds
-            .iter()
-            .map(|c| cond_value(c, config))
-            .max()
-            .unwrap_or(Tristate::N);
-        own.min(self.descent_value(dir, config))
     }
 
-    /// The combined guard on descending from the root into `dir`.
-    pub fn descent_value(&self, dir: &str, config: &Config) -> Tristate {
-        let mut value = Tristate::Y;
+    /// Walk the Kbuild guard chain that builds `c_path`, nearest level
+    /// first: `level` sees the guards on the object itself, then, for each
+    /// ancestor directory up to the root, the guards on descending into the
+    /// directory below it. A structural parent (the root, `arch`,
+    /// `arch/<a>`) that lists no guard, or has no Makefile, passes through
+    /// without a call. The walk stops early when `level` breaks.
+    ///
+    /// # Errors
+    ///
+    /// [`Barred`] when no configuration can build the file: its directory
+    /// has no Makefile or lists no object for it, or a non-structural
+    /// parent never descends toward it. A break from `level` at a nearer
+    /// level wins over a bar further up.
+    pub fn walk_chain<B>(
+        &self,
+        c_path: &str,
+        mut level: impl FnMut(&[&Cond]) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>, Barred> {
+        let dir = dir_of(c_path);
+        let mk = Makefile::of_dir(self.tree, dir).ok_or(Barred::Unlisted)?;
+        let own = mk.conds_for_object(&object_of(c_path));
+        if own.is_empty() {
+            return Err(Barred::Unlisted);
+        }
+        if let ControlFlow::Break(b) = level(&own) {
+            return Ok(ControlFlow::Break(b));
+        }
         let mut current = dir;
         while !current.is_empty() {
             let parent = dir_of(current);
-            let name = file_name(current);
-            match Makefile::of_dir(self.tree, parent) {
-                Some(pmk) => {
-                    let conds = pmk.conds_for_subdir(name);
-                    if conds.is_empty() {
-                        // Parent has a Makefile but never descends here:
-                        // arch dirs reach their subdirs through core-y /
-                        // head-y machinery we model as unconditional when
-                        // the parent is an arch or top-level grouping dir.
-                        if !is_structural(parent) {
-                            return Tristate::N;
-                        }
-                    } else {
-                        let v = conds
-                            .iter()
-                            .map(|c| cond_value(c, config))
-                            .max()
-                            .unwrap_or(Tristate::N);
-                        value = value.min(v);
-                    }
+            let pmk = Makefile::of_dir(self.tree, parent);
+            let conds = pmk
+                .as_deref()
+                .map(|m| m.conds_for_subdir(file_name(current)))
+                .unwrap_or_default();
+            if conds.is_empty() {
+                // No Makefile, or one that never descends here: Kbuild
+                // hardwires the descent into structural directories
+                // (core-y/head-y machinery), and nothing else gets there.
+                if !is_structural(parent) {
+                    return Err(Barred::NeverDescended);
                 }
-                None => {
-                    // No Makefile in the parent: tolerated for structural
-                    // directories (arch/, arch/<a>/), fatal elsewhere.
-                    if !is_structural(parent) {
-                        return Tristate::N;
-                    }
-                }
-            }
-            if value == Tristate::N {
-                return Tristate::N;
+            } else if let ControlFlow::Break(b) = level(&conds) {
+                return Ok(ControlFlow::Break(b));
             }
             current = parent;
         }
-        value
+        Ok(ControlFlow::Continue(()))
     }
+}
+
+/// Why no configuration can build a `.c` file (see
+/// [`ObjGraph::walk_chain`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Barred {
+    /// Its directory has no Makefile, or the Makefile has no object entry
+    /// for it.
+    Unlisted,
+    /// A parent directory never descends toward it.
+    NeverDescended,
 }
 
 /// The `.o` corresponding to a `.c` file.

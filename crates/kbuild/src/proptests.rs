@@ -94,8 +94,8 @@ fn nth(model: &Model, n: usize) -> Option<String> {
     model.keys().nth(n % model.len().max(1)).cloned()
 }
 
-/// Apply `op` to both; true when it wrote to the tree.
-fn apply(tree: &mut SourceTree, model: &mut Model, op: &Op) -> bool {
+/// Apply `op` to both.
+fn apply(tree: &mut SourceTree, model: &mut Model, op: &Op) {
     let (path, new) = match op {
         Op::Insert(p, c) => (Some(p.clone()), Some(c.clone())),
         Op::Replace(n, c) => (nth(model, *n), Some(c.clone())),
@@ -108,19 +108,14 @@ fn apply(tree: &mut SourceTree, model: &mut Model, op: &Op) -> bool {
         Op::RemoveNth(n) => (nth(model, *n), None),
     };
     let Some(path) = path else {
-        return false;
+        return;
     };
     match new {
         Some(c) => {
             tree.insert_blob(Arc::from(path.as_str()), Blob::new(c.clone()));
             model.insert(path, c);
-            true
         }
-        None => {
-            let removed = tree.remove(&path);
-            prop_assert_eq!(&removed, &model.remove(&path));
-            removed.is_some()
-        }
+        None => prop_assert_eq!(&tree.remove(&path), &model.remove(&path)),
     }
 }
 
@@ -193,22 +188,19 @@ fn tree_diff(old: &SourceTree, new: &SourceTree) -> Vec<(String, Option<String>,
 proptest! {
     /// A scripted tree agrees with the model on iteration order, `get`,
     /// `len`, `total_bytes`, `files_under` and the config digest; a clone
-    /// taken before the script is untouched by it; the epoch moves iff
-    /// the script wrote; and `diff` reports exactly the model's changes.
+    /// taken before the script is untouched by it; and `diff` reports
+    /// exactly the model's changes.
     #[test]
     fn tree_matches_a_btreemap_model(files in initial(), ops in script()) {
         let (mut tree, mut model) = build(&files);
         assert_matches(&tree, &model);
-        let (before, before_model, before_epoch) = (tree.clone(), model.clone(), tree.epoch());
-        let mut wrote = false;
+        let (before, before_model) = (tree.clone(), model.clone());
         for op in &ops {
-            wrote |= apply(&mut tree, &mut model, op);
+            apply(&mut tree, &mut model, op);
             prop_assert_eq!(tree.len(), model.len());
         }
         assert_matches(&tree, &model);
         assert_matches(&before, &before_model);
-        prop_assert_eq!(before.epoch(), before_epoch);
-        prop_assert_eq!(tree.epoch() != before_epoch, wrote);
         prop_assert_eq!(tree_diff(&before, &tree), model_diff(&before_model, &model));
         prop_assert_eq!(tree_diff(&tree, &before), model_diff(&model, &before_model));
         prop_assert!(tree.diff(&tree.clone()).is_empty());

@@ -65,8 +65,7 @@ pub trait Entry: Sized + Send + Sync + 'static {
     }
 }
 
-/// Counters of one store (or of a memo shaped like one), cheap to copy
-/// into driver statistics.
+/// Counters of one store, cheap to copy into driver statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Lookups answered from the store.
@@ -96,15 +95,15 @@ impl StoreStats {
     }
 
     /// The `--stats` line body: hit rate, then hits (with their negative
-    /// share when `negatives`), misses, entries, and `extra`.
-    pub fn render(&self, negatives: bool, extra: &str) -> String {
+    /// share when `negatives`), misses and entries.
+    pub fn render(&self, negatives: bool) -> String {
         let negative = if negatives {
             format!(" of which {} negative", self.negative_hits)
         } else {
             String::new()
         };
         format!(
-            "{:>8.1}% hit rate  ({} hits{negative}, {} misses, {} entries{extra})",
+            "{:>8.1}% hit rate  ({} hits{negative}, {} misses, {} entries)",
             self.hit_rate() * 100.0,
             self.hits,
             self.misses,
@@ -453,12 +452,12 @@ mod tests {
             ..StoreStats::default()
         };
         assert_eq!(
-            stats.render(true, ""),
+            stats.render(true),
             "    75.0% hit rate  (3 hits of which 2 negative, 1 misses, 4 entries)"
         );
         assert_eq!(
-            stats.render(false, ", closure memo 1/2"),
-            "    75.0% hit rate  (3 hits, 1 misses, 4 entries, closure memo 1/2)"
+            stats.render(false),
+            "    75.0% hit rate  (3 hits, 1 misses, 4 entries)"
         );
     }
 }

@@ -3,18 +3,7 @@
 use crate::hash::{ContentHash, Fnv};
 use crate::makefile::Makefile;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Monotone counter behind [`SourceTree::epoch`]. Epochs are globally
-/// unique across all trees in the process: two trees share an epoch only
-/// when one is an unmutated clone of the other, so an epoch value is a
-/// sound memoization key for any pure function of tree content.
-static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
-
-fn next_epoch() -> u64 {
-    NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)
-}
 
 /// The `#include` directives of one file, pre-parsed for the
 /// include-closure fingerprint walk (`objcache::include_fingerprint`).
@@ -197,7 +186,6 @@ pub struct SourceTree {
     len: usize,
     bytes: u64,
     config_digest: u64,
-    epoch: u64,
 }
 
 /// One path whose content differs between two trees, as reported by
@@ -220,7 +208,6 @@ impl SourceTree {
             len: 0,
             bytes: 0,
             config_digest: 0,
-            epoch: next_epoch(),
         }
     }
 
@@ -272,7 +259,6 @@ impl SourceTree {
     pub fn insert_blob(&mut self, path: Arc<str>, blob: Arc<Blob>) {
         self.bytes += blob.len() as u64;
         self.config_digest = self.config_digest.wrapping_add(config_term(&path, &blob));
-        self.epoch = next_epoch();
         let Some((li, found)) = self.locate(&path) else {
             Arc::make_mut(&mut self.leaves).push(Arc::new(vec![(path, blob)]));
             self.len = 1;
@@ -311,7 +297,6 @@ impl SourceTree {
         self.len -= 1;
         self.bytes -= old.len() as u64;
         self.config_digest = self.config_digest.wrapping_sub(config_term(&path, &old));
-        self.epoch = next_epoch();
         Some(old.text().to_string())
     }
 
@@ -404,13 +389,6 @@ impl SourceTree {
     /// Paths of every file, in order.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
         self.iter_blobs().map(|(p, _)| &**p)
-    }
-
-    /// The tree's content epoch: globally unique per mutation, copied by
-    /// `clone`. Equal epochs imply byte-identical content, so pure
-    /// functions of tree content may memoize on `(epoch, …)` keys.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Every path whose content differs between `self` (the old tree)
@@ -671,10 +649,9 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_blobs_and_epoch() {
+    fn clone_shares_blobs() {
         let t = sample();
         let u = t.clone();
-        assert_eq!(t.epoch(), u.epoch());
         assert_eq!(t, u);
         let (_, a) = t.iter_blobs().next().unwrap();
         let (_, b) = u.iter_blobs().next().unwrap();
@@ -682,11 +659,10 @@ mod tests {
     }
 
     #[test]
-    fn mutation_changes_epoch() {
+    fn mutation_unshares_only_the_written_file() {
         let t = sample();
         let mut u = t.clone();
         u.insert("drivers/net/a.c", "int mutated;\n");
-        assert_ne!(t.epoch(), u.epoch());
         assert_ne!(t, u);
         // The untouched files are still shared.
         assert!(Arc::ptr_eq(

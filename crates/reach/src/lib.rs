@@ -79,13 +79,14 @@ pub mod file;
 pub use cond::{CondExpr, Truth};
 pub use file::{analyze_file, FileAnalysis, IncludeRef};
 
-use jmake_kbuild::tree::{dir_of, file_name, SourceTree};
-use jmake_kbuild::{BuildConfig, BuildEngine, BuildError, Cond, ConfigKind, Makefile, ObjGraph};
+use jmake_kbuild::tree::SourceTree;
+use jmake_kbuild::{Barred, BuildConfig, BuildEngine, BuildError, Cond, ConfigKind, ObjGraph};
 use jmake_kconfig::{
     Config, ConfigDelta, ConjunctionVerdict, DeadnessProof, KconfigModel, Tristate,
 };
 use jmake_trace::jsonl::escape;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Cap on enumerated condition atoms: 2^8 assignments per condition.
@@ -879,51 +880,26 @@ impl<'t> Reach<'t> {
     /// The Kbuild guard chain for a `.c` file, reduced to its simple form
     /// when every level is a single `Always`/`Config` guard.
     fn chain_of(&self, c_path: &str) -> Chain {
-        let dir = dir_of(c_path);
-        let Some(mk) = Makefile::of_dir(self.tree, dir) else {
-            return Chain::Unlisted;
-        };
-        let object = object_of(c_path);
-        let own = mk.conds_for_object(&object);
-        if own.is_empty() {
-            return Chain::Unlisted;
-        }
         let mut vars: Vec<String> = Vec::new();
-        if !absorb_level(&own, &mut vars) {
-            return match single_never(&own) {
-                true => Chain::Never,
-                false => Chain::Complex,
-            };
-        }
-        let mut current = dir;
-        while !current.is_empty() {
-            let parent = dir_of(current);
-            let name = file_name(current);
-            match Makefile::of_dir(self.tree, parent) {
-                Some(pmk) => {
-                    let conds = pmk.conds_for_subdir(name);
-                    if conds.is_empty() {
-                        if !is_structural(parent) {
-                            return Chain::Never;
-                        }
-                    } else if !absorb_level(&conds, &mut vars) {
-                        return match single_never(&conds) {
-                            true => Chain::Never,
-                            false => Chain::Complex,
-                        };
-                    }
-                }
-                None => {
-                    if !is_structural(parent) {
-                        return Chain::Never;
-                    }
-                }
+        let walked = self.graph.walk_chain(c_path, |conds| {
+            if absorb_level(conds, &mut vars) {
+                ControlFlow::Continue(())
+            } else if single_never(conds) {
+                ControlFlow::Break(Chain::Never)
+            } else {
+                ControlFlow::Break(Chain::Complex)
             }
-            current = parent;
+        });
+        match walked {
+            Err(Barred::Unlisted) => Chain::Unlisted,
+            Err(Barred::NeverDescended) => Chain::Never,
+            Ok(ControlFlow::Break(chain)) => chain,
+            Ok(ControlFlow::Continue(())) => {
+                vars.sort();
+                vars.dedup();
+                Chain::Simple(vars)
+            }
         }
-        vars.sort();
-        vars.dedup();
-        Chain::Simple(vars)
     }
 
     /// The symbolic truth of the `MODULE` macro for a file with the given
@@ -989,22 +965,6 @@ fn absorb_level(conds: &[&Cond], vars: &mut Vec<String>) -> bool {
 
 fn single_never(conds: &[&Cond]) -> bool {
     conds.len() == 1 && matches!(conds[0], Cond::Never)
-}
-
-/// The `.o` corresponding to a `.c` file (mirror of
-/// `jmake_kbuild::objgraph`).
-fn object_of(c_path: &str) -> String {
-    let name = file_name(c_path);
-    match name.strip_suffix(".c") {
-        Some(stem) => format!("{stem}.o"),
-        None => name.to_string(),
-    }
-}
-
-/// Directories whose descent Kbuild hardwires (mirror of
-/// `jmake_kbuild::objgraph`).
-fn is_structural(dir: &str) -> bool {
-    dir.is_empty() || dir == "arch" || (dir.starts_with("arch/") && dir.matches('/').count() == 1)
 }
 
 #[cfg(test)]

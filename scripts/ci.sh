@@ -52,10 +52,10 @@ cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
   -D clippy::needless_pass_by_value -D clippy::manual_let_else
 
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings: broken intra-doc links fail)"
-# The vendored offline stand-ins (rand/proptest/criterion) are excluded:
-# they mimic external APIs and are not part of this repo's doc surface.
+# The vendored offline stand-ins (rand/proptest) are excluded: they
+# mimic external APIs and are not part of this repo's doc surface.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
-  --exclude rand --exclude proptest --exclude criterion
+  --exclude rand --exclude proptest
 
 echo "==> object-cache identity run (cached vs uncached reports)"
 CACHED_OUT="$WORK/eval-cached.out"

@@ -3,11 +3,11 @@
 //! At one worker every count the run summary (`jmake-eval --stats`)
 //! prints is a pure function of (seed, commits, options): outcomes,
 //! `make_config`/`make_i`/`make_o` invocations and their virtual µs, each
-//! store's hits, negative hits, misses and entries, the closure memo's
-//! hits and misses, and the Kconfig lint's expression evaluations. A
-//! change that makes the pipeline do more work — a memo that stops
-//! hitting, a lint that reruns, a cache that misses — moves a count and
-//! fails here on any machine, however fast or slow.
+//! store's hits, negative hits, misses and entries, and the Kconfig
+//! lint's expression evaluations. A change that makes the pipeline do
+//! more work — a memo that stops hitting, a lint that reruns, a cache
+//! that misses — moves a count and fails here on any machine, however
+//! fast or slow.
 //!
 //! The window runs twice on the same cache handles: cold, then warm, as
 //! a long-lived tool (`jmake-serve`, a `--cache-dir` restart) would. Store
@@ -37,8 +37,6 @@ struct Work {
     config_store: [u64; 4],
     object_store: [u64; 4],
     preproc_store: [u64; 4],
-    /// Hits, misses.
-    closure_memo: [u64; 2],
     lint_evaluations: u64,
 }
 
@@ -62,12 +60,11 @@ impl Work {
             config_store: store(&s.cache),
             object_store: store(&s.object),
             preproc_store: store(&s.preproc),
-            closure_memo: [s.closure_memo.hits, s.closure_memo.misses],
             lint_evaluations: s.lint_evaluations,
         }
     }
 
-    fn fields(&self) -> [(&'static str, String); 9] {
+    fn fields(&self) -> [(&'static str, String); 8] {
         [
             ("outcomes", format!("{:?}", self.outcomes)),
             ("make_config", format!("{:?}", self.make_config)),
@@ -76,7 +73,6 @@ impl Work {
             ("config_store", format!("{:?}", self.config_store)),
             ("object_store", format!("{:?}", self.object_store)),
             ("preproc_store", format!("{:?}", self.preproc_store)),
-            ("closure_memo", format!("{:?}", self.closure_memo)),
             ("lint_evaluations", format!("{:?}", self.lint_evaluations)),
         ]
     }
@@ -100,14 +96,12 @@ const COLD: Work = Work {
     config_store: [1317, 0, 14, 14],
     object_store: [0, 0, 3787, 3787],
     preproc_store: [7640, 0, 1638, 1638],
-    closure_memo: [3074, 6204],
     lint_evaluations: 264,
 };
 
 /// The warm pass charges the same invocations and virtual µs, and every
 /// lookup hits: no configuration is solved, no lint rerun, nothing
-/// preprocessed (the preprocess store and closure memo keep the cold
-/// pass's counts).
+/// preprocessed (the preprocess store keeps the cold pass's counts).
 const WARM: Work = Work {
     outcomes: [1131, 1131, 0, 0, 0, 0],
     make_config: [1331, 6_060_671_500],
@@ -116,7 +110,6 @@ const WARM: Work = Work {
     config_store: [2648, 0, 14, 14],
     object_store: [3787, 0, 3787, 3787],
     preproc_store: [7640, 0, 1638, 1638],
-    closure_memo: [3074, 6204],
     lint_evaluations: 0,
 };
 

@@ -83,7 +83,7 @@ fn reports_are_identical_across_worker_counts_and_cache_modes() {
             &commits,
             &DriverOptions {
                 workers,
-                shared_cache,
+                config_cache_handle: shared_cache.then(Default::default),
                 ..DriverOptions::default()
             },
         )
