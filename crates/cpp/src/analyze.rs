@@ -191,8 +191,13 @@ fn conditional_anchor(src: &str, lines: &[LineInfo], first: usize, last: usize) 
     first
 }
 
-/// Per-line comment facts via a char-level scan of the raw source.
-fn comment_scan(src: &str) -> Vec<LineInfo> {
+/// Per-line comment facts via a byte-level scan of the raw source.
+///
+/// Comment and literal delimiters are ASCII and a UTF-8 continuation byte
+/// never is, so literal and comment text is skipped bytewise; a
+/// non-ASCII character in code is decoded only to ask whether it is
+/// whitespace.
+pub(crate) fn comment_scan(src: &str) -> Vec<LineInfo> {
     #[derive(Clone, Copy, PartialEq)]
     enum St {
         Code,
@@ -210,72 +215,69 @@ fn comment_scan(src: &str) -> Vec<LineInfo> {
             ..LineInfo::default()
         };
         let mut has_code = false;
-        let bytes: Vec<(usize, char)> = raw.char_indices().collect();
+        let bytes = raw.as_bytes();
         let mut i = 0;
         while i < bytes.len() {
-            let (pos, c) = bytes[i];
-            let next = bytes.get(i + 1).map(|&(_, c)| c);
             match st {
-                St::Code => match c {
-                    '/' if next == Some('/') => {
+                St::Code => match bytes[i] {
+                    b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                        // Nothing after `//` matters on this line.
                         st = St::LineComment;
-                        i += 2;
-                        continue;
+                        break;
                     }
-                    '/' if next == Some('*') => {
+                    b'/' if bytes.get(i + 1) == Some(&b'*') => {
                         st = St::BlockComment;
                         i += 2;
-                        continue;
                     }
-                    '"' => {
+                    q @ (b'"' | b'\'') => {
                         has_code = true;
-                        st = St::Str;
+                        st = if q == b'"' { St::Str } else { St::Chr };
+                        i += 1;
                     }
-                    '\'' => {
+                    // Whitespace and continuation backslashes.
+                    b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b'\\' => i += 1,
+                    c if c.is_ascii() => {
                         has_code = true;
-                        st = St::Chr;
+                        i += 1;
                     }
-                    c if c.is_whitespace() => {}
-                    '\\' => {} // continuation backslash
-                    _ => has_code = true,
+                    _ => {
+                        let c = raw[i..]
+                            .chars()
+                            .next()
+                            .expect("a non-ASCII lead byte starts a character");
+                        has_code |= !c.is_whitespace();
+                        i += c.len_utf8();
+                    }
                 },
-                St::Str => {
-                    if c == '\\' {
-                        i += 2;
-                        continue;
-                    }
-                    if c == '"' {
-                        st = St::Code;
-                    }
-                }
-                St::Chr => {
-                    if c == '\\' {
-                        i += 2;
-                        continue;
-                    }
-                    if c == '\'' {
-                        st = St::Code;
+                St::Str | St::Chr => {
+                    let quote = if st == St::Str { b'"' } else { b'\'' };
+                    // An escape skips the whole next character: stepping past
+                    // its first byte is enough, since a continuation byte is
+                    // never a quote or a backslash.
+                    match bytes[i..].iter().position(|&c| c == b'\\' || c == quote) {
+                        Some(n) if bytes[i + n] == b'\\' => i += n + 2,
+                        Some(n) => {
+                            st = St::Code;
+                            i += n + 1;
+                        }
+                        None => break,
                     }
                 }
-                St::LineComment => {}
-                St::BlockComment => {
-                    if c == '*' && next == Some('/') {
+                St::LineComment => break,
+                St::BlockComment => match raw[i..].find("*/") {
+                    Some(n) => {
                         st = St::Code;
                         if info.starts_in_comment && info.comment_close_col.is_none() {
-                            info.comment_close_col = Some(pos + 2);
+                            info.comment_close_col = Some(i + n + 2);
                         }
-                        i += 2;
-                        continue;
+                        i += n + 2;
                     }
-                }
+                    None => break,
+                },
             }
-            i += 1;
         }
         // Line comments and unterminated string/char states end at newline.
-        if st == St::LineComment {
-            st = St::Code;
-        }
-        if st == St::Str || st == St::Chr {
+        if matches!(st, St::LineComment | St::Str | St::Chr) {
             st = St::Code;
         }
         info.comment_only = !has_code && !raw.trim().is_empty();
@@ -405,7 +407,10 @@ mod tests {
         for line in 2..=4 {
             let info = m.line(line).unwrap();
             assert_eq!(info.in_macro_def, Some(0), "line {line} lost in_macro_def");
-            assert!(!info.is_conditional, "line {line} flagged conditional inside macro body");
+            assert!(
+                !info.is_conditional,
+                "line {line} flagged conditional inside macro body"
+            );
             assert!(info.is_directive);
         }
         assert_eq!(m.macro_def_at(4).unwrap().name, "PICK");
@@ -418,7 +423,10 @@ mod tests {
         // the define logical line and must carry its in_macro_def.
         let src = "#define PICK(x) \\\n  first(x) \\\n#elif defined(CONFIG_Y)\nint y;\n";
         let m = analyze(src);
-        assert_eq!((m.macro_defs[0].define_line, m.macro_defs[0].end_line), (1, 3));
+        assert_eq!(
+            (m.macro_defs[0].define_line, m.macro_defs[0].end_line),
+            (1, 3)
+        );
         let l3 = m.line(3).unwrap();
         assert_eq!(l3.in_macro_def, Some(0));
         assert!(!l3.is_conditional);
@@ -430,7 +438,10 @@ mod tests {
         // an ordinary conditional outside the macro span.
         let src = "#ifdef CONFIG_X\n#define PICK(x) \\\n  first(x)\n#elif defined(CONFIG_Y)\nint y;\n#endif\n";
         let m = analyze(src);
-        assert_eq!((m.macro_defs[0].define_line, m.macro_defs[0].end_line), (2, 3));
+        assert_eq!(
+            (m.macro_defs[0].define_line, m.macro_defs[0].end_line),
+            (2, 3)
+        );
         let l4 = m.line(4).unwrap();
         assert!(l4.is_conditional);
         assert_eq!(l4.in_macro_def, None);
@@ -450,7 +461,10 @@ mod tests {
     fn comment_split_define_body_rejoined() {
         let src = "#define M(x) /* c\nc2 */ \\\n  body(x)\nint t;\n";
         let m = analyze(src);
-        assert_eq!((m.macro_defs[0].define_line, m.macro_defs[0].end_line), (1, 3));
+        assert_eq!(
+            (m.macro_defs[0].define_line, m.macro_defs[0].end_line),
+            (1, 3)
+        );
         assert_eq!(m.line(3).unwrap().in_macro_def, Some(0));
         assert_eq!(m.line(4).unwrap().in_macro_def, None);
     }

@@ -11,6 +11,11 @@ use std::collections::HashSet;
 /// Recursion is prevented with an active-macro stack (a macro name is not
 /// re-expanded while its own expansion is being processed), the same
 /// strategy that makes `#define x x` terminate in real preprocessors.
+///
+/// Tokens move through expansion: every token that is not part of an
+/// invocation goes from the input to the output as it is, and definitions
+/// are borrowed from the table for the expander's lifetime. Only a macro's
+/// body tokens and its arguments are copied, into each expansion.
 #[derive(Debug)]
 pub struct Expander<'t> {
     table: &'t MacroTable,
@@ -32,58 +37,45 @@ impl<'t> Expander<'t> {
     }
 
     /// Fully expand `tokens`.
-    pub fn expand(&mut self, tokens: &[Token]) -> Vec<Token> {
+    pub fn expand(&mut self, tokens: Vec<Token>) -> Vec<Token> {
         let mut active = Vec::new();
         self.expand_inner(tokens, &mut active)
     }
 
-    fn expand_inner(&mut self, tokens: &[Token], active: &mut Vec<String>) -> Vec<Token> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < tokens.len() {
-            let t = &tokens[i];
-            if t.kind != TokenKind::Ident {
-                out.push(t.clone());
-                i += 1;
+    fn expand_inner(&mut self, tokens: Vec<Token>, active: &mut Vec<&'t str>) -> Vec<Token> {
+        let table = self.table;
+        let mut out = Vec::with_capacity(tokens.len());
+        let mut rest = tokens.into_iter();
+        while let Some(t) = rest.next() {
+            if t.kind != TokenKind::Ident || active.contains(&t.text.as_str()) {
+                out.push(t);
                 continue;
             }
-            let name = t.text.clone();
-            if active.contains(&name) {
-                out.push(t.clone());
-                i += 1;
-                continue;
-            }
-            let Some(def) = self.table.get(&name) else {
-                out.push(t.clone());
-                i += 1;
+            let Some(def) = table.get(&t.text) else {
+                out.push(t);
                 continue;
             };
-            let def = def.clone();
-            match &def.params {
+            let mut rescanned = match &def.params {
                 None => {
-                    self.expanded_names.insert(name.clone());
-                    let substituted = self.substitute(&def.body, &[], &[], def.variadic);
-                    active.push(name);
-                    let mut rescanned = self.expand_inner(&substituted, active);
+                    self.note_expanded(&def.name);
+                    let substituted = paste_pass(def.body.clone());
+                    active.push(&def.name);
+                    let rescanned = self.expand_inner(substituted, active);
                     active.pop();
-                    fix_leading_space(&mut rescanned, t.space_before);
-                    out.extend(rescanned);
-                    i += 1;
+                    rescanned
                 }
                 Some(params) => {
-                    // Function-like: only an invocation if `(` follows.
-                    if !matches!(tokens.get(i + 1), Some(n) if n.is_punct("(")) {
-                        out.push(t.clone());
-                        i += 1;
-                        continue;
-                    }
-                    let (args, consumed) = collect_args(&tokens[i + 1..]);
-                    let Some(args) = args else {
-                        // Unbalanced parens: give up on this invocation.
-                        out.push(t.clone());
-                        i += 1;
+                    // Function-like: only an invocation if `(` follows, and
+                    // an unbalanced one is left alone.
+                    let invocation = match rest.as_slice().first() {
+                        Some(n) if n.is_punct("(") => args_len(rest.as_slice()),
+                        _ => None,
+                    };
+                    let Some(consumed) = invocation else {
+                        out.push(t);
                         continue;
                     };
+                    let args = collect_args(rest.by_ref().take(consumed));
                     let arity_ok = if def.variadic {
                         args.len() >= params.len()
                     } else {
@@ -92,119 +84,125 @@ impl<'t> Expander<'t> {
                     };
                     if !arity_ok {
                         self.errors.push(CppErrorKind::WrongArgumentCount {
-                            name: name.clone(),
+                            name: def.name.clone(),
                             expected: params.len(),
                             got: args.len(),
                         });
                     }
-                    self.expanded_names.insert(name.clone());
+                    self.note_expanded(&def.name);
                     // Pre-expand arguments (C99 6.10.3.1) for ordinary use.
-                    let expanded_args: Vec<Vec<Token>> =
-                        args.iter().map(|a| self.expand_inner(a, active)).collect();
-                    let (named, varargs) = split_args(params, &args, def.variadic);
-                    let (named_exp, varargs_exp) = split_args(params, &expanded_args, def.variadic);
-                    let substituted = self.substitute_fn(
+                    let expanded_args: Vec<Vec<Token>> = args
+                        .iter()
+                        .map(|a| self.expand_inner(a.clone(), active))
+                        .collect();
+                    // Named parameters take the leading arguments; a
+                    // variadic macro's remaining arguments are its varargs.
+                    let named = if def.variadic {
+                        params.len().min(args.len())
+                    } else {
+                        args.len()
+                    };
+                    let (raw, varargs_raw) = args.split_at(named);
+                    let (expanded, varargs_expanded) = expanded_args.split_at(named);
+                    let substituted = substitute_fn(
                         &def.body,
                         params,
-                        &named,
-                        &named_exp,
-                        &varargs,
-                        &varargs_exp,
+                        raw,
+                        expanded,
+                        varargs_raw,
+                        varargs_expanded,
                     );
-                    active.push(name);
-                    let mut rescanned = self.expand_inner(&substituted, active);
+                    active.push(&def.name);
+                    let rescanned = self.expand_inner(substituted, active);
                     active.pop();
-                    fix_leading_space(&mut rescanned, t.space_before);
-                    out.extend(rescanned);
-                    i += 1 + consumed;
+                    rescanned
                 }
-            }
+            };
+            fix_leading_space(&mut rescanned, t.space_before);
+            out.append(&mut rescanned);
         }
         out
     }
 
-    /// Object-like substitution: only `##` pasting applies.
-    fn substitute(
-        &mut self,
-        body: &[Token],
-        _params: &[String],
-        _args: &[Vec<Token>],
-        _variadic: bool,
-    ) -> Vec<Token> {
-        paste_pass(body.to_vec())
+    /// Record that `name` was expanded.
+    fn note_expanded(&mut self, name: &str) {
+        if !self.expanded_names.contains(name) {
+            self.expanded_names.insert(name.to_string());
+        }
     }
+}
 
-    /// Function-like substitution: parameter replacement, `#`, `##`.
-    #[allow(clippy::too_many_arguments)]
-    fn substitute_fn(
-        &mut self,
-        body: &[Token],
-        params: &[String],
-        raw: &[Vec<Token>],
-        expanded: &[Vec<Token>],
-        varargs_raw: &[Vec<Token>],
-        varargs_expanded: &[Vec<Token>],
-    ) -> Vec<Token> {
-        let param_index = |name: &str| params.iter().position(|p| p == name);
-        let mut out: Vec<Token> = Vec::new();
-        let mut i = 0;
-        while i < body.len() {
-            let t = &body[i];
-            // Stringification: # param
-            if t.is_punct("#") {
-                if let Some(next) = body.get(i + 1) {
-                    if next.kind == TokenKind::Ident {
-                        let arg = if next.text == "__VA_ARGS__" {
-                            Some(join_varargs(varargs_raw))
-                        } else {
-                            param_index(&next.text)
-                                .map(|idx| raw.get(idx).cloned().unwrap_or_default())
-                        };
-                        if let Some(arg) = arg {
-                            out.push(Token {
-                                kind: TokenKind::Str,
-                                text: stringify(&arg),
-                                space_before: t.space_before,
-                                line: t.line,
-                            });
-                            i += 2;
-                            continue;
-                        }
-                    }
-                }
-            }
-            // Paste operands use RAW (unexpanded) arguments.
-            let next_is_paste = matches!(body.get(i + 1), Some(n) if n.is_punct("##"));
-            let prev_was_paste = !out.is_empty() && i > 0 && body[i - 1].is_punct("##");
-            if t.kind == TokenKind::Ident {
-                let replacement = if t.text == "__VA_ARGS__" {
-                    if next_is_paste || prev_was_paste {
+/// Function-like substitution: parameter replacement, `#`, `##`.
+/// Arguments come raw (for `#` and `##` operands) and pre-expanded (for
+/// every other use), each split into the named parameters' and the
+/// varargs.
+fn substitute_fn(
+    body: &[Token],
+    params: &[String],
+    raw: &[Vec<Token>],
+    expanded: &[Vec<Token>],
+    varargs_raw: &[Vec<Token>],
+    varargs_expanded: &[Vec<Token>],
+) -> Vec<Token> {
+    let param_index = |name: &str| params.iter().position(|p| p == name);
+    let mut out: Vec<Token> = Vec::with_capacity(body.len());
+    let mut i = 0;
+    while i < body.len() {
+        let t = &body[i];
+        // Stringification: # param
+        if t.is_punct("#") {
+            if let Some(next) = body.get(i + 1) {
+                if next.kind == TokenKind::Ident {
+                    let arg = if next.text == "__VA_ARGS__" {
                         Some(join_varargs(varargs_raw))
                     } else {
-                        Some(join_varargs(varargs_expanded))
-                    }
-                } else if let Some(idx) = param_index(&t.text) {
-                    let source = if next_is_paste || prev_was_paste {
-                        raw
-                    } else {
-                        expanded
+                        param_index(&next.text).map(|idx| raw.get(idx).cloned().unwrap_or_default())
                     };
-                    Some(source.get(idx).cloned().unwrap_or_default())
-                } else {
-                    None
-                };
-                if let Some(mut rep) = replacement {
-                    fix_leading_space(&mut rep, t.space_before);
-                    out.extend(rep);
-                    i += 1;
-                    continue;
+                    if let Some(arg) = arg {
+                        out.push(Token {
+                            kind: TokenKind::Str,
+                            text: stringify(&arg),
+                            space_before: t.space_before,
+                            line: t.line,
+                        });
+                        i += 2;
+                        continue;
+                    }
                 }
             }
-            out.push(t.clone());
-            i += 1;
         }
-        paste_pass(out)
+        // Paste operands use RAW (unexpanded) arguments.
+        let pasted = matches!(body.get(i + 1), Some(n) if n.is_punct("##"))
+            || (!out.is_empty() && i > 0 && body[i - 1].is_punct("##"));
+        if t.kind == TokenKind::Ident {
+            let start = out.len();
+            let replaced = if t.text == "__VA_ARGS__" {
+                let varargs = if pasted {
+                    varargs_raw
+                } else {
+                    varargs_expanded
+                };
+                out.extend(join_varargs(varargs));
+                true
+            } else if let Some(idx) = param_index(&t.text) {
+                let source = if pasted { raw } else { expanded };
+                if let Some(arg) = source.get(idx) {
+                    out.extend_from_slice(arg);
+                }
+                true
+            } else {
+                false
+            };
+            if replaced {
+                fix_leading_space(&mut out[start..], t.space_before);
+                i += 1;
+                continue;
+            }
+        }
+        out.push(t.clone());
+        i += 1;
     }
+    paste_pass(out)
 }
 
 /// Give the first token of an expansion the spacing of the macro name it
@@ -215,14 +213,31 @@ fn fix_leading_space(tokens: &mut [Token], space: bool) {
     }
 }
 
-/// Collect macro arguments starting at the `(` token. Returns the argument
-/// token lists and the number of tokens consumed (including both parens),
-/// or `None` if the parens never balance.
-fn collect_args(tokens: &[Token]) -> (Option<Vec<Vec<Token>>>, usize) {
-    debug_assert!(tokens[0].is_punct("("));
+/// The number of tokens a macro invocation's argument list spans, from
+/// its `(` through the matching `)`, or `None` if the parens never
+/// balance.
+fn args_len(tokens: &[Token]) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, t) in tokens.iter().enumerate() {
+        if t.is_punct("(") {
+            depth += 1;
+        } else if t.is_punct(")") {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i + 1);
+            }
+        }
+    }
+    None
+}
+
+/// Split a balanced argument list (the tokens [`args_len`] measured,
+/// parens included) into its arguments at top-level commas, moving each
+/// token.
+fn collect_args(tokens: impl Iterator<Item = Token>) -> Vec<Vec<Token>> {
     let mut depth = 0usize;
     let mut args: Vec<Vec<Token>> = vec![Vec::new()];
-    for (i, t) in tokens.iter().enumerate() {
+    for t in tokens {
         if t.is_punct("(") {
             depth += 1;
             if depth == 1 {
@@ -231,31 +246,15 @@ fn collect_args(tokens: &[Token]) -> (Option<Vec<Vec<Token>>>, usize) {
         } else if t.is_punct(")") {
             depth -= 1;
             if depth == 0 {
-                return (Some(args), i + 1);
+                break;
             }
         } else if t.is_punct(",") && depth == 1 {
             args.push(Vec::new());
             continue;
         }
-        args.last_mut().expect("args never empty").push(t.clone());
+        args.last_mut().expect("args never empty").push(t);
     }
-    (None, tokens.len())
-}
-
-/// Partition collected arguments into named parameters and varargs.
-fn split_args(
-    params: &[String],
-    args: &[Vec<Token>],
-    variadic: bool,
-) -> (Vec<Vec<Token>>, Vec<Vec<Token>>) {
-    if variadic {
-        let n = params.len();
-        let named = args.iter().take(n).cloned().collect();
-        let rest = args.iter().skip(n).cloned().collect();
-        (named, rest)
-    } else {
-        (args.to_vec(), Vec::new())
-    }
+    args
 }
 
 /// Join vararg argument lists with comma tokens (for `__VA_ARGS__`).
@@ -293,28 +292,26 @@ fn paste_pass(tokens: Vec<Token>) -> Vec<Token> {
     if !tokens.iter().any(|t| t.is_punct("##")) {
         return tokens;
     }
-    let mut out: Vec<Token> = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_punct("##") && !out.is_empty() && i + 1 < tokens.len() {
-            let left = out.pop().expect("checked non-empty");
-            let right = &tokens[i + 1];
-            let fused_text = format!("{}{}", left.text, right.text);
-            let relexed = lex(&fused_text, left.line);
-            if relexed.len() == 1 {
-                let mut fused = relexed.into_iter().next().expect("len checked");
-                fused.space_before = left.space_before;
-                fused.line = left.line;
-                out.push(fused);
-            } else {
-                // Invalid paste: keep both tokens (gcc diagnoses; we tolerate).
-                out.push(left);
-                out.push(right.clone());
-            }
-            i += 2;
+    let mut out: Vec<Token> = Vec::with_capacity(tokens.len());
+    let mut rest = tokens.into_iter().peekable();
+    while let Some(t) = rest.next() {
+        if !(t.is_punct("##") && !out.is_empty() && rest.peek().is_some()) {
+            out.push(t);
+            continue;
+        }
+        let left = out.pop().expect("checked non-empty");
+        let right = rest.next().expect("checked by peek");
+        let fused_text = format!("{}{}", left.text, right.text);
+        let relexed = lex(&fused_text, left.line);
+        if relexed.len() == 1 {
+            let mut fused = relexed.into_iter().next().expect("len checked");
+            fused.space_before = left.space_before;
+            fused.line = left.line;
+            out.push(fused);
         } else {
-            out.push(tokens[i].clone());
-            i += 1;
+            // Invalid paste: keep both tokens (gcc diagnoses; we tolerate).
+            out.push(left);
+            out.push(right);
         }
     }
     out
@@ -327,7 +324,7 @@ mod tests {
 
     fn expand_str(table: &MacroTable, src: &str) -> String {
         let mut e = Expander::new(table);
-        let toks = e.expand(&lex(src, 1));
+        let toks = e.expand(lex(src, 1));
         render_tokens(&toks)
     }
 
@@ -464,7 +461,7 @@ mod tests {
         let mut t = MacroTable::new();
         t.define(MacroDef::function("F", vec!["a".into(), "b".into()], "a+b"));
         let mut e = Expander::new(&t);
-        e.expand(&lex("F(1)", 1));
+        e.expand(lex("F(1)", 1));
         assert_eq!(e.errors.len(), 1);
     }
 
@@ -473,7 +470,7 @@ mod tests {
         let mut t = MacroTable::new();
         t.define(MacroDef::function("F", vec![], "0"));
         let mut e = Expander::new(&t);
-        let out = e.expand(&lex("F()", 1));
+        let out = e.expand(lex("F()", 1));
         assert_eq!(render_tokens(&out), "0");
         assert!(e.errors.is_empty());
     }
@@ -484,7 +481,7 @@ mod tests {
         t.define(MacroDef::object("USED", "1"));
         t.define(MacroDef::object("UNUSED", "2"));
         let mut e = Expander::new(&t);
-        e.expand(&lex("int a = USED;", 1));
+        e.expand(lex("int a = USED;", 1));
         assert!(e.expanded_names.contains("USED"));
         assert!(!e.expanded_names.contains("UNUSED"));
     }

@@ -23,7 +23,7 @@ use crate::token::{Token, TokenKind};
 pub fn eval_if_expr(tokens: &[Token], table: &MacroTable) -> Result<i64, String> {
     let resolved = resolve_defined(tokens, table)?;
     let mut expander = Expander::new(table);
-    let expanded = expander.expand(&resolved);
+    let expanded = expander.expand(resolved);
     let mut p = Parser {
         tokens: &expanded,
         pos: 0,

@@ -47,36 +47,15 @@ impl LogicalLine {
 /// Unterminated block comments run to end of file, like gcc with a warning;
 /// unterminated string literals end at the newline (the front-end validator
 /// reports those).
+///
+/// One pass over bytes: every byte phases 2 and 3 treat specially
+/// (`\`, `/`, `*`, quotes, newline) is ASCII, and a UTF-8 continuation
+/// byte never is, so runs of ordinary bytes are copied whole and
+/// multi-byte characters pass through intact. Splices are skipped by the
+/// cursor wherever the next byte is read, so a comment delimiter or an
+/// escape split by `\`-newline still pairs up.
 pub fn logical_lines(src: &str) -> Vec<LogicalLine> {
-    // Phase 2: splice. Build (char, physical_line) stream.
-    let mut spliced: Vec<(char, u32)> = Vec::with_capacity(src.len());
-    let mut line = 1u32;
-    let bytes: Vec<char> = src.chars().collect();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if c == '\\' && matches!(bytes.get(i + 1), Some('\n')) {
-            line += 1;
-            i += 2;
-            continue;
-        }
-        if c == '\\'
-            && matches!(bytes.get(i + 1), Some('\r'))
-            && matches!(bytes.get(i + 2), Some('\n'))
-        {
-            line += 1;
-            i += 3;
-            continue;
-        }
-        spliced.push((c, line));
-        if c == '\n' {
-            line += 1;
-        }
-        i += 1;
-    }
-
-    // Phase 3: comments → single space.
-    #[derive(PartialEq)]
+    #[derive(Clone, Copy, PartialEq)]
     enum St {
         Code,
         Str,
@@ -84,112 +63,180 @@ pub fn logical_lines(src: &str) -> Vec<LogicalLine> {
         LineComment,
         BlockComment,
     }
+    let mut sp = Splitter {
+        src,
+        pos: 0,
+        line: 1,
+        out: Vec::new(),
+        text: String::new(),
+        first: None,
+        last: 1,
+    };
+    let bytes = src.as_bytes();
     let mut st = St::Code;
-    let mut clean: Vec<(char, u32)> = Vec::with_capacity(spliced.len());
-    let mut i = 0;
-    while i < spliced.len() {
-        let (c, ln) = spliced[i];
-        let next = spliced.get(i + 1).map(|&(c, _)| c);
-        match st {
-            St::Code => match c {
-                '/' if next == Some('/') => {
-                    st = St::LineComment;
-                    clean.push((' ', ln));
-                    i += 2;
-                    continue;
+    while let Some(b) = sp.peek() {
+        let line = sp.line;
+        match (st, b) {
+            (_, b'\n') => {
+                // A newline ends line comments and unterminated literals;
+                // inside a block comment it is kept so a directive cannot
+                // absorb the following line.
+                sp.newline();
+                if st != St::BlockComment {
+                    st = St::Code;
                 }
-                '/' if next == Some('*') => {
-                    st = St::BlockComment;
-                    clean.push((' ', ln));
-                    i += 2;
-                    continue;
-                }
-                '"' => {
-                    st = St::Str;
-                    clean.push((c, ln));
-                }
-                '\'' => {
-                    st = St::Chr;
-                    clean.push((c, ln));
-                }
-                _ => clean.push((c, ln)),
-            },
-            St::Str => {
-                clean.push((c, ln));
-                if c == '\\' {
-                    if let Some(&(nc, nln)) = spliced.get(i + 1) {
-                        clean.push((nc, nln));
-                        i += 2;
+            }
+            (St::Code, b'/') => {
+                sp.pos += 1;
+                match sp.peek() {
+                    Some(b'/') => st = St::LineComment,
+                    Some(b'*') => st = St::BlockComment,
+                    _ => {
+                        sp.keep(b'/', line);
                         continue;
                     }
-                } else if c == '"' || c == '\n' {
+                }
+                sp.pos += 1;
+                sp.keep(b' ', line);
+            }
+            (St::Code, b'"') => {
+                sp.bump(line);
+                st = St::Str;
+            }
+            (St::Code, b'\'') => {
+                sp.bump(line);
+                st = St::Chr;
+            }
+            (St::Str | St::Chr, b'\\') => {
+                sp.bump(line);
+                // The escaped character is kept whatever it is. Only an
+                // ASCII one needs handling here: anything else is ordinary
+                // literal text, which the next iteration keeps anyway.
+                match sp.peek() {
+                    Some(b'\n') => sp.newline(),
+                    Some(e) if e.is_ascii() => sp.bump(sp.line),
+                    _ => {}
+                }
+            }
+            (St::Str, b'"') | (St::Chr, b'\'') => {
+                sp.bump(line);
+                st = St::Code;
+            }
+            (St::BlockComment, b'*') => {
+                sp.pos += 1;
+                if sp.peek() == Some(b'/') {
+                    sp.pos += 1;
                     st = St::Code;
                 }
             }
-            St::Chr => {
-                clean.push((c, ln));
-                if c == '\\' {
-                    if let Some(&(nc, nln)) = spliced.get(i + 1) {
-                        clean.push((nc, nln));
-                        i += 2;
-                        continue;
-                    }
-                } else if c == '\'' || c == '\n' {
-                    st = St::Code;
-                }
+            (St::Code | St::Str | St::Chr, _) => {
+                // A run of bytes with no meaning in this state (a `\` here
+                // is a literal backslash: `peek` already took any splice).
+                let stop = |c: u8| match st {
+                    St::Code => matches!(c, b'\n' | b'\\' | b'/' | b'"' | b'\''),
+                    St::Str => matches!(c, b'\n' | b'\\' | b'"'),
+                    _ => matches!(c, b'\n' | b'\\' | b'\''),
+                };
+                let end = run_end(bytes, sp.pos + 1, stop);
+                sp.keep_run(end);
             }
-            St::LineComment => {
-                if c == '\n' {
-                    st = St::Code;
-                    clean.push((c, ln));
-                }
-                // else: drop comment char
-            }
-            St::BlockComment => {
-                if c == '*' && next == Some('/') {
-                    st = St::Code;
-                    i += 2;
-                    continue;
-                }
-                if c == '\n' {
-                    // Keep the newline so a directive cannot absorb the
-                    // following line, but the logical line range records it.
-                    clean.push((c, ln));
-                }
+            (St::LineComment | St::BlockComment, _) => {
+                // Comment text is dropped; stop where a newline, a splice
+                // or (in a block comment) a closing `*/` may follow.
+                let end = run_end(bytes, sp.pos + 1, |c| {
+                    matches!(c, b'\n' | b'\\') || (st == St::BlockComment && c == b'*')
+                });
+                sp.pos = end;
             }
         }
-        i += 1;
+    }
+    sp.finish()
+}
+
+/// Index of the first byte at or after `from` that `stop` accepts, or the
+/// end of `bytes`.
+fn run_end(bytes: &[u8], from: usize, stop: impl Fn(u8) -> bool) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|&c| stop(c))
+        .map_or(bytes.len(), |n| from + n)
+}
+
+/// The cursor and output of [`logical_lines`].
+struct Splitter<'a> {
+    src: &'a str,
+    pos: usize,
+    /// Physical line of the byte at `pos`.
+    line: u32,
+    out: Vec<LogicalLine>,
+    /// Kept text of the logical line being built.
+    text: String,
+    /// Physical line of the first byte kept for the current logical line.
+    first: Option<u32>,
+    /// Physical line of the last byte kept.
+    last: u32,
+}
+
+impl Splitter<'_> {
+    /// Skip any `\`-newline splices at the cursor, then return the next
+    /// byte.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.src.as_bytes();
+        loop {
+            match bytes.get(self.pos..) {
+                Some([b'\\', b'\n', ..]) => self.pos += 2,
+                Some([b'\\', b'\r', b'\n', ..]) => self.pos += 3,
+                _ => return bytes.get(self.pos).copied(),
+            }
+            self.line += 1;
+        }
     }
 
-    // Split at newlines into logical lines. A block comment that spanned
-    // lines left its newlines in place, so directives stay line-bounded.
-    let mut out = Vec::new();
-    let mut text = String::new();
-    let mut first: Option<u32> = None;
-    let mut last = 1u32;
-    for (c, ln) in clean {
-        if first.is_none() {
-            first = Some(ln);
-        }
-        last = ln;
-        if c == '\n' {
-            out.push(LogicalLine {
-                text: std::mem::take(&mut text),
-                first_line: first.take().unwrap_or(ln),
-                last_line: ln,
-            });
-        } else {
-            text.push(c);
-        }
+    /// Keep one ASCII byte, attributed to physical line `line`.
+    fn keep(&mut self, b: u8, line: u32) {
+        self.text.push(char::from(b));
+        self.first.get_or_insert(line);
+        self.last = line;
     }
-    if first.is_some() || !text.is_empty() {
-        out.push(LogicalLine {
-            text,
-            first_line: first.unwrap_or(last),
-            last_line: last,
+
+    /// Keep the ASCII byte at the cursor and step past it.
+    fn bump(&mut self, line: u32) {
+        self.keep(self.src.as_bytes()[self.pos], line);
+        self.pos += 1;
+    }
+
+    /// Keep the newline-free bytes from the cursor to `end`.
+    fn keep_run(&mut self, end: usize) {
+        self.text.push_str(&self.src[self.pos..end]);
+        self.first.get_or_insert(self.line);
+        self.last = self.line;
+        self.pos = end;
+    }
+
+    /// Keep the newline at the cursor: it ends the current logical line.
+    fn newline(&mut self) {
+        let line = self.line;
+        self.out.push(LogicalLine {
+            text: std::mem::take(&mut self.text),
+            first_line: self.first.take().unwrap_or(line),
+            last_line: line,
         });
+        self.last = line;
+        self.pos += 1;
+        self.line += 1;
     }
-    out
+
+    /// The logical lines, including a last one with no closing newline.
+    fn finish(mut self) -> Vec<LogicalLine> {
+        if let Some(first_line) = self.first {
+            self.out.push(LogicalLine {
+                text: self.text,
+                first_line,
+                last_line: self.last,
+            });
+        }
+        self.out
+    }
 }
 
 #[cfg(test)]

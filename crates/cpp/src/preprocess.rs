@@ -8,8 +8,9 @@ use crate::lexer::lex;
 use crate::lines::{logical_lines, LogicalLine};
 use crate::macros::{str_hash, MacroDef, MacroTable};
 use crate::memo::{IncludeEffect, IncludeKey, IncludeMemo, MacroEvent};
-use crate::token::{render_tokens, Token, TokenKind};
+use crate::token::{render_into, render_tokens, Token, TokenKind};
 use std::collections::{BTreeMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Maximum include nesting before [`CppErrorKind::IncludeDepthExceeded`].
@@ -26,8 +27,12 @@ pub trait IncludeResolver {
     /// directive. Returns the canonical path and content; the content is
     /// a shared handle so resolvers over long-lived trees hand out
     /// pointers instead of copying file text per inclusion.
-    fn resolve(&self, target: &str, quoted: bool, including_file: &str)
-        -> Option<(String, Arc<str>)>;
+    fn resolve(
+        &self,
+        target: &str,
+        quoted: bool,
+        including_file: &str,
+    ) -> Option<(String, Arc<str>)>;
 }
 
 /// An [`IncludeResolver`] over an in-memory file map — the whole workspace
@@ -340,9 +345,7 @@ impl<'r, R: IncludeResolver> State<'r, R> {
             // Directive: flush the pending run first.
             self.flush(path, &mut run);
             let (name, rest) = ll.directive().expect("is_directive checked");
-            let name = name.to_string();
-            let rest = rest.to_string();
-            self.handle_directive(path, ll, &name, &rest, &mut cond, depth);
+            self.handle_directive(path, ll, name, rest, &mut cond, depth);
         }
         self.flush(path, &mut run);
         if cond.depth() > 0 {
@@ -456,14 +459,12 @@ impl<'r, R: IncludeResolver> State<'r, R> {
 
     fn handle_define(&mut self, path: &str, line: u32, rest: &str) {
         // Name must start immediately; parameters only when '(' is adjacent.
-        let rest_chars: Vec<char> = rest.chars().collect();
-        let mut i = 0;
-        while i < rest_chars.len()
-            && (rest_chars[i] == '_' || rest_chars[i].is_ascii_alphanumeric())
-        {
-            i += 1;
-        }
-        if i == 0 {
+        // The name is ASCII, so `name_len` is a char boundary of `rest`.
+        let name_len = rest
+            .bytes()
+            .take_while(|b| *b == b'_' || b.is_ascii_alphanumeric())
+            .count();
+        if name_len == 0 {
             self.error(
                 path,
                 line,
@@ -471,11 +472,10 @@ impl<'r, R: IncludeResolver> State<'r, R> {
             );
             return;
         }
-        let name: String = rest_chars[..i].iter().collect();
-        let (params, variadic, body_start) = if rest_chars.get(i) == Some(&'(') {
+        let (name, after_name) = rest.split_at(name_len);
+        let (params, variadic, body) = if let Some(list) = after_name.strip_prefix('(') {
             // Function-like: parse parameter list.
-            let rest_str: String = rest_chars[i + 1..].iter().collect();
-            let Some(close) = rest_str.find(')') else {
+            let Some((params_str, body)) = list.split_once(')') else {
                 self.error(
                     path,
                     line,
@@ -483,7 +483,6 @@ impl<'r, R: IncludeResolver> State<'r, R> {
                 );
                 return;
             };
-            let params_str = &rest_str[..close];
             let mut params = Vec::new();
             let mut variadic = false;
             for p in params_str.split(',') {
@@ -500,14 +499,13 @@ impl<'r, R: IncludeResolver> State<'r, R> {
                     }
                 }
             }
-            (Some(params), variadic, i + 1 + close + 1)
+            (Some(params), variadic, body)
         } else {
-            (None, false, i)
+            (None, false, after_name)
         };
-        let body_text: String = rest_chars[body_start..].iter().collect();
-        let body = lex(body_text.trim_start(), line);
+        let body = lex(body.trim_start(), line);
         self.define_macro(Arc::new(MacroDef {
-            name,
+            name: name.to_string(),
             params,
             variadic,
             body,
@@ -523,7 +521,7 @@ impl<'r, R: IncludeResolver> State<'r, R> {
             rest
         } else {
             let mut ex = Expander::new(&self.table);
-            let toks = ex.expand(&lex(rest, line));
+            let toks = ex.expand(lex(rest, line));
             let names = std::mem::take(&mut ex.expanded_names);
             drop(ex);
             for name in &names {
@@ -759,10 +757,9 @@ impl<'r, R: IncludeResolver> State<'r, R> {
         let tokens = std::mem::take(run);
         let first_line = tokens.first().map(|t| t.line).unwrap_or(0);
         let mut ex = Expander::new(&self.table);
-        let expanded = ex.expand(&tokens);
+        let expanded = ex.expand(tokens);
         let names = std::mem::take(&mut ex.expanded_names);
         let kinds = std::mem::take(&mut ex.errors);
-        drop(ex);
         for name in &names {
             self.note_expanded(name);
         }
@@ -775,30 +772,37 @@ impl<'r, R: IncludeResolver> State<'r, R> {
             self.rec_first_flush = Some((path.to_string(), first_line, emit_marker));
         }
         if emit_marker {
-            self.out.push_str(&format!("# {first_line} \"{path}\"\n"));
+            writeln!(self.out, "# {first_line} \"{path}\"").expect("writing to a String");
             self.out_file = path.to_string();
         }
-        // Render, breaking output lines where source lines advanced.
+        // Render straight into the output, breaking output lines where
+        // source lines advanced.
         let mut current_line = first_line;
-        let mut line_tokens: Vec<Token> = Vec::new();
-        for t in expanded {
+        let mut line_start = 0;
+        for (i, t) in expanded.iter().enumerate() {
             if t.line > current_line {
-                self.out.push_str(render_tokens(&line_tokens).trim_end());
-                self.out.push('\n');
+                self.emit_line(&expanded[line_start..i]);
                 // Blank filler lines keep .i line numbers readable.
                 for _ in current_line + 1..t.line {
                     self.out.push('\n');
                 }
                 current_line = t.line;
-                line_tokens.clear();
+                line_start = i;
             }
-            line_tokens.push(t);
         }
-        if !line_tokens.is_empty() {
-            self.out.push_str(render_tokens(&line_tokens).trim_end());
-            self.out.push('\n');
+        if !expanded.is_empty() {
+            self.emit_line(&expanded[line_start..]);
         }
         self.out_line = current_line;
+    }
+
+    /// Append one rendered output line, without trailing whitespace.
+    fn emit_line(&mut self, tokens: &[Token]) {
+        let start = self.out.len();
+        render_into(&mut self.out, tokens);
+        let kept = self.out[start..].trim_end().len();
+        self.out.truncate(start + kept);
+        self.out.push('\n');
     }
 }
 
@@ -960,6 +964,16 @@ mod tests {
         let out = pp("#define SUM(a, b) \\\n ((a) + \\\n  (b))\nint s = SUM(1, 2);\n");
         assert!(out.is_clean());
         assert!(out.text.contains("int s = ((1) + (2));"));
+    }
+
+    #[test]
+    fn non_ascii_parameter_lists_keep_the_whole_body() {
+        // The body starts after the `)` however many bytes the parameter
+        // names take.
+        let out = pp("#define F(\u{e9}\u{e9}) x+1\nint a = F(2);\n");
+        assert!(out.text.contains("int a = x+1;"), "{}", out.text);
+        let out = pp("#define G(a, \u{e9}\u{e9}) a+x\nint b = G(1, 2);\n");
+        assert!(out.text.contains("int b = 1+x;"), "{}", out.text);
     }
 
     #[test]

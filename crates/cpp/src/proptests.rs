@@ -1,5 +1,6 @@
 //! Property tests over the preprocessor stack.
 
+use crate::analyze::comment_scan;
 use crate::lexer::lex;
 use crate::lines::logical_lines;
 use crate::macros::{MacroDef, MacroTable};
@@ -49,6 +50,129 @@ fn c_source() -> impl Strategy<Value = String> {
             out.join("\n") + "\n"
         }
     })
+}
+
+/// Pieces of C-ish text that meet at every boundary the byte-level
+/// kernels treat specially: splices (including `\`+CRLF and a lone
+/// `\r`), comment delimiters, quotes with escapes and encoding prefixes,
+/// pp-numbers with exponent signs, every punctuator, bytes that are no C
+/// token, and non-ASCII characters, whitespace among them.
+const ATOMS: &[&str] = &[
+    "\\\n",
+    "\\\r\n",
+    "\\",
+    "\r",
+    "\n",
+    "\r\n",
+    " ",
+    "\t",
+    "\x0b",
+    "\x0c",
+    "//",
+    "/*",
+    "*/",
+    "/",
+    "*",
+    "\"",
+    "'",
+    "\\\"",
+    "\\'",
+    "\\\\",
+    "\\n",
+    "L\"",
+    "u8'",
+    "U'",
+    "u\"",
+    "u8\"",
+    "L'",
+    "L",
+    "u",
+    "U",
+    "u8",
+    "x",
+    "_a1",
+    "define",
+    "#define",
+    "#if",
+    "#ifdef X",
+    "#elif",
+    "#else",
+    "#endif",
+    "#",
+    "##",
+    "1",
+    "0x1",
+    "1e+",
+    "1E-",
+    "0x1p-",
+    "2P+",
+    ".5",
+    ".",
+    "...",
+    "e",
+    "p",
+    "+",
+    "-",
+    "<<=",
+    ">>=",
+    "->",
+    "++",
+    "--",
+    "<<",
+    ">>",
+    "<=",
+    ">=",
+    "==",
+    "!=",
+    "&&",
+    "||",
+    "+=",
+    "-=",
+    "*=",
+    "/=",
+    "%=",
+    "&=",
+    "^=",
+    "|=",
+    "[",
+    "]",
+    "(",
+    ")",
+    "{",
+    "}",
+    "&",
+    "~",
+    "!",
+    "%",
+    "<",
+    ">",
+    "^",
+    "|",
+    "?",
+    ":",
+    ";",
+    "=",
+    ",",
+    "@",
+    "$",
+    "`",
+    "\0",
+    "\x01",
+    "\x1f",
+    "\x7f",
+    "\u{e9}",
+    "\u{a0}",
+    "\u{85}",
+    "\u{2028}",
+    "\u{3000}",
+    "\u{2261}",
+    "\u{1f600}",
+];
+
+/// Strategy: up to 40 atoms, concatenated.
+fn atom_soup() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..ATOMS.len(), 0..40)
+        .prop_map(|picks| picks.into_iter().map(|i| ATOMS[i]).collect())
 }
 
 /// Names a macro-table script writes; a small pool, so redefinitions,
@@ -209,5 +333,469 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The byte-level lexer yields exactly the tokens of the char-level
+    /// one it replaced (kind, text, spacing and line).
+    #[test]
+    fn lex_is_equivalent_to_the_char_lexer(s in atom_soup()) {
+        prop_assert_eq!(lex(&s, 7), reference::lex(&s, 7), "{:?}", s);
+    }
+
+    /// The one-pass splitter yields exactly the logical lines of the
+    /// three-pass one it replaced.
+    #[test]
+    fn logical_lines_are_equivalent_to_the_three_pass_splitter(s in atom_soup()) {
+        prop_assert_eq!(logical_lines(&s), reference::logical_lines(&s), "{:?}", s);
+    }
+
+    /// The byte-level comment scan yields exactly the per-line facts of
+    /// the char-level one, so `analyze` (a pure function of those facts
+    /// and of `logical_lines`) is unchanged too.
+    #[test]
+    fn comment_scan_is_equivalent_to_the_char_scan(s in atom_soup()) {
+        prop_assert_eq!(comment_scan(&s), reference::comment_scan(&s), "{:?}", s);
+    }
+
+    /// `validate` over the borrowing scanner returns exactly the verdict
+    /// of the `lex`-based validator it replaced.
+    #[test]
+    fn validate_is_equivalent_to_the_lex_based_validator(s in atom_soup()) {
+        prop_assert_eq!(validate(&s), reference::validate(&s), "{:?}", s);
+    }
+}
+
+/// The char-level kernels the byte-level ones replaced, kept verbatim as
+/// the equivalence properties' references.
+mod reference {
+    use crate::analyze::LineInfo;
+    use crate::error::SyntaxError;
+    use crate::lines::LogicalLine;
+    use crate::token::{Token, TokenKind};
+
+    /// Multi-character punctuators, longest first so maximal munch works.
+    const PUNCTS: &[&str] = &[
+        "<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+        "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "##", "#", "[", "]", "(", ")", "{", "}",
+        ".", "&", "*", "+", "-", "~", "!", "/", "%", "<", ">", "^", "|", "?", ":", ";", "=", ",",
+    ];
+
+    /// Lex `text` into preprocessing tokens.
+    ///
+    /// `line` is the 1-based source line attributed to the tokens (callers
+    /// lexing a logical line pass its first physical line).
+    ///
+    /// Characters that cannot begin any C token become [`TokenKind::Other`]
+    /// tokens — this is what makes JMake's mutation glyph detectable and what
+    /// makes the front-end validator reject mutated files.
+    pub(super) fn lex(text: &str, line: u32) -> Vec<Token> {
+        let chars: Vec<char> = text.chars().collect();
+        let mut out = Vec::new();
+        let mut i = 0;
+        let mut space_before = false;
+        while i < chars.len() {
+            let c = chars[i];
+            if c.is_whitespace() {
+                space_before = true;
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let kind;
+            if c == '_' || c.is_ascii_alphabetic() {
+                while i < chars.len() && (chars[i] == '_' || chars[i].is_ascii_alphanumeric()) {
+                    i += 1;
+                }
+                // Wide/encoded string or char prefixes: L"..." u8"..." etc.
+                if i < chars.len()
+                    && (chars[i] == '"' || chars[i] == '\'')
+                    && is_literal_prefix(&chars[start..i])
+                {
+                    let quote = chars[i];
+                    i = scan_quoted(&chars, i, quote);
+                    kind = if quote == '"' {
+                        TokenKind::Str
+                    } else {
+                        TokenKind::Char
+                    };
+                } else {
+                    kind = TokenKind::Ident;
+                }
+            } else if c.is_ascii_digit()
+                || (c == '.' && matches!(chars.get(i + 1), Some(d) if d.is_ascii_digit()))
+            {
+                // pp-number: digits, letters, dots, and exponent signs.
+                i += 1;
+                while i < chars.len() {
+                    let d = chars[i];
+                    let continues = d == '_'
+                        || d.is_ascii_alphanumeric()
+                        || d == '.'
+                        || ((d == '+' || d == '-')
+                            && matches!(chars[i - 1], 'e' | 'E' | 'p' | 'P'));
+                    if !continues {
+                        break;
+                    }
+                    i += 1;
+                }
+                kind = TokenKind::Number;
+            } else if c == '"' {
+                i = scan_quoted(&chars, i, '"');
+                kind = TokenKind::Str;
+            } else if c == '\'' {
+                i = scan_quoted(&chars, i, '\'');
+                kind = TokenKind::Char;
+            } else if let Some(p) = match_punct(&chars[i..]) {
+                i += p.chars().count();
+                kind = TokenKind::Punct;
+            } else {
+                i += 1;
+                kind = TokenKind::Other(c);
+            }
+            out.push(Token {
+                kind,
+                text: chars[start..i].iter().collect(),
+                space_before,
+                line,
+            });
+            space_before = false;
+        }
+        out
+    }
+
+    fn is_literal_prefix(chars: &[char]) -> bool {
+        let s: String = chars.iter().collect();
+        matches!(s.as_str(), "L" | "u" | "U" | "u8")
+    }
+
+    /// Scan a quoted literal starting at the opening quote index; returns the
+    /// index just past the closing quote (or end of text if unterminated).
+    fn scan_quoted(chars: &[char], open: usize, quote: char) -> usize {
+        let mut i = open + 1;
+        while i < chars.len() {
+            match chars[i] {
+                '\\' => i += 2,
+                c if c == quote => return i + 1,
+                _ => i += 1,
+            }
+        }
+        chars.len()
+    }
+
+    fn match_punct(rest: &[char]) -> Option<&'static str> {
+        PUNCTS.iter().copied().find(|p| {
+            p.chars().zip(rest.iter()).filter(|(a, b)| a == *b).count() == p.chars().count()
+                && rest.len() >= p.chars().count()
+        })
+    }
+
+    /// Split source into logical lines: splice `\`-newline, strip comments
+    /// (string- and char-literal aware), and record physical line ranges.
+    ///
+    /// Unterminated block comments run to end of file, like gcc with a warning;
+    /// unterminated string literals end at the newline (the front-end validator
+    /// reports those).
+    pub(super) fn logical_lines(src: &str) -> Vec<LogicalLine> {
+        // Phase 2: splice. Build (char, physical_line) stream.
+        let mut spliced: Vec<(char, u32)> = Vec::with_capacity(src.len());
+        let mut line = 1u32;
+        let bytes: Vec<char> = src.chars().collect();
+        let mut i = 0;
+        while i < bytes.len() {
+            let c = bytes[i];
+            if c == '\\' && matches!(bytes.get(i + 1), Some('\n')) {
+                line += 1;
+                i += 2;
+                continue;
+            }
+            if c == '\\'
+                && matches!(bytes.get(i + 1), Some('\r'))
+                && matches!(bytes.get(i + 2), Some('\n'))
+            {
+                line += 1;
+                i += 3;
+                continue;
+            }
+            spliced.push((c, line));
+            if c == '\n' {
+                line += 1;
+            }
+            i += 1;
+        }
+
+        // Phase 3: comments → single space.
+        #[derive(PartialEq)]
+        enum St {
+            Code,
+            Str,
+            Chr,
+            LineComment,
+            BlockComment,
+        }
+        let mut st = St::Code;
+        let mut clean: Vec<(char, u32)> = Vec::with_capacity(spliced.len());
+        let mut i = 0;
+        while i < spliced.len() {
+            let (c, ln) = spliced[i];
+            let next = spliced.get(i + 1).map(|&(c, _)| c);
+            match st {
+                St::Code => match c {
+                    '/' if next == Some('/') => {
+                        st = St::LineComment;
+                        clean.push((' ', ln));
+                        i += 2;
+                        continue;
+                    }
+                    '/' if next == Some('*') => {
+                        st = St::BlockComment;
+                        clean.push((' ', ln));
+                        i += 2;
+                        continue;
+                    }
+                    '"' => {
+                        st = St::Str;
+                        clean.push((c, ln));
+                    }
+                    '\'' => {
+                        st = St::Chr;
+                        clean.push((c, ln));
+                    }
+                    _ => clean.push((c, ln)),
+                },
+                St::Str => {
+                    clean.push((c, ln));
+                    if c == '\\' {
+                        if let Some(&(nc, nln)) = spliced.get(i + 1) {
+                            clean.push((nc, nln));
+                            i += 2;
+                            continue;
+                        }
+                    } else if c == '"' || c == '\n' {
+                        st = St::Code;
+                    }
+                }
+                St::Chr => {
+                    clean.push((c, ln));
+                    if c == '\\' {
+                        if let Some(&(nc, nln)) = spliced.get(i + 1) {
+                            clean.push((nc, nln));
+                            i += 2;
+                            continue;
+                        }
+                    } else if c == '\'' || c == '\n' {
+                        st = St::Code;
+                    }
+                }
+                St::LineComment => {
+                    if c == '\n' {
+                        st = St::Code;
+                        clean.push((c, ln));
+                    }
+                    // else: drop comment char
+                }
+                St::BlockComment => {
+                    if c == '*' && next == Some('/') {
+                        st = St::Code;
+                        i += 2;
+                        continue;
+                    }
+                    if c == '\n' {
+                        // Keep the newline so a directive cannot absorb the
+                        // following line, but the logical line range records it.
+                        clean.push((c, ln));
+                    }
+                }
+            }
+            i += 1;
+        }
+
+        // Split at newlines into logical lines. A block comment that spanned
+        // lines left its newlines in place, so directives stay line-bounded.
+        let mut out = Vec::new();
+        let mut text = String::new();
+        let mut first: Option<u32> = None;
+        let mut last = 1u32;
+        for (c, ln) in clean {
+            if first.is_none() {
+                first = Some(ln);
+            }
+            last = ln;
+            if c == '\n' {
+                out.push(LogicalLine {
+                    text: std::mem::take(&mut text),
+                    first_line: first.take().unwrap_or(ln),
+                    last_line: ln,
+                });
+            } else {
+                text.push(c);
+            }
+        }
+        if first.is_some() || !text.is_empty() {
+            out.push(LogicalLine {
+                text,
+                first_line: first.unwrap_or(last),
+                last_line: last,
+            });
+        }
+        out
+    }
+
+    /// Per-line comment facts via a char-level scan of the raw source.
+    pub(super) fn comment_scan(src: &str) -> Vec<LineInfo> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum St {
+            Code,
+            Str,
+            Chr,
+            LineComment,
+            BlockComment,
+        }
+        let mut out = Vec::new();
+        let mut st = St::Code;
+        for raw in src.lines() {
+            let mut info = LineInfo {
+                starts_in_comment: st == St::BlockComment,
+                ends_with_continuation: raw.ends_with('\\'),
+                ..LineInfo::default()
+            };
+            let mut has_code = false;
+            let bytes: Vec<(usize, char)> = raw.char_indices().collect();
+            let mut i = 0;
+            while i < bytes.len() {
+                let (pos, c) = bytes[i];
+                let next = bytes.get(i + 1).map(|&(_, c)| c);
+                match st {
+                    St::Code => match c {
+                        '/' if next == Some('/') => {
+                            st = St::LineComment;
+                            i += 2;
+                            continue;
+                        }
+                        '/' if next == Some('*') => {
+                            st = St::BlockComment;
+                            i += 2;
+                            continue;
+                        }
+                        '"' => {
+                            has_code = true;
+                            st = St::Str;
+                        }
+                        '\'' => {
+                            has_code = true;
+                            st = St::Chr;
+                        }
+                        c if c.is_whitespace() => {}
+                        '\\' => {} // continuation backslash
+                        _ => has_code = true,
+                    },
+                    St::Str => {
+                        if c == '\\' {
+                            i += 2;
+                            continue;
+                        }
+                        if c == '"' {
+                            st = St::Code;
+                        }
+                    }
+                    St::Chr => {
+                        if c == '\\' {
+                            i += 2;
+                            continue;
+                        }
+                        if c == '\'' {
+                            st = St::Code;
+                        }
+                    }
+                    St::LineComment => {}
+                    St::BlockComment => {
+                        if c == '*' && next == Some('/') {
+                            st = St::Code;
+                            if info.starts_in_comment && info.comment_close_col.is_none() {
+                                info.comment_close_col = Some(pos + 2);
+                            }
+                            i += 2;
+                            continue;
+                        }
+                    }
+                }
+                i += 1;
+            }
+            // Line comments and unterminated string/char states end at newline.
+            if st == St::LineComment {
+                st = St::Code;
+            }
+            if st == St::Str || st == St::Chr {
+                st = St::Code;
+            }
+            info.comment_only = !has_code && !raw.trim().is_empty();
+            out.push(info);
+        }
+        out
+    }
+
+    pub(super) fn validate(i_text: &str) -> Result<(), SyntaxError> {
+        let mut stack: Vec<(char, u32)> = Vec::new();
+        let mut any_tokens = false;
+        for (idx, line) in i_text.lines().enumerate() {
+            let line_no = (idx + 1) as u32;
+            if line.trim_start().starts_with('#') {
+                continue; // line marker or residual directive text
+            }
+            for t in lex(line, line_no) {
+                any_tokens = true;
+                match &t.kind {
+                    TokenKind::Other(c) => {
+                        return Err(SyntaxError::InvalidCharacter {
+                            ch: *c,
+                            line: line_no,
+                        });
+                    }
+                    TokenKind::Str if !closes_quoted(&t.text, '"') => {
+                        return Err(SyntaxError::UnterminatedLiteral { line: line_no });
+                    }
+                    TokenKind::Char if !closes_quoted(&t.text, '\'') => {
+                        return Err(SyntaxError::UnterminatedLiteral { line: line_no });
+                    }
+                    TokenKind::Punct => match t.text.as_str() {
+                        "(" | "[" | "{" => {
+                            stack.push((t.text.chars().next().expect("non-empty"), line_no))
+                        }
+                        ")" | "]" | "}" => {
+                            let close = t.text.chars().next().expect("non-empty");
+                            let expected_open = match close {
+                                ')' => '(',
+                                ']' => '[',
+                                _ => '{',
+                            };
+                            match stack.pop() {
+                                Some((open, _)) if open == expected_open => {}
+                                _ => {
+                                    return Err(SyntaxError::UnbalancedDelimiter {
+                                        ch: close,
+                                        line: line_no,
+                                    })
+                                }
+                            }
+                        }
+                        _ => {}
+                    },
+                    _ => {}
+                }
+            }
+        }
+        if let Some(&(open, line)) = stack.first() {
+            return Err(SyntaxError::UnbalancedDelimiter { ch: open, line });
+        }
+        if !any_tokens {
+            return Err(SyntaxError::EmptyTranslationUnit);
+        }
+        Ok(())
+    }
+
+    /// A lexed literal is terminated iff it ends with the quote and is longer
+    /// than the opening (after skipping any L/u/U prefix).
+    fn closes_quoted(text: &str, quote: char) -> bool {
+        let body = text.trim_start_matches(|c: char| c != quote && c != '"' && c != '\'');
+        body.len() >= 2 && body.ends_with(quote)
     }
 }

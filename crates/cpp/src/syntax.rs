@@ -9,7 +9,7 @@
 //! accepting any ordinary C token stream.
 
 use crate::error::SyntaxError;
-use crate::lexer::lex;
+use crate::lexer::Scanner;
 use crate::token::TokenKind;
 
 /// Validate a preprocessed (`.i`) translation unit.
@@ -37,27 +37,24 @@ pub fn validate(i_text: &str) -> Result<(), SyntaxError> {
         if line.trim_start().starts_with('#') {
             continue; // line marker or residual directive text
         }
-        for t in lex(line, line_no) {
+        for (kind, text, _) in Scanner::new(line) {
             any_tokens = true;
-            match &t.kind {
-                TokenKind::Other(c) => {
-                    return Err(SyntaxError::InvalidCharacter {
-                        ch: *c,
-                        line: line_no,
-                    });
+            match kind {
+                TokenKind::Other(ch) => {
+                    return Err(SyntaxError::InvalidCharacter { ch, line: line_no });
                 }
-                TokenKind::Str if !closes_quoted(&t.text, '"') => {
+                TokenKind::Str if !closes_quoted(text, '"') => {
                     return Err(SyntaxError::UnterminatedLiteral { line: line_no });
                 }
-                TokenKind::Char if !closes_quoted(&t.text, '\'') => {
+                TokenKind::Char if !closes_quoted(text, '\'') => {
                     return Err(SyntaxError::UnterminatedLiteral { line: line_no });
                 }
-                TokenKind::Punct => match t.text.as_str() {
+                TokenKind::Punct => match text {
                     "(" | "[" | "{" => {
-                        stack.push((t.text.chars().next().expect("non-empty"), line_no))
+                        stack.push((text.chars().next().expect("non-empty"), line_no))
                     }
                     ")" | "]" | "}" => {
-                        let close = t.text.chars().next().expect("non-empty");
+                        let close = text.chars().next().expect("non-empty");
                         let expected_open = match close {
                             ')' => '(',
                             ']' => '[',

@@ -78,6 +78,13 @@ impl fmt::Display for Token {
 /// inserted between adjacent identifiers/numbers).
 pub fn render_tokens(tokens: &[Token]) -> String {
     let mut out = String::new();
+    render_into(&mut out, tokens);
+    out
+}
+
+/// [`render_tokens`], appending to `out`.
+pub(crate) fn render_into(out: &mut String, tokens: &[Token]) {
+    let start = out.len();
     let mut prev_kind: Option<&TokenKind> = None;
     for t in tokens {
         let need_space = t.space_before
@@ -88,13 +95,12 @@ pub fn render_tokens(tokens: &[Token]) -> String {
                     TokenKind::Ident | TokenKind::Number
                 )
             );
-        if need_space && !out.is_empty() {
+        if need_space && out.len() > start {
             out.push(' ');
         }
         out.push_str(&t.text);
         prev_kind = Some(&t.kind);
     }
-    out
 }
 
 #[cfg(test)]
