@@ -31,30 +31,9 @@ pub struct EvalContext {
     pub janitor_table: Vec<JanitorReport>,
 }
 
-/// Build the workload, run JMake over the window, aggregate.
-pub fn build_context(profile: &WorkloadProfile, workers: usize) -> EvalContext {
-    build_context_with(profile, workers, jmake_core::Options::default())
-}
-
-/// [`build_context`] with explicit pipeline options (allmodconfig /
-/// coverage-config variants).
-pub fn build_context_with(
-    profile: &WorkloadProfile,
-    workers: usize,
-    jmake: jmake_core::Options,
-) -> EvalContext {
-    build_context_with_driver(
-        profile,
-        &DriverOptions {
-            workers,
-            jmake,
-            ..DriverOptions::default()
-        },
-    )
-}
-
-/// [`build_context`] with full driver options (worker count, pipeline
-/// options, the cache stores attached or not).
+/// Build the workload, run JMake over the window with `driver`'s options
+/// (worker count, pipeline options, the cache stores attached or not),
+/// aggregate.
 pub fn build_context_with_driver(profile: &WorkloadProfile, driver: &DriverOptions) -> EvalContext {
     let workload = jmake_synth::generate(profile);
     build_context_from_workload(profile, workload, driver)

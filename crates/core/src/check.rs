@@ -126,9 +126,23 @@ impl JMake {
 
         let mut expanded_macros: HashSet<String> = HashSet::new();
 
-        self.c_phase(engine, &base, &mutated, &mut works, &index, &mut expanded_macros);
+        self.c_phase(
+            engine,
+            &base,
+            &mutated,
+            &mut works,
+            &index,
+            &mut expanded_macros,
+        );
         if self.options.use_coverage_configs {
-            self.coverage_phase(engine, &base, &mutated, &mut works, &index, &mut expanded_macros);
+            self.coverage_phase(
+                engine,
+                &base,
+                &mutated,
+                &mut works,
+                &index,
+                &mut expanded_macros,
+            );
         }
         for w in works.iter_mut().filter(|w| w.is_header) {
             w.header_covered_by_patch_c = !w.plan.is_trivial() && w.remaining.is_empty();
@@ -653,14 +667,7 @@ impl JMake {
                                 } else {
                                     true
                                 };
-                                classify(
-                                    tok,
-                                    content,
-                                    &cfg.model,
-                                    dead,
-                                    &cfg.config,
-                                    macro_expanded,
-                                )
+                                classify(tok, &map, &cfg.model, dead, &cfg.config, macro_expanded)
                             }
                             _ => crate::classify::UncoveredReason::Unknown,
                         };
@@ -676,7 +683,7 @@ impl JMake {
                 // mutation, not just the leftover ones.
                 let both_branches = {
                     let refs: Vec<&MutationToken> = w.plan.mutations.iter().collect();
-                    !w.remaining.is_empty() && detect_both_branches(content, &refs)
+                    !w.remaining.is_empty() && detect_both_branches(&map, &refs)
                 };
                 let status = if w.bootstrap {
                     FileStatus::Bootstrap

@@ -6,8 +6,10 @@
 //! seven reasons.
 
 use crate::token::{MutationKind, MutationToken};
-use jmake_cpp::lines::logical_lines;
+use jmake_cpp::cond::ArmKind;
+use jmake_cpp::SourceMap;
 use jmake_kconfig::{DeadSymbols, KconfigModel};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// The reason categories of paper Table IV.
@@ -28,7 +30,7 @@ pub enum UncoveredReason {
     /// The patch changes both the `#ifdef` branch and the matching
     /// `#else` branch: no single configuration can cover both.
     IfdefAndElse,
-    /// Inside `#if 0`.
+    /// Inside `#if 0` (or an `#elif 0` arm).
     IfZero,
     /// The change is in a macro definition that no configuration expands.
     UnusedMacro,
@@ -57,26 +59,16 @@ impl fmt::Display for UncoveredReason {
     }
 }
 
-/// One stack frame of the conditional context around a line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Guard {
-    If(String),
-    Ifdef(String),
-    Ifndef(String),
-    /// `#else`/`#elif` of a group whose opening guard is recorded.
-    Else(Box<Guard>),
-}
-
-/// Classify one uncovered mutation within `content`.
+/// Classify one uncovered mutation within the file mapped by `map`.
 ///
 /// `model` and `dead` come from the allyesconfig attempt's Kconfig model;
-/// `all_sections_changed` should be true when the same patch also changed
-/// the matching `#else`/`#if` counterpart (detected by the caller across
-/// mutations); `macro_was_expanded` reports whether the mutated macro's
-/// name ever appeared among expanded macros in any attempted `.i`.
+/// `macro_was_expanded` reports whether the mutated macro's name ever
+/// appeared among expanded macros in any attempted `.i`. Changes to both
+/// branches of one conditional are found across mutations by
+/// [`detect_both_branches`].
 pub fn classify(
     token: &MutationToken,
-    content: &str,
+    map: &SourceMap,
     model: &KconfigModel,
     dead: &DeadSymbols,
     allyes: &jmake_kconfig::Config,
@@ -85,59 +77,52 @@ pub fn classify(
     if token.kind == MutationKind::Define && !macro_was_expanded {
         return UncoveredReason::UnusedMacro;
     }
-    let stack = guard_stack(content, token.line);
-    // Inspect innermost-outward; the innermost decisive guard wins.
-    for guard in stack.iter().rev() {
-        match guard {
-            Guard::If(expr) => {
-                let e = expr.trim();
-                if e == "0" {
-                    return UncoveredReason::IfZero;
-                }
+    let tree = &map.branches;
+    // Inspect innermost-outward; the innermost decisive guard wins. Arm 0
+    // is the group's own guard; a later arm is the `#else` of its opener.
+    for arm in tree.chain(tree.slot(token.line).arm()) {
+        if arm.is_if_zero() {
+            return UncoveredReason::IfZero;
+        }
+        let var = arm.operand.split_whitespace().next().unwrap_or("");
+        match arm.kind {
+            ArmKind::If => {
+                let e = arm.operand.trim();
                 if let Some(var) = single_defined_var(e) {
-                    return classify_var(&var, model, dead, allyes);
+                    return classify_var(var, model, dead, allyes);
                 }
                 if e.starts_with('!') {
                     return UncoveredReason::IfndefOrElse;
                 }
             }
-            Guard::Ifdef(var) => {
-                if var == "MODULE" {
-                    return UncoveredReason::IfdefModule;
-                }
-                return classify_var(var, model, dead, allyes);
-            }
-            Guard::Ifndef(_) => return UncoveredReason::IfndefOrElse,
-            Guard::Else(opening) => {
-                // In the else of an #ifdef that allyesconfig satisfies.
-                match &**opening {
-                    Guard::Ifndef(_) => {
-                        // else-of-ifndef is the positively-guarded branch;
-                        // keep looking outward.
-                    }
-                    _ => return UncoveredReason::IfndefOrElse,
-                }
-            }
+            ArmKind::Ifdef if var == "MODULE" => return UncoveredReason::IfdefModule,
+            ArmKind::Ifdef => return classify_var(var, model, dead, allyes),
+            ArmKind::Ifndef => return UncoveredReason::IfndefOrElse,
+            // else-of-ifndef is the positively-guarded branch; keep
+            // looking outward.
+            ArmKind::Elif | ArmKind::Else if tree.opener(arm).kind == ArmKind::Ifndef => {}
+            // In the else of an #ifdef that allyesconfig satisfies.
+            ArmKind::Elif | ArmKind::Else => return UncoveredReason::IfndefOrElse,
         }
     }
     UncoveredReason::Unknown
 }
 
-/// Upgrade a pair of reasons when a patch changed both branches of the
-/// same conditional (paper Table IV row 5).
-pub fn detect_both_branches(content: &str, tokens: &[&MutationToken]) -> bool {
-    // Two uncovered mutations whose guard stacks are the if- and else-
-    // sides of the same group: compare group indices.
-    let mut sides = std::collections::BTreeSet::new();
-    for t in tokens {
-        if let Some((group, is_else)) = group_of(content, t.line) {
-            sides.insert((group, is_else));
-        }
-    }
-    let groups: std::collections::BTreeSet<u32> = sides.iter().map(|(g, _)| *g).collect();
-    groups
+/// Upgrade a pair of reasons when a patch changed two arms of the same
+/// conditional (paper Table IV row 5): arms of one group are mutually
+/// exclusive, so no single configuration covers both — `#if` and `#else`,
+/// `#elif` and `#else`, or two `#elif` arms alike.
+pub fn detect_both_branches(map: &SourceMap, tokens: &[&MutationToken]) -> bool {
+    let tree = &map.branches;
+    let arms: BTreeSet<(u32, u32)> = tokens
         .iter()
-        .any(|g| sides.contains(&(*g, false)) && sides.contains(&(*g, true)))
+        .filter_map(|t| tree.slot(t.line).arm())
+        .map(|a| (tree.arm(a).group, tree.arm(a).index))
+        .collect();
+    // Sorted by group, so two arms of one group are neighbours.
+    arms.iter()
+        .zip(arms.iter().skip(1))
+        .any(|(a, b)| a.0 == b.0)
 }
 
 fn classify_var(
@@ -157,7 +142,7 @@ fn classify_var(
 }
 
 /// `#if defined(X)` / `#if defined X` with nothing else → the variable.
-fn single_defined_var(expr: &str) -> Option<String> {
+fn single_defined_var(expr: &str) -> Option<&str> {
     let e = expr.trim();
     let inner = e.strip_prefix("defined")?.trim();
     let inner = inner
@@ -166,83 +151,17 @@ fn single_defined_var(expr: &str) -> Option<String> {
         .unwrap_or(inner)
         .trim();
     if !inner.is_empty() && inner.chars().all(|c| c == '_' || c.is_ascii_alphanumeric()) {
-        Some(inner.to_string())
+        Some(inner)
     } else {
         None
     }
-}
-
-/// The conditional guard stack enclosing 1-based `line`.
-fn guard_stack(content: &str, line: u32) -> Vec<Guard> {
-    let mut stack: Vec<Guard> = Vec::new();
-    for ll in logical_lines(content) {
-        if ll.first_line > line {
-            break;
-        }
-        let Some((name, rest)) = ll.directive() else {
-            continue;
-        };
-        match name {
-            "if" => stack.push(Guard::If(rest.to_string())),
-            "ifdef" => stack.push(Guard::Ifdef(first_word(rest))),
-            "ifndef" => stack.push(Guard::Ifndef(first_word(rest))),
-            "elif" | "else" => {
-                if let Some(top) = stack.pop() {
-                    let opening = match top {
-                        Guard::Else(inner) => inner,
-                        other => Box::new(other),
-                    };
-                    stack.push(Guard::Else(opening));
-                }
-            }
-            "endif" => {
-                stack.pop();
-            }
-            _ => {}
-        }
-    }
-    stack
-}
-
-/// Conditional group id and branch side (false = if-side, true = else-side)
-/// containing `line`, if any (innermost).
-fn group_of(content: &str, line: u32) -> Option<(u32, bool)> {
-    let mut stack: Vec<(u32, bool)> = Vec::new();
-    let mut next_group = 0u32;
-    for ll in logical_lines(content) {
-        if ll.first_line > line {
-            break;
-        }
-        let Some((name, _)) = ll.directive() else {
-            continue;
-        };
-        match name {
-            "if" | "ifdef" | "ifndef" => {
-                stack.push((next_group, false));
-                next_group += 1;
-            }
-            "elif" | "else" => {
-                if let Some(top) = stack.last_mut() {
-                    top.1 = true;
-                }
-            }
-            "endif" => {
-                stack.pop();
-            }
-            _ => {}
-        }
-    }
-    stack.last().copied()
-}
-
-fn first_word(s: &str) -> String {
-    s.split_whitespace().next().unwrap_or("").to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::token::MutationKind;
+    use jmake_cpp::analyze;
 
     fn setup(kconfig: &str) -> (KconfigModel, DeadSymbols, jmake_kconfig::Config) {
         let mut model = KconfigModel::new();
@@ -261,7 +180,7 @@ mod tests {
         let (m, d, a) = setup("");
         let src = "#if 0\nint dead;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), src, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(src), &m, &d, &a, true),
             UncoveredReason::IfZero
         );
     }
@@ -271,7 +190,7 @@ mod tests {
         let (m, d, a) = setup("");
         let src = "#ifdef MODULE\nint mod_only;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), src, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(src), &m, &d, &a, true),
             UncoveredReason::IfdefModule
         );
     }
@@ -284,12 +203,12 @@ mod tests {
             setup("config FULL\n\tbool \"f\"\nconfig TINY\n\tbool \"t\"\n\tdepends on !FULL\n");
         let tiny = "#ifdef CONFIG_TINY\nint t;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), tiny, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(tiny), &m, &d, &a, true),
             UncoveredReason::IfdefNotSetByAllyesconfig
         );
         let ghost = "#ifdef CONFIG_GHOST\nint g;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), ghost, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(ghost), &m, &d, &a, true),
             UncoveredReason::IfdefNeverSetInKernel
         );
     }
@@ -299,12 +218,12 @@ mod tests {
         let (m, d, a) = setup("config NET\n\tbool \"n\"\n");
         let ifndef = "#ifndef CONFIG_NET\nint fallback;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), ifndef, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(ifndef), &m, &d, &a, true),
             UncoveredReason::IfndefOrElse
         );
         let else_side = "#ifdef CONFIG_NET\nint with;\n#else\nint without;\n#endif\n";
         assert_eq!(
-            classify(&ctx(4), else_side, &m, &d, &a, true),
+            classify(&ctx(4), &analyze(else_side), &m, &d, &a, true),
             UncoveredReason::IfndefOrElse
         );
     }
@@ -316,7 +235,7 @@ mod tests {
         // guard is defined; classification should not blame it.
         let src = "#ifndef GUARD\nint a;\n#else\nint b;\n#endif\n";
         assert_eq!(
-            classify(&ctx(4), src, &m, &d, &a, true),
+            classify(&ctx(4), &analyze(src), &m, &d, &a, true),
             UncoveredReason::Unknown
         );
     }
@@ -326,7 +245,7 @@ mod tests {
         let (m, d, a) = setup("");
         let src = "#if defined(CONFIG_NOPE)\nint x;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), src, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(src), &m, &d, &a, true),
             UncoveredReason::IfdefNeverSetInKernel
         );
     }
@@ -337,12 +256,12 @@ mod tests {
         let tok = MutationToken::new(MutationKind::Define, "f.c", 1);
         let src = "#define NEVER_USED(x) ((x) + 1)\n";
         assert_eq!(
-            classify(&tok, src, &m, &d, &a, false),
+            classify(&tok, &analyze(src), &m, &d, &a, false),
             UncoveredReason::UnusedMacro
         );
         // But an expanded macro with a live guard is not "unused".
         assert_ne!(
-            classify(&tok, src, &m, &d, &a, true),
+            classify(&tok, &analyze(src), &m, &d, &a, true),
             UncoveredReason::UnusedMacro
         );
     }
@@ -352,7 +271,7 @@ mod tests {
         let (m, d, a) = setup("config NET\n\tbool \"n\"\n");
         let src = "#ifdef CONFIG_NET\n#if 0\nint x;\n#endif\n#endif\n";
         assert_eq!(
-            classify(&ctx(3), src, &m, &d, &a, true),
+            classify(&ctx(3), &analyze(src), &m, &d, &a, true),
             UncoveredReason::IfZero
         );
     }
@@ -363,9 +282,10 @@ mod tests {
         let t1 = ctx(2);
         let t2 = ctx(4);
         let t3 = ctx(6);
-        assert!(detect_both_branches(src, &[&t1, &t2]));
-        assert!(!detect_both_branches(src, &[&t1, &t3]));
-        assert!(!detect_both_branches(src, &[&t2]));
+        let map = analyze(src);
+        assert!(detect_both_branches(&map, &[&t1, &t2]));
+        assert!(!detect_both_branches(&map, &[&t1, &t3]));
+        assert!(!detect_both_branches(&map, &[&t2]));
     }
 
     #[test]
@@ -373,8 +293,36 @@ mod tests {
         let (m, d, a) = setup("");
         let src = "#ifdef MODULE\nint m;\n#endif\nint after;\n";
         assert_eq!(
-            classify(&ctx(4), src, &m, &d, &a, true),
+            classify(&ctx(4), &analyze(src), &m, &d, &a, true),
             UncoveredReason::Unknown
         );
+    }
+
+    #[test]
+    fn parenthesized_if_zero_and_elif_zero_arms_are_if_zero() {
+        let (m, d, a) = setup("config NET\n\tbool \"n\"\n");
+        let paren = "#if (0)\nint dead;\n#endif\n";
+        assert_eq!(
+            classify(&ctx(2), &analyze(paren), &m, &d, &a, true),
+            UncoveredReason::IfZero
+        );
+        for elif in ["#elif 0", "#elif (0)"] {
+            let src = format!("#ifdef CONFIG_NET\nint live;\n{elif}\nint dead;\n#endif\n");
+            assert_eq!(
+                classify(&ctx(4), &analyze(&src), &m, &d, &a, true),
+                UncoveredReason::IfZero,
+                "{elif}"
+            );
+        }
+    }
+
+    #[test]
+    fn two_arms_after_the_opener_are_both_branches() {
+        let src = "#ifdef A\nint a;\n#elif defined(B)\nint b;\n#elif defined(C)\nint c;\n#else\nint d;\n#endif\n";
+        let map = analyze(src);
+        let (b, c, d) = (ctx(4), ctx(6), ctx(8));
+        assert!(detect_both_branches(&map, &[&b, &d]), "#elif and #else");
+        assert!(detect_both_branches(&map, &[&b, &c]), "two #elif arms");
+        assert!(!detect_both_branches(&map, &[&c]));
     }
 }

@@ -182,7 +182,8 @@ pub fn cross_check(repo: &Repo, run: &EvaluationRun) -> CrossCheckReport {
         let tree = match repo.checkout(result.commit) {
             Ok(t) => t,
             Err(e) => {
-                out.skipped.push(format!("{commit}: re-checkout failed: {e}"));
+                out.skipped
+                    .push(format!("{commit}: re-checkout failed: {e}"));
                 continue;
             }
         };
@@ -285,7 +286,9 @@ fn check_file(
         let Some((arch, _)) = desc.split_once('/') else {
             continue;
         };
-        let Some(st) = statics.get(arch) else { continue };
+        let Some(st) = statics.get(arch) else {
+            continue;
+        };
         let Some(class) = token_class(st.reach.files.get(&file.path), shapes, tok.line) else {
             continue;
         };
@@ -329,9 +332,10 @@ fn check_file(
             let Some(arch) = desc.strip_suffix("/allyesconfig") else {
                 continue;
             };
-            let Some(st) = statics.get(arch) else { continue };
-            let Some(class) = token_class(st.reach.files.get(&file.path), shapes, tok.line)
-            else {
+            let Some(st) = statics.get(arch) else {
+                continue;
+            };
+            let Some(class) = token_class(st.reach.files.get(&file.path), shapes, tok.line) else {
                 continue;
             };
             match class {
@@ -511,7 +515,10 @@ mod tests {
             report.dead_agreed >= 1,
             "the planted dead line must be dead statically AND uncovered dynamically: {report:?}"
         );
-        assert!(report.allyes_agreed >= 1, "the live edit agrees: {report:?}");
+        assert!(
+            report.allyes_agreed >= 1,
+            "the live edit agrees: {report:?}"
+        );
     }
 
     #[test]
@@ -601,8 +608,7 @@ mod tests {
     fn unchecked_commits_are_skipped_with_a_note() {
         let (repo, commits) = planted_repo();
         let mut run = run_on(&repo, &commits);
-        run.results[0].outcome =
-            crate::driver::PatchOutcome::CheckoutFailed("gone".to_string());
+        run.results[0].outcome = crate::driver::PatchOutcome::CheckoutFailed("gone".to_string());
         let cc = cross_check(&repo, &run);
         assert_eq!(cc.patches, 0);
         assert_eq!(cc.skipped.len(), 1);
@@ -612,17 +618,27 @@ mod tests {
 
     #[test]
     fn line_shapes_classify_directives() {
-        let shapes =
-            line_shapes("int a;\n#if defined(X) && \\\n    defined(Y)\nint b;\n#else\nint c;\n#endif\n");
+        let shapes = line_shapes(
+            "int a;\n#if defined(X) && \\\n    defined(Y)\nint b;\n#else\nint c;\n#endif\n",
+        );
         assert!(!shapes.contains_key(&1), "plain line");
         assert_eq!(
             shapes.get(&2),
-            Some(&LineShape::OpensFresh { end: 3, multi: true }),
+            Some(&LineShape::OpensFresh {
+                end: 3,
+                multi: true
+            }),
             "spliced opener marks both physical lines"
         );
         assert_eq!(shapes.get(&3), shapes.get(&2));
         assert!(!shapes.contains_key(&4));
-        assert_eq!(shapes.get(&5), Some(&LineShape::Opens { end: 5, multi: false }));
+        assert_eq!(
+            shapes.get(&5),
+            Some(&LineShape::Opens {
+                end: 5,
+                multi: false
+            })
+        );
         assert_eq!(shapes.get(&7), Some(&LineShape::Closer));
     }
 
@@ -634,17 +650,22 @@ mod tests {
         let fr = FileReach {
             path: "f.c".to_string(),
             classes: vec![
-                ReachClass::AllyesReachable,                           // 1
-                ReachClass::AllyesReachable,                           // 2 (#ifdef → enclosing)
-                ReachClass::Dead { proof: "p".to_string() },           // 3 (branch)
-                ReachClass::AllyesReachable,                           // 4 (#endif → enclosing)
-                ReachClass::AllyesReachable,                           // 5
+                ReachClass::AllyesReachable, // 1
+                ReachClass::AllyesReachable, // 2 (#ifdef → enclosing)
+                ReachClass::Dead {
+                    proof: "p".to_string(),
+                }, // 3 (branch)
+                ReachClass::AllyesReachable, // 4 (#endif → enclosing)
+                ReachClass::AllyesReachable, // 5
             ],
         };
         // A token on the #ifdef line certifies the branch: line 3's class.
         assert!(token_class(Some(&fr), &shapes, 2).is_some_and(ReachClass::is_dead));
         // Plain lines map to themselves.
-        assert_eq!(token_class(Some(&fr), &shapes, 1), Some(&ReachClass::AllyesReachable));
+        assert_eq!(
+            token_class(Some(&fr), &shapes, 1),
+            Some(&ReachClass::AllyesReachable)
+        );
         // #endif tokens are ambiguous.
         assert_eq!(token_class(Some(&fr), &shapes, 4), None);
         // Missing file report → no verdict.

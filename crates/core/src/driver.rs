@@ -376,14 +376,18 @@ fn check_commit(
     // fate travels with the commit: the same seed faults the same
     // commits regardless of worker count, scheduling, or cache mode.
     let faults = if opts.faults.is_enabled() {
-        opts.faults.with_salt(ContentHash::of(&commit.to_string()).hi())
+        opts.faults
+            .with_salt(ContentHash::of(&commit.to_string()).hi())
     } else {
         Faults::disabled()
     };
 
     if let Err(reason) = host_fault_gate(&faults, FaultSite::Checkout, &tracer) {
         return (
-            PatchOutcome::Degraded { stage: "checkout", reason },
+            PatchOutcome::Degraded {
+                stage: "checkout",
+                reason,
+            },
             Samples::default(),
         );
     }
@@ -396,13 +400,19 @@ fn check_commit(
     let tree = match tree {
         Ok(tree) => tree,
         Err(e) => {
-            return (PatchOutcome::CheckoutFailed(e.to_string()), Samples::default());
+            return (
+                PatchOutcome::CheckoutFailed(e.to_string()),
+                Samples::default(),
+            );
         }
     };
 
     if let Err(reason) = host_fault_gate(&faults, FaultSite::Show, &tracer) {
         return (
-            PatchOutcome::Degraded { stage: "show", reason },
+            PatchOutcome::Degraded {
+                stage: "show",
+                reason,
+            },
             Samples::default(),
         );
     }
@@ -470,11 +480,14 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
                     // Claim the next unchecked commit until none is left.
                     loop {
                         let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&commit) = commits.get(idx) else { break };
+                        let Some(&commit) = commits.get(idx) else {
+                            break;
+                        };
                         let (outcome, samples) = guard_patch(AssertUnwindSafe(|| {
                             check_commit(repo, commit, &jmake, opts, &mut out)
                         }));
-                        out.items.push((idx, PatchResult { commit, outcome }, samples));
+                        out.items
+                            .push((idx, PatchResult { commit, outcome }, samples));
                     }
                     out.lint_evaluations = jmake_kconfig::lint::evaluations() - lint_before;
                     out
@@ -603,13 +616,22 @@ mod tests {
         let work = run.render_work();
         assert!(work.contains("checked 8"), "{work}");
         assert!(work.contains("panicked 1"), "{work}");
-        assert!(work.contains("make_config            2  invocations, 7 virtual µs"), "{work}");
-        assert!(work.contains("make_o                 0  invocations, 0 virtual µs"), "{work}");
+        assert!(
+            work.contains("make_config            2  invocations, 7 virtual µs"),
+            "{work}"
+        );
+        assert!(
+            work.contains("make_o                 0  invocations, 0 virtual µs"),
+            "{work}"
+        );
         assert!(work.contains("42  expression evaluations"), "{work}");
         assert!(!work.contains("faults"), "{work}");
         let text = run.render_stats();
         assert!(text.starts_with(&work), "{text}");
-        assert!(text.contains("5.0 commits/s over 2000.0 ms of driver wall"), "{text}");
+        assert!(
+            text.contains("5.0 commits/s over 2000.0 ms of driver wall"),
+            "{text}"
+        );
         assert!(EvaluationRun::default()
             .render_stats()
             .contains("0.0 commits/s"));

@@ -17,8 +17,10 @@
 //! [`precheck`] reports them so an interactive user can decide whether to
 //! spend compilations at all.
 
+use jmake_cpp::cond::{Arm, ArmKind, BranchTree, LineSlot};
 use jmake_cpp::lines::logical_lines;
-use jmake_diff::{changed_lines, ChangedLine, FilePatch};
+use jmake_diff::{changed_lines, FilePatch};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One early warning.
@@ -61,159 +63,55 @@ impl fmt::Display for PrecheckWarning {
 /// Scan one file patch (with the post-patch `content`) for unpromising
 /// patterns, with no compilation at all.
 pub fn precheck(patch: &FilePatch, content: &str) -> Vec<PrecheckWarning> {
-    let new_len = content.lines().count() as u32;
-    let changed = changed_lines(patch, new_len);
-    let changed_lines: Vec<u32> = changed
-        .positions
-        .iter()
-        .filter_map(|p| match p {
-            ChangedLine::Line(l) => Some(*l),
-            ChangedLine::Eof => None,
-        })
-        .collect();
-    if changed_lines.is_empty() {
-        return Vec::new();
-    }
-
-    // Walk the conditional structure once, recording for each changed
-    // line the innermost group id, branch index, and guard kind.
-    #[derive(Clone)]
-    struct Frame {
-        group: u32,
-        /// 0 for the `#if` arm, 1 for the first `#elif`/`#else`, 2 for the
-        /// next, … Branches of one group are mutually exclusive, so changes
-        /// in two *distinct* branch indices — not merely "if side vs else
-        /// side" — are what no single configuration can cover.
-        branch: u32,
-        ifndef: bool,
-        if_zero: bool,
-    }
-    let mut stack: Vec<Frame> = Vec::new();
-    let mut next_group = 0u32;
-    // (line, group, branch, ifndef, if_zero)
-    let mut located: Vec<(u32, u32, u32, bool, bool)> = Vec::new();
-    let mut line_idx = 0usize;
-    for ll in logical_lines(content) {
-        let directive = ll.directive();
-        let mut attribute = true;
-        if let Some((name, rest)) = directive {
-            match name {
-                "if" | "ifdef" | "ifndef" => {
-                    stack.push(Frame {
-                        group: next_group,
-                        branch: 0,
-                        ifndef: name == "ifndef",
-                        if_zero: name == "if" && is_literal_zero(rest),
-                    });
-                    next_group += 1;
-                }
-                "elif" | "else" => {
-                    if let Some(top) = stack.last_mut() {
-                        top.branch += 1;
-                    }
-                }
-                "endif" => {
-                    // A changed `#endif` is processed by the preprocessor
-                    // whatever branch is live; attributing it to a branch
-                    // (or, after an eager pop, to the *enclosing* frame)
-                    // fabricates branch changes. Attribute it to nothing,
-                    // and pop only after this logical line's attribution.
-                    attribute = false;
-                }
-                _ => {}
-            }
-        }
-        // Attribute every physical line of this logical line.
-        while line_idx < changed_lines.len() {
-            let l = changed_lines[line_idx];
-            if l < ll.first_line {
-                line_idx += 1;
-                continue;
-            }
-            if l > ll.last_line {
-                break;
-            }
-            if attribute {
-                if let Some(top) = stack.last() {
-                    located.push((l, top.group, top.branch, top.ifndef, top.if_zero));
-                }
-            }
-            line_idx += 1;
-        }
-        if matches!(directive, Some(("endif", _))) {
-            stack.pop();
-        }
-    }
+    let changed = changed_lines(patch, content.lines().count() as u32);
+    let changed: Vec<u32> = changed.line_numbers().collect();
+    let tree = BranchTree::build(&logical_lines(content));
+    let located = locate(&tree, &changed);
 
     let mut warnings = Vec::new();
+    let mut warn = |kind, lines: Vec<u32>| {
+        if !lines.is_empty() {
+            let path = patch.path().to_string();
+            warnings.push(PrecheckWarning { path, kind, lines });
+        }
+    };
     // Both-branches: a group with changed lines in two or more distinct
-    // (mutually exclusive) branches. This covers #if/#else, #if/#elif,
-    // and two different #elif arms alike.
-    let mut by_group: std::collections::BTreeMap<u32, Vec<(u32, u32)>> =
-        std::collections::BTreeMap::new();
-    for (l, g, branch, ..) in &located {
-        by_group.entry(*g).or_default().push((*branch, *l));
+    // (mutually exclusive) arms. This covers #if/#else, #if/#elif, and
+    // two different #elif arms alike.
+    let mut by_group: BTreeMap<u32, (BTreeSet<u32>, Vec<u32>)> = BTreeMap::new();
+    for (l, arm) in &located {
+        let (arms, lines) = by_group.entry(arm.group).or_default();
+        arms.insert(arm.index);
+        lines.push(*l);
     }
-    for group_lines in by_group.values() {
-        let branches: std::collections::BTreeSet<u32> =
-            group_lines.iter().map(|(b, _)| *b).collect();
-        if branches.len() >= 2 {
-            let mut lines: Vec<u32> = group_lines.iter().map(|(_, l)| *l).collect();
-            lines.sort_unstable();
-            lines.dedup();
-            warnings.push(PrecheckWarning {
-                path: patch.path().to_string(),
-                kind: PrecheckKind::BothBranches,
-                lines,
-            });
+    for (arms, lines) in by_group.into_values() {
+        if arms.len() >= 2 {
+            warn(PrecheckKind::BothBranches, lines);
         }
     }
-    // Ifndef / if-0 warnings (skip later branches of an ifndef — those
-    // are the positively-guarded arms).
-    let ifndef_lines: Vec<u32> = located
-        .iter()
-        .filter(|(_, _, branch, ifndef, _)| *ifndef && *branch == 0)
-        .map(|(l, ..)| *l)
-        .collect();
-    if !ifndef_lines.is_empty() {
-        warnings.push(PrecheckWarning {
-            path: patch.path().to_string(),
-            kind: PrecheckKind::UnderIfndef,
-            lines: ifndef_lines,
-        });
-    }
-    let zero_lines: Vec<u32> = located
-        .iter()
-        .filter(|(_, _, branch, _, if_zero)| *if_zero && *branch == 0)
-        .map(|(l, ..)| *l)
-        .collect();
-    if !zero_lines.is_empty() {
-        warnings.push(PrecheckWarning {
-            path: patch.path().to_string(),
-            kind: PrecheckKind::UnderIfZero,
-            lines: zero_lines,
-        });
-    }
+    let lines_where = |pred: fn(&Arm) -> bool| {
+        let lines = located.iter().filter(|(_, arm)| pred(arm));
+        lines.map(|(l, _)| *l).collect()
+    };
+    // Later arms of an #ifndef are the positively-guarded ones.
+    let ifndef: fn(&Arm) -> bool = |arm| arm.kind == ArmKind::Ifndef;
+    warn(PrecheckKind::UnderIfndef, lines_where(ifndef));
+    warn(PrecheckKind::UnderIfZero, lines_where(Arm::is_if_zero));
     warnings
 }
 
-/// Is the `#if` condition a literal constant zero? `logical_lines`
-/// already strips comments, but be robust to residue like
-/// `0 /* disabled */` or a parenthesized `(0)` either way.
-fn is_literal_zero(rest: &str) -> bool {
-    let mut s = rest.trim();
-    if let Some(i) = s.find("/*") {
-        s = s[..i].trim_end();
-    }
-    if let Some(i) = s.find("//") {
-        s = s[..i].trim_end();
-    }
-    let s = s
-        .strip_prefix('(')
-        .and_then(|t| t.strip_suffix(')'))
-        .map(str::trim)
-        .unwrap_or(s);
-    s == "0"
+/// The innermost arm of each changed line that sits in one, in line order.
+///
+/// A line belongs to the arm open after its logical line, so an opener,
+/// `#elif` or `#else` belongs to the arm it opens. A changed `#endif` is
+/// processed by the preprocessor whatever arm is live, so it belongs to
+/// no arm, nor does a line that is in no logical line.
+pub(crate) fn locate<'t>(tree: &'t BranchTree, changed: &[u32]) -> Vec<(u32, &'t Arm)> {
+    let in_arm = |l| match tree.slot(l) {
+        LineSlot::Opens(a) | LineSlot::Body(Some(a)) => Some((l, tree.arm(a))),
+        _ => None,
+    };
+    changed.iter().filter_map(|&l| in_arm(l)).collect()
 }
 
 #[cfg(test)]
@@ -317,6 +215,7 @@ mod tests {
         assert_eq!(w[0].kind, PrecheckKind::UnderIfZero);
 
         // Also via the helper directly: parens and // comments.
+        use jmake_cpp::cond::is_literal_zero;
         assert!(is_literal_zero("0"));
         assert!(is_literal_zero("0 /* why */"));
         assert!(is_literal_zero("0 // why"));
@@ -331,7 +230,8 @@ mod tests {
         // Two *different* #elif arms are mutually exclusive: no single
         // configuration covers both. The old else-side collapse saw both
         // changes as "else side" and stayed silent.
-        let old = "#if defined(A)\nint a;\n#elif defined(B)\nint b;\n#elif defined(C)\nint c;\n#endif\n";
+        let old =
+            "#if defined(A)\nint a;\n#elif defined(B)\nint b;\n#elif defined(C)\nint c;\n#endif\n";
         let new = "#if defined(A)\nint a;\n#elif defined(B)\nint b2;\n#elif defined(C)\nint c2;\n#endif\n";
         let (fp, content) = patch_for(old, new);
         let w = precheck(&fp, &content);
@@ -350,12 +250,24 @@ mod tests {
         // it with an if-side change did. Reproduce that shape: change the
         // outer if-side line and the inner #endif (inside the outer else).
         let old = "#ifdef OUTER\nint o;\n#else\n#ifdef A\nint a;\n#endif\nint c;\n#endif\n";
-        let new = "#ifdef OUTER\nint o2;\n#else\n#ifdef A\nint a;\n#endif /* A */\nint c;\n#endif\n";
+        let new =
+            "#ifdef OUTER\nint o2;\n#else\n#ifdef A\nint a;\n#endif /* A */\nint c;\n#endif\n";
         let (fp, content) = patch_for(old, new);
         let w = precheck(&fp, &content);
         assert!(
             w.is_empty(),
             "a changed #endif must not count as a branch change: {w:?}"
         );
+    }
+
+    #[test]
+    fn elif_zero_arm_warned_as_if_zero() {
+        let old = "#ifdef A\nint a;\n#elif 0\nint b;\n#endif\n";
+        let new = "#ifdef A\nint a;\n#elif 0\nint b2;\n#endif\n";
+        let (fp, content) = patch_for(old, new);
+        let w = precheck(&fp, &content);
+        assert_eq!(w.len(), 1, "{w:?}");
+        assert_eq!(w[0].kind, PrecheckKind::UnderIfZero);
+        assert_eq!(w[0].lines, vec![4]);
     }
 }

@@ -450,7 +450,9 @@ mod tests {
             .push("line 9 — set CONFIG_FULL=n (verified)".into());
         let on = mk(vec![fixed]);
         assert!(on.to_json().contains("\"remediations\":[\"line 9"));
-        assert!(on.to_string().contains("  FIX: line 9 — set CONFIG_FULL=n (verified)"));
+        assert!(on
+            .to_string()
+            .contains("  FIX: line 9 — set CONFIG_FULL=n (verified)"));
     }
 
     #[test]

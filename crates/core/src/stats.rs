@@ -299,7 +299,11 @@ mod tests {
         let results = vec![
             result(
                 "alice",
-                vec![file("a.c", &FileStatus::FullyCovered, "x86_64/allyesconfig")],
+                vec![file(
+                    "a.c",
+                    &FileStatus::FullyCovered,
+                    "x86_64/allyesconfig",
+                )],
                 10,
             ),
             result(

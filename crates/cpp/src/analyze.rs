@@ -7,8 +7,10 @@
 //! `#define` line ends in a continuation backslash and whether a changed
 //! line starts inside a comment that closes on that line.
 //!
-//! [`analyze`] computes all of that in one pass, per physical line.
+//! [`analyze`] computes all of that in one pass, per physical line, and
+//! keeps the file's conditional [`BranchTree`] next to it.
 
+use crate::cond::BranchTree;
 use crate::lines::logical_lines;
 
 /// Lexical facts about one physical source line.
@@ -60,6 +62,9 @@ pub struct SourceMap {
     pub lines: Vec<LineInfo>,
     /// All macro definitions, in source order.
     pub macro_defs: Vec<MacroDefSpan>,
+    /// The `#if`/`#elif`/`#else` nesting, built from the same logical
+    /// lines.
+    pub branches: BranchTree,
 }
 
 impl SourceMap {
@@ -91,8 +96,9 @@ pub fn analyze(src: &str) -> SourceMap {
 
     // Directive and macro-definition facts come from logical lines, which
     // already splice continuations and strip comments.
+    let lls = logical_lines(src);
     let mut macro_defs = Vec::new();
-    for ll in logical_lines(src) {
+    for ll in &lls {
         if !ll.is_directive() {
             continue;
         }
@@ -164,7 +170,11 @@ pub fn analyze(src: &str) -> SourceMap {
         def.end_line = end as u32 + 1;
     }
 
-    SourceMap { lines, macro_defs }
+    SourceMap {
+        lines,
+        macro_defs,
+        branches: BranchTree::build(&lls),
+    }
 }
 
 /// Physical line (0-based index into `lines`) that carries the `#` of a

@@ -27,7 +27,9 @@
 //!   that makes a mutated file fail to produce a `.o`;
 //! - [`analyze()`] — the lexical source map the mutation
 //!   engine needs (paper §III.B): comment spans, macro-definition line
-//!   ranges, conditional-compilation directive lines.
+//!   ranges, conditional-compilation directive lines, and the file's
+//!   [`cond::BranchTree`], the `#if`/`#elif`/`#else` nesting that the
+//!   Table IV classifier, the precheck and the reachability analyzer read.
 //!
 //! # Example
 //!

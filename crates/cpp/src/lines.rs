@@ -30,12 +30,15 @@ impl LogicalLine {
 
     /// For a directive line, the directive name (`define`, `if`, …) and the
     /// rest of the line.
+    /// The name ends at the first byte that is not an ASCII letter, digit or
+    /// `_`: a character boundary, since every byte before it is ASCII.
     pub fn directive(&self) -> Option<(&str, &str)> {
         let t = self.text.trim_start();
         let t = t.strip_prefix('#')?;
         let t = t.trim_start();
         let end = t
-            .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+            .bytes()
+            .position(|b| !b.is_ascii_alphanumeric() && b != b'_')
             .unwrap_or(t.len());
         Some((&t[..end], t[end..].trim_start()))
     }

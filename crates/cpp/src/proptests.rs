@@ -363,6 +363,15 @@ proptest! {
     fn validate_is_equivalent_to_the_lex_based_validator(s in atom_soup()) {
         prop_assert_eq!(validate(&s), reference::validate(&s), "{:?}", s);
     }
+
+    /// `LogicalLine::directive` scanning the name bytewise splits every
+    /// logical line exactly as the char scan it replaced.
+    #[test]
+    fn directive_is_equivalent_to_the_char_scan(s in atom_soup()) {
+        for ll in logical_lines(&s) {
+            prop_assert_eq!(ll.directive(), reference::directive(&ll), "{:?}", s);
+        }
+    }
 }
 
 /// The char-level kernels the byte-level ones replaced, kept verbatim as
@@ -372,6 +381,18 @@ mod reference {
     use crate::error::SyntaxError;
     use crate::lines::LogicalLine;
     use crate::token::{Token, TokenKind};
+
+    /// For a directive line, the directive name (`define`, `if`, …) and the
+    /// rest of the line.
+    pub(super) fn directive(ll: &LogicalLine) -> Option<(&str, &str)> {
+        let t = ll.text.trim_start();
+        let t = t.strip_prefix('#')?;
+        let t = t.trim_start();
+        let end = t
+            .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+            .unwrap_or(t.len());
+        Some((&t[..end], t[end..].trim_start()))
+    }
 
     /// Multi-character punctuators, longest first so maximal munch works.
     const PUNCTS: &[&str] = &[

@@ -306,3 +306,29 @@ fn unchecked_commits_are_skipped_with_a_note() {
     assert!(fix.skipped[0].contains("gone"));
     assert!(fix.is_clean());
 }
+
+#[test]
+fn elif_zero_arm_is_if_zero_on_both_sides() {
+    // A commit that edits only the body of an `#elif 0` arm, which is dead
+    // in every configuration: the classifier reads the arm's own literal
+    // zero, and the static side folds the arm's condition to
+    // constant-false. Both must name `#if 0`.
+    let mut tree = base_tree();
+    let guarded = |body: &str| {
+        format!("int base;\n#ifdef CONFIG_FULL\nint full_path;\n#elif 0\n{body}\n#endif\n")
+    };
+    tree.insert("lib/t.c", guarded("int dead_elif;"));
+    let mut repo = Repo::new();
+    let base = repo.commit(&[], "seed", "seed", &tree);
+    tree.insert("lib/t.c", guarded("int dead_elif2;"));
+    let c1 = repo.commit(&[base], "janitor", "edit the #elif 0 arm", &tree);
+    let run = run_on(&repo, &[c1], 1);
+    let report = remediate(&repo, &run);
+    let r = remediation_for(&report, 5);
+    assert_eq!(r.cause, "if-0");
+    assert_eq!(r.dynamic, "change under #if 0");
+    assert!(r.agrees, "{r:?}");
+    assert!(matches!(&r.remedy, Remedy::Unfixable { .. }));
+    assert!(report.disagreements.is_empty(), "{:?}", report.disagreements);
+    assert!(report.is_clean(), "clean run expected: {report:?}");
+}

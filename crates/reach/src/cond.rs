@@ -189,12 +189,14 @@ impl CondExpr {
         match self {
             CondExpr::Defined(name) if name == from => to.clone(),
             CondExpr::Not(e) => CondExpr::Not(Box::new(e.substitute(from, to))),
-            CondExpr::And(a, b) => {
-                CondExpr::And(Box::new(a.substitute(from, to)), Box::new(b.substitute(from, to)))
-            }
-            CondExpr::Or(a, b) => {
-                CondExpr::Or(Box::new(a.substitute(from, to)), Box::new(b.substitute(from, to)))
-            }
+            CondExpr::And(a, b) => CondExpr::And(
+                Box::new(a.substitute(from, to)),
+                Box::new(b.substitute(from, to)),
+            ),
+            CondExpr::Or(a, b) => CondExpr::Or(
+                Box::new(a.substitute(from, to)),
+                Box::new(b.substitute(from, to)),
+            ),
             other => other.clone(),
         }
     }
@@ -334,13 +336,17 @@ fn tokenize(expr: &str) -> Vec<Tok> {
                 // failures fall back to Unknown via Other.
                 let digits: String = n.chars().take_while(|c| c.is_ascii_digit()).collect();
                 match digits.parse::<i64>() {
-                    Ok(v) if digits.len() == n.len() || n.to_ascii_lowercase().ends_with(['l', 'u'])
-                        || n.to_ascii_lowercase().starts_with("0x") =>
+                    Ok(v)
+                        if digits.len() == n.len()
+                            || n.to_ascii_lowercase().ends_with(['l', 'u'])
+                            || n.to_ascii_lowercase().starts_with("0x") =>
                     {
                         // Hex re-parse for 0x forms.
                         if let Some(hex) = n.strip_prefix("0x").or_else(|| n.strip_prefix("0X")) {
-                            match i64::from_str_radix(hex.trim_end_matches(['u', 'U', 'l', 'L']), 16)
-                            {
+                            match i64::from_str_radix(
+                                hex.trim_end_matches(['u', 'U', 'l', 'L']),
+                                16,
+                            ) {
                                 Ok(h) => out.push(Tok::Int(h)),
                                 Err(_) => out.push(Tok::Other),
                             }
@@ -369,7 +375,10 @@ pub fn parse_if_expr(expr: &str) -> CondExpr {
     if toks.contains(&Tok::Other) {
         return CondExpr::Unknown;
     }
-    let mut p = Parser { toks: &toks, pos: 0 };
+    let mut p = Parser {
+        toks: &toks,
+        pos: 0,
+    };
     match p.parse_or() {
         Some(e) if p.pos == p.toks.len() => e,
         _ => CondExpr::Unknown,
@@ -436,7 +445,11 @@ impl Parser<'_> {
                 self.expect(&Tok::RParen)?;
                 Some(e)
             }
-            Tok::Int(v) => Some(if *v != 0 { CondExpr::True } else { CondExpr::False }),
+            Tok::Int(v) => Some(if *v != 0 {
+                CondExpr::True
+            } else {
+                CondExpr::False
+            }),
             Tok::Ident(id) if id == "defined" => {
                 // `defined(NAME)` or `defined NAME`.
                 if self.peek() == Some(&Tok::LParen) {
@@ -532,7 +545,10 @@ mod tests {
     fn module_macro_definedness() {
         let c = cfg(&[("E1000", Tristate::M)]);
         assert_eq!(CondExpr::defined("CONFIG_E1000").eval(&c), Truth::False);
-        assert_eq!(CondExpr::defined("CONFIG_E1000_MODULE").eval(&c), Truth::True);
+        assert_eq!(
+            CondExpr::defined("CONFIG_E1000_MODULE").eval(&c),
+            Truth::True
+        );
         assert_eq!(CondExpr::defined("__KERNEL__").eval(&c), Truth::True);
         assert_eq!(CondExpr::defined("MODULE").eval(&c), Truth::Unknown);
     }
@@ -540,7 +556,10 @@ mod tests {
     #[test]
     fn arithmetic_is_unknown() {
         assert_eq!(parse_if_expr("PAGE_SIZE > 4096"), CondExpr::Unknown);
-        assert_eq!(parse_if_expr("defined(CONFIG_A) && (X + 1)"), CondExpr::Unknown);
+        assert_eq!(
+            parse_if_expr("defined(CONFIG_A) && (X + 1)"),
+            CondExpr::Unknown
+        );
     }
 
     #[test]
@@ -556,7 +575,11 @@ mod tests {
     fn kleene_absorption_at_eval() {
         let e = parse_if_expr("FOO && !defined(CONFIG_A)");
         let c = cfg(&[("A", Tristate::Y)]);
-        assert_eq!(e.eval(&c), Truth::False, "decided right arm absorbs unknown");
+        assert_eq!(
+            e.eval(&c),
+            Truth::False,
+            "decided right arm absorbs unknown"
+        );
         let c2 = cfg(&[]);
         assert_eq!(e.eval(&c2), Truth::Unknown);
     }
@@ -567,10 +590,12 @@ mod tests {
         let mut atoms = BTreeSet::new();
         e.atoms(&mut atoms);
         assert_eq!(atoms.len(), 2);
-        let assign: std::collections::BTreeMap<String, bool> =
-            [("CONFIG_A".to_string(), false), ("CONFIG_B".to_string(), true)]
-                .into_iter()
-                .collect();
+        let assign: std::collections::BTreeMap<String, bool> = [
+            ("CONFIG_A".to_string(), false),
+            ("CONFIG_B".to_string(), true),
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(e.eval_assignment(&assign), Truth::True);
     }
 

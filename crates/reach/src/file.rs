@@ -1,21 +1,23 @@
-//! Per-file presence conditions: a symbolic walk over the conditional
-//! structure of one source file.
+//! Per-file presence conditions: the symbolic reading of one source
+//! file's conditional structure.
 //!
-//! The walk mirrors `jmake_cpp::cond::CondStack` — same logical-line
-//! stream (`logical_lines`, phases 2 and 3), same `#if`/`#ifdef`/
-//! `#elif`/`#else`/`#endif` branch bookkeeping — but instead of deciding
-//! each branch against one concrete macro table it keeps the conditions
-//! symbolic: every physical line gets the conjunction of the branch
-//! conditions that must hold for the preprocessor to emit (or even
-//! tokenize the body of) that line.
+//! The nesting comes from `jmake_cpp::cond::BranchTree`, built over the
+//! same logical-line stream the preprocessor reads (`logical_lines`,
+//! phases 2 and 3). Instead of deciding each arm against one concrete
+//! macro table, as `jmake_cpp::cond::CondStack` does, this module keeps
+//! the conditions symbolic: every physical line gets the conjunction of
+//! the arm conditions that must hold for the preprocessor to emit (or
+//! even tokenize the body of) that line.
 //!
-//! Directive lines themselves (`#if`, `#elif`, `#else`, `#endif`) are
-//! attributed to the *enclosing* region: the preprocessor reads them
-//! whenever their parent stack is active, regardless of which branch
-//! wins. That matches what the compiler "sees" and is the property the
-//! cross-check needs.
+//! Directive lines themselves are attributed to the *enclosing* region:
+//! an opener, `#elif` or `#else` gets its parent arm's condition and an
+//! `#endif` the condition of the arm open after it, because the
+//! preprocessor reads them whenever that region is active, regardless of
+//! which arm wins. That matches what the compiler "sees" and is the
+//! property the cross-check needs.
 
-use crate::cond::{parse_directive, parse_if_expr, CondExpr};
+use crate::cond::{parse_directive, CondExpr};
+use jmake_cpp::cond::{ArmId, ArmKind, BranchTree, LineSlot};
 use jmake_cpp::lines::{logical_lines, LogicalLine};
 
 /// An `#include` occurrence with the condition under which it fires.
@@ -40,110 +42,70 @@ pub struct FileAnalysis {
     /// fall back to a conservative classification for the whole file.
     pub balanced: bool,
     /// Detected include-guard macro, if the file has the classic
-    /// `#ifndef G` / `#define G` / … / `#endif` shape. The guard frame is
+    /// `#ifndef G` / `#define G` / … / `#endif` shape. The guard arm is
     /// already discharged to `True` in `conds`.
     pub guard: Option<String>,
-}
-
-/// One open conditional region during the walk.
-struct Frame {
-    /// Condition for the branch currently open: its own test conjoined
-    /// with the negation of every earlier branch in the chain.
-    cond: CondExpr,
-    /// Conjunction of negations of all branch tests so far — the premise
-    /// an `#elif`/`#else` inherits.
-    not_taken: CondExpr,
 }
 
 /// Analyze `src`, producing per-line presence conditions.
 pub fn analyze_file(src: &str) -> FileAnalysis {
     let lls = logical_lines(src);
-    let guard = detect_include_guard(&lls);
-    let total = src.lines().count().max(
-        lls.last().map(|l| l.last_line as usize).unwrap_or(0),
-    );
-    let mut conds = vec![CondExpr::True; total];
-    let mut includes = Vec::new();
-    let mut balanced = true;
+    let tree = BranchTree::build(&lls);
+    let guard = include_guard(&lls, &tree);
 
-    let mut stack: Vec<Frame> = Vec::new();
-    let stack_cond = |stack: &[Frame], depth: usize| -> CondExpr {
-        stack[..depth]
-            .iter()
-            .fold(CondExpr::True, |acc, f| acc.and(f.cond.clone()))
+    // Each arm's condition, in arm order so a parent's is ready before its
+    // children's: the parent's condition, the negations of the group's
+    // earlier tests, and the arm's own test (none for an `#else`).
+    // `untaken[a]` is the conjunction of those negations through arm `a`:
+    // the premise the group's next arm inherits. No arm means `true`.
+    let at = |conds: &[CondExpr], arm: Option<ArmId>| {
+        arm.map_or(CondExpr::True, |a| conds[a as usize].clone())
+    };
+    let arms = tree.arms();
+    let mut arm_conds: Vec<CondExpr> = Vec::with_capacity(arms.len());
+    let mut untaken: Vec<CondExpr> = Vec::with_capacity(arms.len());
+    for (id, arm) in arms.iter().enumerate() {
+        // An `#else` tests nothing, and a discharged include guard holds.
+        let test = if arm.kind == ArmKind::Else
+            || guard.as_ref().is_some_and(|(g, _)| *g as usize == id)
+        {
+            CondExpr::True
+        } else {
+            parse_directive(arm.kind.name(), &arm.operand).unwrap_or(CondExpr::Unknown)
+        };
+        let earlier = at(&untaken, arm.prev);
+        untaken.push(earlier.clone().and(test.clone().negate()));
+        arm_conds.push(at(&arm_conds, arm.parent).and(earlier.and(test)));
+    }
+    let line_cond = |line: u32| match tree.slot(line) {
+        LineSlot::Outside(_) => CondExpr::True,
+        LineSlot::Opens(a) => at(&arm_conds, tree.arm(a).parent),
+        LineSlot::Closes(a) | LineSlot::Body(a) => at(&arm_conds, a),
     };
 
-    for (idx, ll) in lls.iter().enumerate() {
-        let mut line_cond = stack_cond(&stack, stack.len());
-        if let Some((name, rest)) = ll.directive() {
-            match name {
-                "if" | "ifdef" | "ifndef" => {
-                    // The opener is read whenever the *outer* region is
-                    // active — which is the current full stack.
-                    let mut test = parse_directive(name, rest).unwrap_or(CondExpr::Unknown);
-                    if guard.as_deref().is_some_and(|g| is_guard_opener(&lls, idx, g)) {
-                        test = CondExpr::True;
-                    }
-                    stack.push(Frame {
-                        not_taken: test.clone().negate(),
-                        cond: test,
-                    });
-                }
-                "elif" => match stack.pop() {
-                    Some(frame) => {
-                        line_cond = stack_cond(&stack, stack.len());
-                        let test = parse_if_expr(rest);
-                        stack.push(Frame {
-                            cond: frame.not_taken.clone().and(test.clone()),
-                            not_taken: frame.not_taken.and(test.negate()),
-                        });
-                    }
-                    None => balanced = false,
-                },
-                "else" => match stack.pop() {
-                    Some(frame) => {
-                        line_cond = stack_cond(&stack, stack.len());
-                        stack.push(Frame {
-                            cond: frame.not_taken.clone(),
-                            not_taken: frame.not_taken.and(CondExpr::False),
-                        });
-                    }
-                    None => balanced = false,
-                },
-                "endif" => {
-                    if stack.pop().is_none() {
-                        balanced = false;
-                    }
-                    line_cond = stack_cond(&stack, stack.len());
-                }
-                "include" => {
-                    if let Some(inc) = parse_include(rest) {
-                        includes.push(IncludeRef {
-                            path: inc.0,
-                            quoted: inc.1,
-                            cond: line_cond.clone(),
-                        });
-                    }
-                }
-                _ => {}
+    let last = lls.last().map_or(0, |l| l.last_line as usize);
+    let total = src.lines().count().max(last);
+    let conds = (1..=total as u32).map(line_cond).collect();
+    let includes = lls
+        .iter()
+        .filter_map(|ll| match ll.directive() {
+            Some(("include", rest)) => {
+                let (path, quoted) = parse_include(rest)?;
+                Some(IncludeRef {
+                    path,
+                    quoted,
+                    cond: line_cond(ll.first_line),
+                })
             }
-        }
-        for phys in ll.first_line..=ll.last_line {
-            let i = phys as usize - 1;
-            if i < conds.len() {
-                conds[i] = line_cond.clone();
-            }
-        }
-    }
-    if !stack.is_empty() {
-        balanced = false;
-    }
+            _ => None,
+        })
+        .collect();
 
     FileAnalysis {
         conds,
         includes,
-        balanced,
-        guard,
+        balanced: tree.balanced(),
+        guard: guard.map(|(_, g)| g),
     }
 }
 
@@ -161,59 +123,28 @@ fn parse_include(rest: &str) -> Option<(String, bool)> {
     None
 }
 
-/// Is logical line `idx` the opener of the detected include guard? The
-/// guard's `#ifndef` is the first non-blank logical line.
-fn is_guard_opener(lls: &[LogicalLine], idx: usize, guard: &str) -> bool {
-    let first = lls.iter().position(|l| !l.is_blank());
-    first == Some(idx)
-        && lls[idx]
-            .directive()
-            .is_some_and(|(n, r)| n == "ifndef" && r.split_whitespace().next() == Some(guard))
-}
-
-/// Detect the classic include-guard shape: the first non-blank logical
-/// line is `#ifndef G`, the second is `#define G`, and the matching
-/// `#endif` is the last non-blank logical line. Inside one translation
-/// unit's first inclusion the guard test is vacuously true, so the frame
+/// The classic include guard and the arm it opens: the first non-blank
+/// logical line opens `#ifndef G`, the second is `#define G`, and only
+/// blank lines follow that group's `#endif`. Inside one translation
+/// unit's first inclusion the guard test is vacuously true, so the arm
 /// can be discharged.
-fn detect_include_guard(lls: &[LogicalLine]) -> Option<String> {
-    let mut nonblank = lls.iter().enumerate().filter(|(_, l)| !l.is_blank());
-    let (open_idx, first) = nonblank.next()?;
-    let (_, second) = nonblank.next()?;
-    let (n1, r1) = first.directive()?;
-    if n1 != "ifndef" {
+fn include_guard(lls: &[LogicalLine], tree: &BranchTree) -> Option<(ArmId, String)> {
+    let mut nonblank = lls.iter().filter(|l| !l.is_blank());
+    // Nothing is open before the first non-blank line, so an arm open
+    // after it is one it opened.
+    let id = tree.slot(nonblank.next()?.first_line).arm()?;
+    let arm = tree.arm(id);
+    let guard = arm.operand.split_whitespace().next()?;
+    let (name, rest) = nonblank.next()?.directive()?;
+    let defines = name == "define" && rest.split_whitespace().next() == Some(guard);
+    if arm.kind != ArmKind::Ifndef || !defines {
         return None;
     }
-    let guard = r1.split_whitespace().next()?.to_string();
-    let (n2, r2) = second.directive()?;
-    if n2 != "define" || r2.split_whitespace().next() != Some(guard.as_str()) {
-        return None;
-    }
-    // Find where the guard frame closes and make sure nothing non-blank
-    // follows.
-    let mut depth = 0usize;
-    for (idx, ll) in lls.iter().enumerate() {
-        if idx < open_idx {
-            continue;
-        }
-        if let Some((name, _)) = ll.directive() {
-            match name {
-                "if" | "ifdef" | "ifndef" => depth += 1,
-                "endif" => {
-                    depth = depth.checked_sub(1)?;
-                    if depth == 0 {
-                        return if lls[idx + 1..].iter().all(|l| l.is_blank()) {
-                            Some(guard)
-                        } else {
-                            None
-                        };
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    None
+    let endif = tree.endif(arm.group)?;
+    lls[endif + 1..]
+        .iter()
+        .all(LogicalLine::is_blank)
+        .then(|| (id, guard.to_string()))
 }
 
 #[cfg(test)]

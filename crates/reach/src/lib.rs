@@ -460,9 +460,7 @@ impl<'t> Reach<'t> {
                         continue;
                     }
                     for arch in &arches {
-                        if let Some(r) =
-                            self.resolve_include(path, &inc.path, inc.quoted, arch)
-                        {
+                        if let Some(r) = self.resolve_include(path, &inc.path, inc.quoted, arch) {
                             out.insert(r);
                         }
                     }
@@ -479,8 +477,7 @@ impl<'t> Reach<'t> {
                 continue;
             }
             let fa = &fas[path];
-            let fr =
-                self.classify_file(path, fa, &included, &maybe_included, &mut solver_memo);
+            let fr = self.classify_file(path, fa, &included, &maybe_included, &mut solver_memo);
             files.insert(path.clone(), fr);
         }
         TreeReach {
@@ -565,16 +562,17 @@ impl<'t> Reach<'t> {
     ) -> FileReach {
         let conservative = || FileReach {
             path: path.to_string(),
-            classes: vec![
-                ReachClass::ConditionallyReachable { witness: None };
-                fa.conds.len()
-            ],
+            classes: vec![ReachClass::ConditionallyReachable { witness: None }; fa.conds.len()],
         };
         if !fa.balanced {
             return conservative();
         }
         let is_c = path.ends_with(".c");
-        let chain = if is_c { self.chain_of(path) } else { Chain::Complex };
+        let chain = if is_c {
+            self.chain_of(path)
+        } else {
+            Chain::Complex
+        };
         if is_c && matches!(chain, Chain::Never) {
             // The Makefile chain contains an unconditional dead guard
             // (`obj-n`/never-descended directory): the build system never
@@ -639,8 +637,7 @@ impl<'t> Reach<'t> {
     ) -> bool {
         let env = &self.envs[env_idx];
         let file_open = if is_c {
-            self.graph.gating_value(path, &env.config).enabled()
-                || included[env_idx].contains(path)
+            self.graph.gating_value(path, &env.config).enabled() || included[env_idx].contains(path)
         } else {
             included[env_idx].contains(path)
         };
@@ -735,7 +732,13 @@ impl<'t> Reach<'t> {
             }
             viable += 1;
             match self.try_assignment(
-                path, cond, &assign, chain_vars, model_idx, model, solver_memo,
+                path,
+                cond,
+                &assign,
+                chain_vars,
+                model_idx,
+                model,
+                solver_memo,
             ) {
                 Attempt::Witness(pins) => {
                     return ReachClass::ConditionallyReachable {
@@ -1056,7 +1059,11 @@ mod tests {
         let tr = reach_over(&t, demo_model());
         let main = &tr.files["kernel/main.c"];
         assert_eq!(main.class(2), Some(&ReachClass::AllyesReachable));
-        assert_eq!(main.class(4), Some(&ReachClass::AllyesReachable), "NET=y under allyes");
+        assert_eq!(
+            main.class(4),
+            Some(&ReachClass::AllyesReachable),
+            "NET=y under allyes"
+        );
     }
 
     #[test]
@@ -1092,7 +1099,11 @@ mod tests {
         // `#ifdef MODULE` in an obj-$(CONFIG_E1000) file: true exactly
         // when E1000 is built as a module.
         let c = r.line_condition("drivers/e1000.c", 3).unwrap();
-        assert_eq!(c.eval(&allyes), Truth::False, "builtin build defines no MODULE");
+        assert_eq!(
+            c.eval(&allyes),
+            Truth::False,
+            "builtin build defines no MODULE"
+        );
         assert_eq!(c.eval(&allmod), Truth::True, "E1000=m build defines MODULE");
     }
 
@@ -1309,10 +1320,7 @@ mod tests {
     #[test]
     fn unknown_macro_guard_stays_conservative() {
         let mut t = demo_tree();
-        t.insert(
-            "kernel/main.c",
-            "#if WEIRD_MACRO > 3\nint weird;\n#endif\n",
-        );
+        t.insert("kernel/main.c", "#if WEIRD_MACRO > 3\nint weird;\n#endif\n");
         let tr = reach_over(&t, demo_model());
         let main = &tr.files["kernel/main.c"];
         assert_eq!(

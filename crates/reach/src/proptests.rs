@@ -183,6 +183,28 @@ proptest! {
     }
 }
 
+proptest! {
+    /// An include guard is discharged, not conjoined: wrapping a balanced
+    /// nest in `#ifndef G` / `#define G` … `#endif` plus trailing blank
+    /// lines leaves every body line's condition exactly as it was, and
+    /// the guard's own lines unconditional.
+    #[test]
+    fn guarded_file_equivalent_to_its_body(src in source(), blanks in 0usize..3) {
+        let wrapped = format!("#ifndef BODY_H\n#define BODY_H\n{src}#endif\n{}", "\n".repeat(blanks));
+        let body = analyze_file(&src);
+        let fa = analyze_file(&wrapped);
+        prop_assert_eq!(fa.guard.as_deref(), Some("BODY_H"), "{}", wrapped);
+        prop_assert!(fa.balanced);
+        let n = body.conds.len();
+        prop_assert_eq!(&fa.conds[2..2 + n], &body.conds[..], "{}", wrapped);
+        for (i, c) in fa.conds.iter().enumerate() {
+            if !(2..2 + n).contains(&i) {
+                prop_assert_eq!(c, &crate::cond::CondExpr::True, "line {} of:\n{}", i + 1, wrapped);
+            }
+        }
+    }
+}
+
 /// `int mk<N>q;` → `mk<N>q`.
 fn marker_name(line: &str) -> Option<&str> {
     let rest = line.strip_prefix("int mk")?;

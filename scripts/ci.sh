@@ -36,12 +36,15 @@ cargo test --workspace -q
 echo "==> equivalence properties at 5,000 cases (release)"
 # The workspace run above gives each property 64 cases. The copy-on-write
 # macro table, the byte-level preprocessor kernels (lex, logical_lines,
-# comment_scan, validate) and the worklist Kconfig lints replace simpler
-# code whose results they must reproduce exactly, so their equivalence
-# properties (against a plain map model, the char-level kernels kept as
-# test references, and the old round-by-round fixed points) get a deeper
-# run here.
-PROPTEST_CASES=5000 cargo test --release -q -p jmake-cpp -p jmake-kconfig equivalent
+# comment_scan, validate, directive), the worklist Kconfig lints and the
+# readers of the conditional branch tree (classifier, precheck, presence
+# conditions) replace simpler code whose results they must reproduce
+# exactly, so their equivalence properties (against a plain map model,
+# the char-level kernels and the directive-stack walks kept as test
+# references, and the old round-by-round fixed points) get a deeper run
+# here.
+PROPTEST_CASES=5000 cargo test --release -q -p jmake-cpp -p jmake-kconfig \
+  -p jmake-core -p jmake-reach equivalent
 
 echo "==> benchmark smoke test (benchmark/ builds against the crates' current API)"
 # benchmark/ is its own Cargo workspace, so the workspace build above does
@@ -49,10 +52,10 @@ echo "==> benchmark smoke test (benchmark/ builds against the crates' current AP
 # fails here instead of on the next benchmark run.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo fmt --check (jmake-cpp)"
+echo "==> cargo fmt --check (jmake-cpp, jmake-core, jmake-reach)"
 # The crates that are rustfmt-clean stay that way; the rest of the
 # workspace is not formatted yet, so the check is per crate.
-cargo fmt -p jmake-cpp -- --check
+cargo fmt -p jmake-cpp -p jmake-core -p jmake-reach -- --check
 
 echo "==> cargo clippy --all-targets -- -D warnings (workspace)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone \
