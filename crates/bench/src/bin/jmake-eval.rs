@@ -86,7 +86,8 @@
 //! With `--reach`/`--cross-check`/`--fix`/`--portfolio` and no explicit
 //! table command, the tables are suppressed so stdout is pure JSON (pipe
 //! into a file and `diff` across worker counts / cache modes / disk-tier
-//! states — the bytes must match).
+//! states — the bytes must match). `--cross-check` and `--fix` read one
+//! replay of the run; with both, the cross-check report comes first.
 //!
 //! `trace-check` re-parses a `--trace` file, validates every line against
 //! the documented schema, and prints per-stage span counts. It exits
@@ -94,8 +95,9 @@
 //! ```
 
 use jmake_bench::{build_context_from_workload, render_command, render_portfolio_json};
-use jmake_core::DriverOptions;
+use jmake_core::{CrossCheckReport, DriverOptions, Oracle};
 use jmake_faults::{FaultSpec, Faults};
+use jmake_fix::FixReport;
 use jmake_kbuild::{BuildEngine, DiskCache, SourceTree};
 use jmake_reach::Reach;
 use jmake_synth::WorkloadProfile;
@@ -415,26 +417,29 @@ fn main() {
     if fault_spec.is_some() {
         eprintln!("fault recovery: {}", ctx.run.stats.faults);
     }
-    let fix_report = do_fix.then(|| {
+    // `--cross-check` and `--fix` read one replay of the run, whose views
+    // are solved on engines attached to the run's stores and tracer.
+    let mut cross_report = do_cross_check.then(CrossCheckReport::default);
+    let mut fix_report = do_fix.then(FixReport::default);
+    let mut oracles: Vec<&mut dyn Oracle> = Vec::new();
+    oracles.extend(cross_report.as_mut().map(|r| r as &mut dyn Oracle));
+    oracles.extend(fix_report.as_mut().map(|r| r as &mut dyn Oracle));
+    if !oracles.is_empty() {
         let fctx = jmake_fix::FixContext {
             configs: Arc::clone(&configs),
             objects: driver.object_cache_handle.clone(),
-            preproc: driver.preproc_cache_handle.clone(),
+            preproc: driver.preproc_cache_handle,
             tracer: tracer.clone(),
         };
-        let fix_started = std::time::Instant::now();
-        let fix = jmake_fix::remediate_with(&ctx.workload.repo, &ctx.run, &fctx);
-        jmake_fix::annotate_run(&mut ctx.run, &fix);
-        eprintln!(
-            "remediation finished in {:.1}s wall clock ({} missed line(s), {} delta(s) emitted, {} verified, {} unfixable)",
-            fix_started.elapsed().as_secs_f64(),
-            fix.missed,
-            fix.deltas_emitted,
-            fix.deltas_verified,
-            fix.unfixable,
-        );
-        fix
-    });
+        let replay_started = std::time::Instant::now();
+        let engine = |tree| fctx.engine(tree);
+        jmake_core::replay(&ctx.workload.repo, &ctx.run, &engine, &mut oracles);
+        let secs = replay_started.elapsed().as_secs_f64();
+        eprintln!("static replay finished in {secs:.1}s wall clock");
+    }
+    if let Some(fix) = &fix_report {
+        jmake_fix::annotate_run(&mut ctx.run, fix);
+    }
     if show_stats {
         eprint!("{}", ctx.run.render_stats());
     }
@@ -473,8 +478,7 @@ fn main() {
             }
         }
     }
-    if do_cross_check {
-        let report = jmake_core::cross_check(&ctx.workload.repo, &ctx.run);
+    if let Some(report) = &cross_report {
         print!("{}", report.to_json());
         if !report.is_clean() {
             eprintln!(

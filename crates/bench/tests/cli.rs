@@ -85,6 +85,24 @@ fn bench_json_is_gone() {
     assert!(out.stdout.is_empty(), "a usage error must not run anything");
 }
 
+#[test]
+fn both_oracles_print_what_each_prints_alone() {
+    let run = |flags: &[&str]| {
+        let mut args = vec!["--commits", "120", "--workers", "2"];
+        args.extend_from_slice(flags);
+        let out = jmake_eval(&args);
+        assert_eq!(out.status.code(), Some(0), "{flags:?}: {}", stderr(&out));
+        out.stdout
+    };
+    let mut apart = run(&["--cross-check"]);
+    apart.extend(run(&["--fix"]));
+    assert!(!apart.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&run(&["--cross-check", "--fix"])),
+        String::from_utf8_lossy(&apart)
+    );
+}
+
 /// The `--stats` summary's exact lines: the block under its
 /// `run work` header.
 fn work_lines(args: &[&str]) -> Vec<String> {
@@ -109,7 +127,10 @@ fn work_lines(args: &[&str]) -> Vec<String> {
 fn summary_work_lines_repeat_exactly_at_one_worker() {
     let args = ["--commits", "120", "--workers", "1", "--stats", "summary"];
     let first = work_lines(&args);
-    assert!(first.iter().any(|l| l.contains("config cache")), "{first:?}");
+    assert!(
+        first.iter().any(|l| l.contains("config cache")),
+        "{first:?}"
+    );
     assert_eq!(first, work_lines(&args));
 }
 
@@ -136,7 +157,10 @@ fn invocations_and_virtual_time_ignore_workers_and_caches() {
         "--stats",
         "summary",
     ]);
-    assert_eq!(one, uncached, "turning the caches off moved the virtual clock");
+    assert_eq!(
+        one, uncached,
+        "turning the caches off moved the virtual clock"
+    );
 }
 
 /// Two processes started together on one empty `--cache-dir` both load,

@@ -17,7 +17,10 @@ fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "jmake-disk-tier-{tag}-{}-{}",
         std::process::id(),
-        std::thread::current().name().unwrap_or("t").replace("::", "-"),
+        std::thread::current()
+            .name()
+            .unwrap_or("t")
+            .replace("::", "-"),
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -42,7 +45,10 @@ fn run(cache_dir: &PathBuf, workers: usize) -> (String, u64, DiskTierStats) {
     let loaded = disk
         .load(&objects, &configs, &preproc, &Faults::disabled())
         .unwrap();
-    assert_eq!(loaded.entries_quarantined, 0, "healthy tier, nothing quarantined");
+    assert_eq!(
+        loaded.entries_quarantined, 0,
+        "healthy tier, nothing quarantined"
+    );
     let driver = DriverOptions {
         workers,
         object_cache_handle: Some(Arc::clone(&objects)),
@@ -131,7 +137,10 @@ fn corrupting_every_entry_on_disk_changes_nothing_but_the_quarantine() {
         ..DriverOptions::default()
     };
     let report = render_command(&build_context_with_driver(&profile(), &driver), "all").unwrap();
-    assert_eq!(report, cold, "a fully-corrupt tier must degrade to a cold run");
+    assert_eq!(
+        report, cold,
+        "a fully-corrupt tier must degrade to a cold run"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

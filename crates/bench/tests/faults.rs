@@ -164,7 +164,10 @@ fn corrupted_cache_entries_are_quarantined_without_changing_reports() {
         "a rate-1.0 corrupt profile must detect at least one corruption"
     );
     assert!(run.stats.faults.quarantined_shards > 0);
-    assert_eq!(run.stats.object.corruptions_detected, run.stats.faults.corruptions_detected);
+    assert_eq!(
+        run.stats.object.corruptions_detected,
+        run.stats.faults.corruptions_detected
+    );
 }
 
 /// The issue's acceptance run: `--faults transient:0.5` over a

@@ -64,7 +64,10 @@ fn mutated_file_never_hits_a_stale_entry() {
 fn failed_preprocessing_is_cached_negatively() {
     let cache = Arc::new(ObjectCache::new());
     let mut tree = tiny_tree();
-    tree.insert("drivers/drv.c", "#error boom\nint drv_init(void) { return 0; }\n");
+    tree.insert(
+        "drivers/drv.c",
+        "#error boom\nint drv_init(void) { return 0; }\n",
+    );
     let mut engine = BuildEngine::new(tree.clone());
     engine.set_object_cache(Arc::clone(&cache));
     let cfg = engine.make_config("x86_64", &ConfigKind::AllYes).unwrap();

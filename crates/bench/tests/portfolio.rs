@@ -24,7 +24,10 @@ fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "jmake-portfolio-{tag}-{}-{}",
         std::process::id(),
-        std::thread::current().name().unwrap_or("t").replace("::", "-"),
+        std::thread::current()
+            .name()
+            .unwrap_or("t")
+            .replace("::", "-"),
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -35,12 +38,7 @@ fn tempdir(tag: &str) -> PathBuf {
 /// portfolio on the v4.4 tree, fan the chosen seeds out through the
 /// driver, and render the portfolio report. Returns the report bytes and
 /// the selection itself.
-fn run(
-    k: usize,
-    workers: usize,
-    caches: bool,
-    cache_dir: Option<&PathBuf>,
-) -> (String, Portfolio) {
+fn run(k: usize, workers: usize, caches: bool, cache_dir: Option<&PathBuf>) -> (String, Portfolio) {
     let workload = jmake_synth::generate(&profile());
     let tree = workload
         .repo

@@ -3,14 +3,14 @@
 
 use crate::archsel::{ArchSelector, Target};
 use crate::classify::{classify, detect_both_branches};
-use crate::crosscheck::{class_arch, line_shapes, token_region_line};
+use crate::crosscheck::{line_shapes, token_region_line};
 use crate::mutation::{mutate, MutationPlan};
+use crate::replay::{class_arch, ArchView};
 use crate::report::{FileReport, FileStatus, PatchReport, UncoveredMutation};
 use crate::token::{MutationKind, MutationToken};
-use jmake_cpp::analyze;
 use jmake_diff::{changed_lines, ChangeKind, Patch};
 use jmake_kbuild::{tree::file_name, BuildEngine, BuildError, ConfigKind, SourceTree};
-use jmake_reach::{Reach, ReachClass, TreeReach, Witness};
+use jmake_reach::{ReachClass, Witness};
 use jmake_trace::Stage;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -322,15 +322,16 @@ impl JMake {
     }
 
     /// §VII extension (DESIGN.md §12): for `.c` leftovers, try the
-    /// configurations reach witnesses name. Per file, the per-arch
-    /// analyzer `--fix` builds ([`Reach::add_arch`], arch chosen by
-    /// [`class_arch`]) classifies each leftover token's region; a
+    /// configurations reach witnesses name. Per file, the per-arch view
+    /// `--fix` reads ([`ArchView`], arch chosen by [`class_arch`])
+    /// classifies each leftover token's region; a
     /// conditionally-reachable region names either one of its
-    /// environments or solver pins, which [`Reach::witness_delta`]
-    /// minimizes into a `cover-…` configuration. Each distinct
-    /// configuration is tried once, in token order, until the file is
-    /// done. The analyzer solves its configurations on a scratch engine
-    /// sharing the config cache, so only the trials charge the clock.
+    /// environments or solver pins, which
+    /// [`witness_delta`](jmake_reach::Reach::witness_delta) minimizes
+    /// into a `cover-…` configuration. Each distinct configuration is
+    /// tried once, in token order, until the file is done. Each view
+    /// solves its configurations on a scratch engine sharing the config
+    /// cache, so only the trials charge the clock.
     #[allow(clippy::too_many_arguments)]
     fn coverage_phase(
         &self,
@@ -351,22 +352,19 @@ impl JMake {
             return;
         }
         let paths: Vec<String> = leftovers.iter().map(|&i| works[i].path.clone()).collect();
-        let mut scratch = match engine.shared_cache() {
-            Some(cache) => BuildEngine::with_shared_cache(base.clone(), Arc::clone(cache)),
-            None => BuildEngine::new(base.clone()),
-        };
-        let mut analyzers: BTreeMap<String, Option<(Reach<'_>, TreeReach)>> = BTreeMap::new();
+        let mut views: BTreeMap<String, Option<ArchView<'_>>> = BTreeMap::new();
         for i in leftovers {
             let Some(arch) = class_arch(&works[i].targets_tried) else {
                 continue;
             };
-            let analyzer = analyzers.entry(arch.clone()).or_insert_with(|| {
-                let mut reach = Reach::new(base);
-                reach.add_arch(&mut scratch, &arch).ok()?;
-                let classes = reach.analyze_files(&paths);
-                Some((reach, classes))
+            let view = views.entry(arch.clone()).or_insert_with(|| {
+                let scratch = match engine.shared_cache() {
+                    Some(cache) => BuildEngine::with_shared_cache(base.clone(), Arc::clone(cache)),
+                    None => BuildEngine::new(base.clone()),
+                };
+                ArchView::build(base, &arch, scratch, &paths).ok()
             });
-            let Some((reach, classes)) = analyzer else {
+            let Some(view) = view else {
                 continue;
             };
             let path = works[i].path.clone();
@@ -381,14 +379,14 @@ impl JMake {
                 };
                 let Some(ReachClass::ConditionallyReachable {
                     witness: Some(witness),
-                }) = classes.files.get(&path).and_then(|f| f.class(region))
+                }) = view.classes.files.get(&path).and_then(|f| f.class(region))
                 else {
                     continue;
                 };
                 let kind = match witness {
                     Witness::Env(label) if label.ends_with("-allmod") => ConfigKind::AllMod,
                     Witness::Env(_) => ConfigKind::AllYes,
-                    Witness::Pins(pins) => match reach.witness_delta(&path, region, pins) {
+                    Witness::Pins(pins) => match view.reach.witness_delta(&path, region, pins) {
                         Ok(delta) => cover_config(delta.config.render()),
                         Err(_) => continue,
                     },
@@ -651,10 +649,7 @@ impl JMake {
         works
             .into_iter()
             .map(|w| {
-                // Borrow the file body straight out of the tree: cloning it
-                // here used to copy every changed file once per report.
-                let content = base.get(&w.path).unwrap_or_default();
-                let map = analyze(content);
+                let map = &w.plan.map;
                 let uncovered: Vec<UncoveredMutation> = w
                     .remaining
                     .iter()
@@ -667,7 +662,7 @@ impl JMake {
                                 } else {
                                     true
                                 };
-                                classify(tok, &map, &cfg.model, dead, &cfg.config, macro_expanded)
+                                classify(tok, map, &cfg.model, dead, &cfg.config, macro_expanded)
                             }
                             _ => crate::classify::UncoveredReason::Unknown,
                         };
@@ -683,7 +678,7 @@ impl JMake {
                 // mutation, not just the leftover ones.
                 let both_branches = {
                     let refs: Vec<&MutationToken> = w.plan.mutations.iter().collect();
-                    !w.remaining.is_empty() && detect_both_branches(&map, &refs)
+                    !w.remaining.is_empty() && detect_both_branches(map, &refs)
                 };
                 let status = if w.bootstrap {
                     FileStatus::Bootstrap

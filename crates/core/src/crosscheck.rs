@@ -38,15 +38,15 @@
 //! wall-clock — byte-identical across worker counts and cache modes.
 
 use crate::driver::EvaluationRun;
+use crate::replay::{json_objects, json_strings, replay, ArchView, Oracle, Replayed};
 use crate::report::{FileReport, FileStatus};
 use crate::token::MutationKind;
 use jmake_cpp::lines::logical_lines;
-use jmake_kbuild::{BuildEngine, ConfigCache, ObjGraph, SourceTree};
-use jmake_kconfig::Config;
-use jmake_reach::{Reach, ReachClass, TreeReach};
+use jmake_kbuild::{BuildEngine, ConfigCache};
+use jmake_reach::ReachClass;
 use jmake_trace::jsonl::escape;
 use jmake_vcs::Repo;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which way the two sides disagreed.
@@ -131,153 +131,58 @@ impl CrossCheckReport {
             self.dead_agreed,
             self.allyes_agreed
         ));
-        out.push_str("  \"skipped\": [");
-        for (i, s) in self.skipped.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", escape(s)));
-        }
-        out.push_str("],\n  \"discrepancies\": [");
-        for (i, d) in self.discrepancies.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            out.push_str(&format!(
-                "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"kind\": \"{}\", \"arch\": \"{}\", \"static\": \"{}\", \"dynamic\": \"{}\"}}",
-                escape(&d.commit),
-                escape(&d.file),
-                d.line,
-                escape(d.kind.label()),
-                escape(&d.arch),
-                escape(&d.static_detail),
-                escape(&d.dynamic_detail)
-            ));
-        }
-        if !self.discrepancies.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
+        let discrepancies = self.discrepancies.iter().map(|d| format!(
+            "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"kind\": \"{}\", \"arch\": \"{}\", \"static\": \"{}\", \"dynamic\": \"{}\"}}",
+            escape(&d.commit),
+            escape(&d.file),
+            d.line,
+            escape(d.kind.label()),
+            escape(&d.arch),
+            escape(&d.static_detail),
+            escape(&d.dynamic_detail)
+        ));
+        out.push_str(&format!(
+            "  \"skipped\": {},\n  \"discrepancies\": {}\n}}\n",
+            json_strings(&self.skipped),
+            json_objects(discrepancies)
+        ));
         out
     }
 }
 
 /// Replay `run` against the static analyzer and report disagreements.
-///
-/// Each checked commit's tree is re-checked-out from `repo`; for every
-/// architecture the dynamic side used (certifying targets plus any
-/// attempted allyesconfig), an `allyes`/`allmod` environment pair is
-/// solved — through a shared [`ConfigCache`], so the work is paid once
-/// per distinct Kconfig fingerprint, not once per commit — and the
-/// patch's files are classified with [`Reach::analyze_files`].
+/// The [`replay`]'s views solve their configurations through one shared
+/// [`ConfigCache`], so each distinct Kconfig fingerprint is solved once
+/// per run, not once per commit.
 pub fn cross_check(repo: &Repo, run: &EvaluationRun) -> CrossCheckReport {
-    let mut out = CrossCheckReport::default();
     let cache = Arc::new(ConfigCache::new());
-    for result in &run.results {
-        let commit = result.commit.to_string();
-        let Some(report) = result.report() else {
-            let why = result.outcome.failure().unwrap_or("not checked");
-            out.skipped.push(format!("{commit}: {why}"));
-            continue;
-        };
-        out.patches += 1;
-        let tree = match repo.checkout(result.commit) {
-            Ok(t) => t,
-            Err(e) => {
-                out.skipped
-                    .push(format!("{commit}: re-checkout failed: {e}"));
-                continue;
-            }
-        };
-        let arches = arches_used(&report.files);
-        let statics = solve_arches(&tree, &arches, &report.files, &cache, &commit, &mut out);
-        let graph = ObjGraph::new(&tree);
-        for file in &report.files {
-            out.files += 1;
-            out.tokens += file.covered.len() + file.uncovered.len();
-            let shapes = line_shapes(tree.get(&file.path).unwrap_or(""));
-            check_file(file, &commit, &statics, &graph, &shapes, &mut out);
-        }
-    }
+    let engine = |tree| BuildEngine::with_shared_cache(tree, Arc::clone(&cache));
+    let mut out = CrossCheckReport::default();
+    replay(repo, run, &engine, &mut [&mut out]);
     out
 }
 
-/// Per-arch static context: the classified files plus the solved
-/// allyesconfig (for the Kbuild gate test of rule 2).
-struct ArchStatic {
-    reach: TreeReach,
-    allyes: Config,
-}
-
-/// Architectures the dynamic side exercised: every certifying target's
-/// arch plus every arch whose allyesconfig was at least attempted.
-pub fn arches_used(files: &[FileReport]) -> BTreeSet<String> {
-    let mut arches = BTreeSet::new();
-    for f in files {
-        for (_, desc) in &f.covered {
-            if let Some((arch, _)) = desc.split_once('/') {
-                arches.insert(arch.to_string());
-            }
-        }
-        for desc in &f.targets_tried {
-            if let Some(arch) = desc.strip_suffix("/allyesconfig") {
-                arches.insert(arch.to_string());
-            }
+impl Oracle for CrossCheckReport {
+    fn visit(&mut self, commit: &mut Replayed<'_>) {
+        for file in commit.files {
+            self.files += 1;
+            self.tokens += file.covered.len() + file.uncovered.len();
+            let shapes = line_shapes(commit.tree.get(&file.path).unwrap_or(""));
+            check_file(file, commit.commit, &commit.views, &shapes, self);
         }
     }
-    arches
-}
 
-/// The architecture whose model classifies a file's misses: the same
-/// environment the dynamic classifier used — `x86_64` when the file was
-/// tried there, else the first architecture it was tried on (`None` when
-/// it never was). `targets_tried` holds `arch/kind` descriptions.
-pub fn class_arch(targets_tried: &[String]) -> Option<String> {
-    let mut first = None;
-    for (arch, _) in targets_tried.iter().filter_map(|d| d.split_once('/')) {
-        if arch == "x86_64" {
-            return Some(arch.to_string());
-        }
-        first.get_or_insert(arch);
+    fn close(&mut self, patches: usize, skipped: &[String]) {
+        self.patches = patches;
+        self.skipped = skipped.to_vec();
     }
-    first.map(str::to_string)
-}
-
-/// Solve allyes/allmod for each arch and classify the patch's files.
-/// Architectures that cannot be solved (missing cross-compiler in a
-/// stripped-down registry, say) are recorded in `skipped` and simply
-/// absent from the map — rules needing them stay silent.
-fn solve_arches(
-    tree: &SourceTree,
-    arches: &BTreeSet<String>,
-    files: &[FileReport],
-    cache: &Arc<ConfigCache>,
-    commit: &str,
-    out: &mut CrossCheckReport,
-) -> BTreeMap<String, ArchStatic> {
-    let paths: Vec<String> = files.iter().map(|f| f.path.clone()).collect();
-    let mut statics = BTreeMap::new();
-    for arch in arches {
-        let mut engine = BuildEngine::with_shared_cache(tree.clone(), Arc::clone(cache));
-        let mut reach = Reach::new(tree);
-        match reach.add_arch(&mut engine, arch) {
-            Ok(allyes) => {
-                let st = ArchStatic {
-                    reach: reach.analyze_files(&paths),
-                    allyes: allyes.config.clone(),
-                };
-                statics.insert(arch.clone(), st);
-            }
-            Err(e) => out.skipped.push(format!("{commit}: {arch}: {e}")),
-        }
-    }
-    statics
 }
 
 /// Apply both rules to one file report.
 fn check_file(
     file: &FileReport,
     commit: &str,
-    statics: &BTreeMap<String, ArchStatic>,
-    graph: &ObjGraph<'_>,
+    views: &BTreeMap<String, ArchView<'_>>,
     shapes: &BTreeMap<u32, LineShape>,
     out: &mut CrossCheckReport,
 ) {
@@ -286,10 +191,10 @@ fn check_file(
         let Some((arch, _)) = desc.split_once('/') else {
             continue;
         };
-        let Some(st) = statics.get(arch) else {
+        let Some(view) = views.get(arch) else {
             continue;
         };
-        let Some(class) = token_class(st.reach.files.get(&file.path), shapes, tok.line) else {
+        let Some(class) = token_class(view.classes.files.get(&file.path), shapes, tok.line) else {
             continue;
         };
         match class {
@@ -332,15 +237,16 @@ fn check_file(
             let Some(arch) = desc.strip_suffix("/allyesconfig") else {
                 continue;
             };
-            let Some(st) = statics.get(arch) else {
+            let Some(view) = views.get(arch) else {
                 continue;
             };
-            let Some(class) = token_class(st.reach.files.get(&file.path), shapes, tok.line) else {
+            let Some(class) = token_class(view.classes.files.get(&file.path), shapes, tok.line)
+            else {
                 continue;
             };
             match class {
                 ReachClass::AllyesReachable
-                    if graph.gating_value(&file.path, &st.allyes).enabled() =>
+                    if view.reach.gate_enabled(&file.path, &view.allyes.config) =>
                 {
                     out.discrepancies.push(Discrepancy {
                         commit: commit.to_string(),
@@ -462,11 +368,12 @@ pub fn token_region_line(shapes: &BTreeMap<u32, LineShape>, line: u32) -> Option
 mod tests {
     use super::*;
     use crate::driver::{run_evaluation, DriverOptions};
+    use jmake_kbuild::SourceTree;
     use jmake_vcs::Repo;
 
-    /// A tiny repo: one commit planting a dead `#ifdef` block next to a
-    /// live edit, on a tree whose Kconfig declares a dead symbol.
-    fn planted_repo() -> (Repo, Vec<jmake_vcs::CommitId>) {
+    /// A repo whose one commit turns `lib/crc.c` from `before` into
+    /// `after`, on a tree whose Kconfig declares a dead symbol.
+    fn crc_commit(before: &str, after: &str) -> (Repo, Vec<jmake_vcs::CommitId>) {
         let mut tree = SourceTree::new();
         tree.insert(
             "Kconfig",
@@ -476,18 +383,24 @@ mod tests {
         tree.insert("arch/x86_64/Kconfig", "config X86_64\n\tdef_bool y\n");
         tree.insert("Makefile", "obj-y += lib/\n");
         tree.insert("lib/Makefile", "obj-$(CONFIG_CRC) += crc.o\n");
-        tree.insert("lib/crc.c", "int crc_base;\nint crc_step;\n");
+        tree.insert("lib/crc.c", before);
 
         let mut repo = Repo::new();
         let base = repo.commit(&[], "seed", "seed", &tree);
         let mut t2 = tree.clone();
-        t2.insert(
-            "lib/crc.c",
+        t2.insert("lib/crc.c", after);
+        let c1 = repo.commit(&[base], "janitor", "edit crc.c", &t2);
+        (repo, vec![c1])
+    }
+
+    /// A tiny repo: one commit planting a dead `#ifdef` block next to a
+    /// live edit.
+    fn planted_repo() -> (Repo, Vec<jmake_vcs::CommitId>) {
+        crc_commit(
+            "int crc_base;\nint crc_step;\n",
             "int crc_base;\nint crc_step2;\n\
              #ifdef CONFIG_DEAD_OPTION\nint planted_dead;\n#endif\n",
-        );
-        let c1 = repo.commit(&[base], "janitor", "plant dead block", &t2);
-        (repo, vec![c1])
+        )
     }
 
     fn run_on(repo: &Repo, commits: &[jmake_vcs::CommitId]) -> EvaluationRun {
@@ -602,6 +515,23 @@ mod tests {
             .discrepancies
             .iter()
             .any(|d| d.kind == DiscrepancyKind::AllyesButMissed && d.line == 2));
+    }
+
+    #[test]
+    fn token_before_a_lone_splice_line_is_read_in_its_arm() {
+        // The commit renames the guard of a block whose first body line
+        // is a lone `\`. The token lands after the `#ifdef`, in the dead
+        // arm, just before the `\` line that is its region line; the
+        // static side must read that line under the arm, not as `true`.
+        let block =
+            |guard: &str| format!("int crc_base;\n#ifdef {guard}\n\\\nint hidden;\n#endif\n");
+        let (repo, commits) = crc_commit(&block("CONFIG_NOWHERE"), &block("CONFIG_NOWHERE2"));
+        let run = run_on(&repo, &commits);
+        assert_eq!(run.stats.checked, 1);
+        let cc = cross_check(&repo, &run);
+        assert!(cc.is_clean(), "{}", cc.to_json());
+        assert_eq!(cc.tokens, 1, "{cc:?}");
+        assert_eq!(cc.dead_agreed, 1, "{cc:?}");
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod crosscheck;
 pub mod driver;
 pub mod mutation;
 pub mod precheck;
+pub mod replay;
 pub mod report;
 pub mod stats;
 pub mod token;
@@ -67,14 +68,17 @@ pub use check::{JMake, Options};
 pub use classify::UncoveredReason;
 pub use covsel::{select_portfolio, Portfolio, PortfolioMember};
 pub use crosscheck::{
-    arches_used, class_arch, cross_check, line_shapes, token_class, token_region_line,
-    CrossCheckReport, Discrepancy, DiscrepancyKind, LineShape,
+    cross_check, line_shapes, token_class, token_region_line, CrossCheckReport, Discrepancy,
+    DiscrepancyKind, LineShape,
 };
 pub use driver::{
     run_evaluation, DriverOptions, DriverStats, EvaluationRun, PatchOutcome, PatchResult,
 };
 pub use mutation::{mutate, mutate_naive, MutationPlan};
 pub use precheck::{precheck, PrecheckKind, PrecheckWarning};
+pub use replay::{
+    arches_used, class_arch, json_objects, json_strings, replay, ArchView, Oracle, Replayed,
+};
 pub use report::{FileReport, FileStatus, PatchKind, PatchReport, UncoveredMutation};
 pub use stats::{Histogram, SliceStats};
 pub use token::{MutationKind, MutationToken, MUTATION_GLYPH};

@@ -14,7 +14,7 @@
 //!    inside a comment that ends on it.
 
 use crate::token::{MutationKind, MutationToken};
-use jmake_cpp::analyze;
+use jmake_cpp::{analyze, SourceMap};
 use jmake_diff::{ChangedLine, ChangedLines};
 use std::collections::BTreeMap;
 
@@ -31,6 +31,9 @@ pub struct MutationPlan {
     /// Changed lines that sat entirely in comments (tracked for
     /// reporting; they need no compilation evidence).
     pub comment_lines: Vec<u32>,
+    /// The lexical map of the unmutated content the plan was made from;
+    /// the classifier reads it for the tokens no trial certified.
+    pub map: SourceMap,
 }
 
 impl MutationPlan {
@@ -197,6 +200,7 @@ pub fn mutate(file: &str, content: &str, changed: &ChangedLines) -> MutationPlan
     plan.comment_lines.sort_unstable();
     plan.comment_lines.dedup();
     plan.mutated = apply_insertions(content, insertions);
+    plan.map = map;
     plan
 }
 
@@ -257,6 +261,7 @@ pub fn mutate_naive(file: &str, content: &str, changed: &ChangedLines) -> Mutati
     plan.mutations.sort();
     plan.mutations.dedup();
     plan.mutated = apply_insertions(content, insertions);
+    plan.map = map;
     plan
 }
 

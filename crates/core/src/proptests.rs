@@ -498,7 +498,15 @@ mod reference {
                 .fold(CondExpr::True, |acc, f| acc.and(f.cond.clone()))
         };
 
+        // Lines in no logical line (a lone `\` spliced onto the next one,
+        // or a line past the last) take the condition of the stack open
+        // after the logical lines before them.
+        let mut next_line = 1;
         for (idx, ll) in lls.iter().enumerate() {
+            for phys in next_line..ll.first_line {
+                conds[phys as usize - 1] = stack_cond(&stack, stack.len());
+            }
+            next_line = ll.last_line + 1;
             let mut line_cond = stack_cond(&stack, stack.len());
             if let Some((name, rest)) = ll.directive() {
                 match name {
@@ -562,6 +570,9 @@ mod reference {
                     conds[i] = line_cond.clone();
                 }
             }
+        }
+        for phys in next_line..=total as u32 {
+            conds[phys as usize - 1] = stack_cond(&stack, stack.len());
         }
         if !stack.is_empty() {
             balanced = false;

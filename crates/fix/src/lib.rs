@@ -29,9 +29,10 @@
 //!    solver proves hopeless carry the solver's proof and (when one
 //!    exists) a locally-minimal unsatisfiable core.
 //!
-//! The pass is a deterministic post-run replay, the same shape as
-//! [`jmake_core::crosscheck`]: commits in run order, files and tokens in
-//! report order, no wall-clock in the JSON. Running it does not perturb
+//! The pass is an [`Oracle`] over the one static replay of a finished
+//! run ([`jmake_core::replay()`]) that [`jmake_core::crosscheck`] also
+//! reads: commits in run order, files and tokens in report order, no
+//! wall-clock in the JSON. Running it does not perturb
 //! the evaluation — with `--fix` off, reports are byte-identical to a
 //! build without this crate; with `--fix` on, the remediation output is
 //! identical across worker counts, cache modes, and disk-tier
@@ -40,13 +41,14 @@
 #![deny(missing_docs)]
 
 use jmake_core::{
-    arches_used, class_arch, line_shapes, mutate, token_class, token_region_line, EvaluationRun,
-    FileReport, LineShape, MutationKind, MutationToken, UncoveredReason,
+    class_arch, json_objects, json_strings, line_shapes, mutate, replay, token_class,
+    token_region_line, ArchView, EvaluationRun, FileReport, LineShape, MutationKind, MutationToken,
+    Oracle, Replayed, UncoveredMutation, UncoveredReason,
 };
 use jmake_diff::{ChangedLine, ChangedLines};
 use jmake_kbuild::{BuildEngine, ConfigCache, ConfigKind, ObjectCache, PreprocCache, SourceTree};
 use jmake_kconfig::Tristate;
-use jmake_reach::{Reach, ReachClass, TreeReach, Truth, Witness};
+use jmake_reach::{ReachClass, Truth, Witness};
 use jmake_trace::jsonl::escape;
 use jmake_trace::{Stage, Tracer};
 use jmake_vcs::Repo;
@@ -263,31 +265,15 @@ impl FixReport {
             self.unfixable
         ));
         out.push_str(&format!("  \"virtual_us\": {},\n", self.virtual_us));
-        out.push_str("  \"skipped\": [");
-        for (i, s) in self.skipped.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", escape(s)));
-        }
-        out.push_str("],\n  \"disagreements\": [");
-        for (i, d) in self.disagreements.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            out.push_str(&format!(
-                "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"static\": \"{}\", \"dynamic\": \"{}\"}}",
-                escape(&d.commit),
-                escape(&d.file),
-                d.line,
-                escape(&d.static_cause),
-                escape(&d.dynamic)
-            ));
-        }
-        if !self.disagreements.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"remediations\": [");
-        for (i, r) in self.remediations.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+        let disagreements = self.disagreements.iter().map(|d| format!(
+            "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"static\": \"{}\", \"dynamic\": \"{}\"}}",
+            escape(&d.commit),
+            escape(&d.file),
+            d.line,
+            escape(&d.static_cause),
+            escape(&d.dynamic)
+        ));
+        let remediations = self.remediations.iter().map(|r| {
             let remedy = match &r.remedy {
                 Remedy::Delta { suggestion, flips } => format!(
                     "\"delta\", \"suggestion\": \"{}\", \"flips\": {flips}",
@@ -300,7 +286,7 @@ impl FixReport {
                     format!("\"unfixable\", \"reason\": \"{}\"", escape(reason))
                 }
             };
-            out.push_str(&format!(
+            format!(
                 "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"arch\": \"{}\", \"cause\": \"{}\", \"dynamic\": \"{}\", \"agrees\": {}, \"remedy\": {remedy}}}",
                 escape(&r.commit),
                 escape(&r.file),
@@ -309,12 +295,14 @@ impl FixReport {
                 escape(&r.cause),
                 escape(&r.dynamic),
                 r.agrees
-            ));
-        }
-        if !self.remediations.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
+            )
+        });
+        out.push_str(&format!(
+            "  \"skipped\": {},\n  \"disagreements\": {},\n  \"remediations\": {}\n}}\n",
+            json_strings(&self.skipped),
+            json_objects(disagreements),
+            json_objects(remediations)
+        ));
         out
     }
 }
@@ -335,6 +323,22 @@ pub struct FixContext {
     pub tracer: Tracer,
 }
 
+impl FixContext {
+    /// An engine over `tree` attached to the context's stores and tracer:
+    /// the engine each replayed view is solved and verified on.
+    pub fn engine(&self, tree: SourceTree) -> BuildEngine {
+        let mut engine = BuildEngine::with_shared_cache(tree, Arc::clone(&self.configs));
+        if let Some(o) = &self.objects {
+            engine.set_object_cache(Arc::clone(o));
+        }
+        if let Some(p) = &self.preproc {
+            engine.set_preproc_cache(Arc::clone(p));
+        }
+        engine.set_tracer(self.tracer.clone());
+        engine
+    }
+}
+
 /// Replay `run` and remediate every missed line with default (cold,
 /// untraced) infrastructure. See [`remediate_with`].
 pub fn remediate(repo: &Repo, run: &EvaluationRun) -> FixReport {
@@ -343,27 +347,11 @@ pub fn remediate(repo: &Repo, run: &EvaluationRun) -> FixReport {
 
 /// Replay `run` against the static analyzer, root-cause every uncovered
 /// token, synthesize minimal config deltas where a witness exists, and
-/// verify each one by re-running its (file × arch) trial through a
-/// [`BuildEngine`] sharing `ctx`'s caches.
+/// verify each one by re-running its (file × arch) trial on the view's
+/// [`BuildEngine`], which shares `ctx`'s caches.
 pub fn remediate_with(repo: &Repo, run: &EvaluationRun, ctx: &FixContext) -> FixReport {
     let mut out = FixReport::default();
-    for result in &run.results {
-        let commit = result.commit.to_string();
-        let Some(report) = result.report() else {
-            let why = result.outcome.failure().unwrap_or("not checked");
-            out.skipped.push(format!("{commit}: {why}"));
-            continue;
-        };
-        out.patches += 1;
-        let tree = match repo.checkout(result.commit) {
-            Ok(t) => t,
-            Err(e) => {
-                out.skipped.push(format!("{commit}: re-checkout failed: {e}"));
-                continue;
-            }
-        };
-        remediate_patch(&tree, &report.files, &commit, ctx, &mut out);
-    }
+    replay(repo, run, &|tree| ctx.engine(tree), &mut [&mut out]);
     out
 }
 
@@ -391,153 +379,83 @@ pub fn annotate_run(run: &mut EvaluationRun, fix: &FixReport) {
     }
 }
 
-/// Per-arch replay context: a build engine for verification re-runs, the
-/// reachability analyzer (kept alive for presence-condition queries), and
-/// the classified files.
-struct ArchCtx<'t> {
-    engine: BuildEngine,
-    reach: Reach<'t>,
-    treach: TreeReach,
-}
-
-fn arch_ctx<'t>(
-    tree: &'t SourceTree,
-    arch: &str,
-    paths: &[String],
-    ctx: &FixContext,
-) -> Result<ArchCtx<'t>, String> {
-    let mut engine = BuildEngine::with_shared_cache(tree.clone(), Arc::clone(&ctx.configs));
-    if let Some(o) = &ctx.objects {
-        engine.set_object_cache(Arc::clone(o));
-    }
-    if let Some(p) = &ctx.preproc {
-        engine.set_preproc_cache(Arc::clone(p));
-    }
-    engine.set_tracer(ctx.tracer.clone());
-    let mut reach = Reach::new(tree);
-    reach
-        .add_arch(&mut engine, arch)
-        .map_err(|e| e.to_string())?;
-    let treach = reach.analyze_files(paths);
-    Ok(ArchCtx {
-        engine,
-        reach,
-        treach,
-    })
-}
-
-fn remediate_patch(
-    tree: &SourceTree,
-    files: &[FileReport],
-    commit: &str,
-    ctx: &FixContext,
-    out: &mut FixReport,
-) {
-    let arches = arches_used(files);
-    let paths: Vec<String> = files.iter().map(|f| f.path.clone()).collect();
-    let mut contexts: BTreeMap<String, ArchCtx<'_>> = BTreeMap::new();
-    for arch in &arches {
-        match arch_ctx(tree, arch, &paths, ctx) {
-            Ok(a) => {
-                contexts.insert(arch.clone(), a);
-            }
-            Err(e) => out.skipped.push(format!("{commit}: {arch}: {e}")),
-        }
-    }
-    for file in files {
-        out.files += 1;
-        if file.uncovered.is_empty() {
-            continue;
-        }
-        let Some(arch) = class_arch(&file.targets_tried) else {
+impl Oracle for FixReport {
+    fn visit(&mut self, commit: &mut Replayed<'_>) {
+        let files = commit.files;
+        let unfixable = |reason| (StaticCause::Unclassified, Remedy::Unfixable { reason });
+        self.files += files.len();
+        for file in files.iter().filter(|f| !f.uncovered.is_empty()) {
+            let arch = class_arch(&file.targets_tried);
+            let shapes = line_shapes(commit.tree.get(&file.path).unwrap_or(""));
             for unc in &file.uncovered {
-                out.missed += 1;
-                push_remediation(
-                    out,
-                    commit,
-                    file,
-                    unc.token.line,
-                    "-",
-                    &StaticCause::Unclassified,
-                    unc.reason,
-                    Remedy::Unfixable {
-                        reason: "no architecture was ever configured for this file".to_string(),
+                self.missed += 1;
+                let (cause, remedy) = match &arch {
+                    None => unfixable("no architecture was ever configured for this file".into()),
+                    Some(arch) => match commit.views.get_mut(arch) {
+                        None => unfixable(format!("architecture {arch} could not be replayed")),
+                        Some(view) => {
+                            let (cause, plan) = static_cause(file, &unc.token, &shapes, arch, view);
+                            let remedy = execute_plan(plan, file, &unc.token, arch, view, self);
+                            (cause, remedy)
+                        }
                     },
-                );
+                };
+                let arch = arch.as_deref().unwrap_or("-");
+                self.record(commit.commit, file, unc, arch, &cause, remedy);
             }
-            continue;
-        };
-        let Some(actx) = contexts.get_mut(&arch) else {
-            for unc in &file.uncovered {
-                out.missed += 1;
-                push_remediation(
-                    out,
-                    commit,
-                    file,
-                    unc.token.line,
-                    &arch,
-                    &StaticCause::Unclassified,
-                    unc.reason,
-                    Remedy::Unfixable {
-                        reason: format!("architecture {arch} could not be replayed"),
-                    },
-                );
-            }
-            continue;
-        };
-        let content = tree.get(&file.path).unwrap_or("");
-        let shapes = line_shapes(content);
-        for unc in &file.uncovered {
-            out.missed += 1;
-            let (cause, plan) = static_cause(file, &unc.token, &shapes, &arch, actx);
-            let remedy = execute_plan(plan, tree, file, &unc.token, &arch, actx, ctx, out);
-            push_remediation(out, commit, file, unc.token.line, &arch, &cause, unc.reason, remedy);
+        }
+        for view in commit.views.values() {
+            self.virtual_us += view.engine.clock.now_us();
         }
     }
-    for actx in contexts.into_values() {
-        out.virtual_us += actx.engine.clock.now_us();
+
+    fn close(&mut self, patches: usize, skipped: &[String]) {
+        self.patches = patches;
+        self.skipped = skipped.to_vec();
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_remediation(
-    out: &mut FixReport,
-    commit: &str,
-    file: &FileReport,
-    line: u32,
-    arch: &str,
-    cause: &StaticCause,
-    dynamic: UncoveredReason,
-    remedy: Remedy,
-) {
-    let agrees = cause.compatible_with(dynamic);
-    if !agrees {
-        out.disagreements.push(Disagreement {
+impl FixReport {
+    /// Record one missed token's static cause and remedy.
+    fn record(
+        &mut self,
+        commit: &str,
+        file: &FileReport,
+        unc: &UncoveredMutation,
+        arch: &str,
+        cause: &StaticCause,
+        remedy: Remedy,
+    ) {
+        let (line, dynamic) = (unc.token.line, unc.reason);
+        let agrees = cause.compatible_with(dynamic);
+        if !agrees {
+            self.disagreements.push(Disagreement {
+                commit: commit.to_string(),
+                file: file.path.clone(),
+                line,
+                static_cause: cause.label(),
+                dynamic: dynamic.to_string(),
+            });
+        }
+        match &remedy {
+            Remedy::Delta { .. } => {
+                self.deltas_emitted += 1;
+                self.deltas_verified += 1;
+            }
+            Remedy::Environment { .. } => {}
+            Remedy::Unfixable { .. } => self.unfixable += 1,
+        }
+        self.remediations.push(Remediation {
             commit: commit.to_string(),
             file: file.path.clone(),
             line,
-            static_cause: cause.label(),
+            arch: arch.to_string(),
+            cause: cause.label(),
             dynamic: dynamic.to_string(),
+            agrees,
+            remedy,
         });
     }
-    match &remedy {
-        Remedy::Delta { .. } => {
-            out.deltas_emitted += 1;
-            out.deltas_verified += 1;
-        }
-        Remedy::Environment { .. } => {}
-        Remedy::Unfixable { .. } => out.unfixable += 1,
-    }
-    out.remediations.push(Remediation {
-        commit: commit.to_string(),
-        file: file.path.clone(),
-        line,
-        arch: arch.to_string(),
-        cause: cause.label(),
-        dynamic: dynamic.to_string(),
-        agrees,
-        remedy,
-    });
 }
 
 /// What the verification driver should attempt for one missed line.
@@ -545,8 +463,8 @@ enum Plan {
     /// Minimize the solver witness for the token's region line into a
     /// config delta, then verify it.
     Delta(u32, BTreeMap<String, Tristate>),
-    /// Verify a whole named environment (kind solved for `arch`).
-    Env(String, ConfigKind, String),
+    /// Verify a whole environment: `kind` solved for an arch.
+    Env(String, ConfigKind),
     /// Nothing to verify; the reason ships as [`Remedy::Unfixable`].
     Nothing(String),
 }
@@ -558,7 +476,7 @@ fn static_cause(
     token: &MutationToken,
     shapes: &BTreeMap<u32, LineShape>,
     arch: &str,
-    actx: &ArchCtx<'_>,
+    view: &ArchView<'_>,
 ) -> (StaticCause, Plan) {
     if token.kind != MutationKind::Context {
         return (
@@ -585,28 +503,22 @@ fn static_cause(
         if owner != arch {
             return (
                 StaticCause::ArchGated(owner.to_string()),
-                Plan::Env(
-                    owner.to_string(),
-                    ConfigKind::AllYes,
-                    format!("{owner}/allyesconfig"),
-                ),
+                Plan::Env(owner.to_string(), ConfigKind::AllYes),
             );
         }
     }
-    if actx.reach.line_condition(&file.path, region).is_none() {
+    // The raw `#if` stack, before `MODULE` is substituted by its Kbuild
+    // truth.
+    let Some(raw) = view.reach.raw_condition(&file.path, region) else {
         return (
             StaticCause::Unclassified,
             Plan::Nothing("unbalanced or out-of-range conditional stack".to_string()),
         );
-    }
-    let analysis = jmake_reach::analyze_file(actx.reach_src(&file.path));
-    let raw = analysis.conds.get(region as usize - 1);
-    let raw_mentions_module = raw.is_some_and(|raw| {
-        let mut atoms = BTreeSet::new();
-        raw.atoms(&mut atoms);
-        atoms.contains("MODULE")
-    });
-    let class = token_class(actx.treach.files.get(&file.path), shapes, token.line);
+    };
+    let mut atoms = BTreeSet::new();
+    raw.atoms(&mut atoms);
+    let raw_mentions_module = atoms.contains("MODULE");
+    let class = token_class(view.classes.files.get(&file.path), shapes, token.line);
     match class {
         None => (
             StaticCause::Unclassified,
@@ -624,11 +536,9 @@ fn static_cause(
                 // object, which folds `#ifdef MODULE` to constant-false.
                 // The MODULE guard is the cause unless the raw stack is
                 // false even with MODULE defined (`#if 0` around it).
-                let module_guarded = raw_mentions_module
-                    && raw.is_some_and(|raw| {
-                        let assign = BTreeMap::from([("MODULE".to_string(), true)]);
-                        raw.eval_assignment(&assign) != Truth::False
-                    });
+                let assign = BTreeMap::from([("MODULE".to_string(), true)]);
+                let module_guarded =
+                    raw_mentions_module && raw.eval_assignment(&assign) != Truth::False;
                 if module_guarded {
                     (
                         StaticCause::ModuleOnBuiltin,
@@ -658,7 +568,7 @@ fn static_cause(
             if raw_mentions_module {
                 return (
                     StaticCause::IfdefModule,
-                    Plan::Env(arch.to_string(), ConfigKind::AllMod, format!("{arch}/allmodconfig")),
+                    Plan::Env(arch.to_string(), ConfigKind::AllMod),
                 );
             }
             match witness {
@@ -670,11 +580,7 @@ fn static_cause(
                     };
                     (
                         StaticCause::UnsettableUnderAllyes,
-                        Plan::Env(
-                            arch.to_string(),
-                            kind.clone(),
-                            format!("{arch}/{kind}"),
-                        ),
+                        Plan::Env(arch.to_string(), kind),
                     )
                 }
                 Some(Witness::Pins(pins)) => (
@@ -693,34 +599,20 @@ fn static_cause(
     }
 }
 
-impl ArchCtx<'_> {
-    /// Raw source text of `path` from the analyzer's tree (empty when
-    /// absent — the caller already validated presence).
-    fn reach_src(&self, path: &str) -> &str {
-        self.tree_src(path)
-    }
-
-    fn tree_src(&self, path: &str) -> &str {
-        self.engine.tree().get(path).unwrap_or("")
-    }
-}
-
 /// Execute a remediation plan: minimize, verify, and downgrade on any
 /// verification failure.
-#[allow(clippy::too_many_arguments)]
 fn execute_plan(
     plan: Plan,
-    tree: &SourceTree,
     file: &FileReport,
     token: &MutationToken,
     arch: &str,
-    actx: &mut ArchCtx<'_>,
-    ctx: &FixContext,
+    view: &mut ArchView<'_>,
     out: &mut FixReport,
 ) -> Remedy {
     match plan {
         Plan::Nothing(reason) => Remedy::Unfixable { reason },
-        Plan::Env(env_arch, kind, target) => {
+        Plan::Env(env_arch, kind) => {
+            let target = format!("{env_arch}/{kind}");
             if file.is_header {
                 return Remedy::Unfixable {
                     reason: format!(
@@ -729,7 +621,7 @@ fn execute_plan(
                     ),
                 };
             }
-            match verify_trial(tree, &file.path, token, &env_arch, &kind, actx, ctx) {
+            match verify_trial(&file.path, token, &env_arch, &kind, view) {
                 Ok(()) => Remedy::Environment { target },
                 Err(why) => Remedy::Unfixable {
                     reason: format!("{target} failed verification: {why}"),
@@ -744,14 +636,14 @@ fn execute_plan(
                         .to_string(),
                 };
             }
-            match actx.reach.witness_delta(&file.path, region, &pins) {
+            match view.reach.witness_delta(&file.path, region, &pins) {
                 Err(reason) => Remedy::Unfixable { reason },
                 Ok(delta) => {
                     let kind = ConfigKind::Custom {
                         name: format!("fix:{}:{}", file.path, token.line),
                         content: delta.config.render(),
                     };
-                    match verify_trial(tree, &file.path, token, arch, &kind, actx, ctx) {
+                    match verify_trial(&file.path, token, arch, &kind, view) {
                         Ok(()) => Remedy::Delta {
                             suggestion: delta.suggestion(),
                             flips: delta.flips.len(),
@@ -773,20 +665,23 @@ fn execute_plan(
 /// changed line, preprocess the mutated tree, require the token to
 /// surface, then certify by compiling the pristine file.
 fn verify_trial(
-    tree: &SourceTree,
     path: &str,
     token: &MutationToken,
     arch: &str,
     kind: &ConfigKind,
-    actx: &mut ArchCtx<'_>,
-    ctx: &FixContext,
+    view: &mut ArchView<'_>,
 ) -> Result<(), String> {
-    let mut span = ctx.tracer.span(Stage::Remediate);
-    if ctx.tracer.is_enabled() {
-        span = span.with_file(path).with_arch(arch).with_config(&kind.to_string());
+    let tracer = view.engine.tracer();
+    let mut span = tracer.span(Stage::Remediate);
+    if tracer.is_enabled() {
+        span = span
+            .with_file(path)
+            .with_arch(arch)
+            .with_config(&kind.to_string());
     }
     let _span = span;
-    let cfg = actx
+    let tree = view.engine.tree().clone();
+    let cfg = view
         .engine
         .make_config(arch, kind)
         .map_err(|e| format!("config: {e}"))?;
@@ -801,7 +696,7 @@ fn verify_trial(
     }
     let mut mutated = tree.clone();
     mutated.insert(path, plan.mutated);
-    let results = actx
+    let results = view
         .engine
         .make_i(&cfg, &mutated, &[path.to_string()])
         .map_err(|e| format!("make_i: {e}"))?;
@@ -812,8 +707,8 @@ fn verify_trial(
     if !MutationToken::scan(&ifile.text).contains(&expect) {
         return Err("token did not surface under the synthesized config".to_string());
     }
-    actx.engine
-        .make_o(&cfg, tree, path)
+    view.engine
+        .make_o(&cfg, &tree, path)
         .map_err(|e| format!("make_o: {e}"))?;
     Ok(())
 }

@@ -1,5 +1,5 @@
 use super::*;
-use jmake_core::{run_evaluation, DriverOptions, PatchOutcome};
+use jmake_core::{cross_check, run_evaluation, CrossCheckReport, DriverOptions, PatchOutcome};
 use jmake_vcs::{CommitId, Repo};
 
 /// Base tree shared by the fixtures: a Kconfig where `TINY` is settable
@@ -15,10 +15,7 @@ fn base_tree() -> SourceTree {
     );
     tree.insert("arch/x86_64/Kconfig", "config X86_64\n\tdef_bool y\n");
     tree.insert("Makefile", "obj-y += lib/\n");
-    tree.insert(
-        "lib/Makefile",
-        "obj-y += t.o\nobj-$(CONFIG_DRV) += m.o\n",
-    );
+    tree.insert("lib/Makefile", "obj-y += t.o\nobj-$(CONFIG_DRV) += m.o\n");
     tree.insert("lib/t.c", "int base;\n");
     tree.insert("lib/m.c", "int drv_base;\n");
     tree
@@ -308,6 +305,51 @@ fn unchecked_commits_are_skipped_with_a_note() {
 }
 
 #[test]
+fn one_replay_serves_both_oracles() {
+    // The cross-check's planted repo (a dead `#ifdef` block next to a live
+    // edit), plus an unchecked result ahead of the checked one.
+    let mut tree = SourceTree::new();
+    tree.insert(
+        "Kconfig",
+        "config CRC\n\tbool \"crc\"\n\tdefault y\n\
+         config DEAD_OPTION\n\tbool \"dead\"\n\tdepends on MISSING_EVERYWHERE\n",
+    );
+    tree.insert("arch/x86_64/Kconfig", "config X86_64\n\tdef_bool y\n");
+    tree.insert("Makefile", "obj-y += lib/\n");
+    tree.insert("lib/Makefile", "obj-$(CONFIG_CRC) += crc.o\n");
+    tree.insert("lib/crc.c", "int crc_base;\nint crc_step;\n");
+    let mut repo = Repo::new();
+    let base = repo.commit(&[], "seed", "seed", &tree);
+    tree.insert(
+        "lib/crc.c",
+        "int crc_base;\nint crc_step2;\n#ifdef CONFIG_DEAD_OPTION\nint planted_dead;\n#endif\n",
+    );
+    let c1 = repo.commit(&[base], "janitor", "plant dead block", &tree);
+    let mut run = run_on(&repo, &[c1], 1);
+    let mut unchecked = run.results[0].clone();
+    unchecked.outcome = PatchOutcome::CheckoutFailed("gone".to_string());
+    run.results.insert(0, unchecked);
+
+    let cc = cross_check(&repo, &run);
+    let fix = remediate(&repo, &run);
+    assert_eq!(cc.patches, 1);
+    assert_eq!(cc.skipped.len(), 1, "{cc:?}");
+    assert!(cc.dead_agreed >= 1 && cc.allyes_agreed >= 1, "{cc:?}");
+    assert_eq!(fix.skipped, cc.skipped);
+    assert!(fix.missed >= 1 && fix.virtual_us > 0, "{fix:?}");
+
+    let ctx = FixContext::default();
+    let (mut cc1, mut fix1) = (CrossCheckReport::default(), FixReport::default());
+    replay(&repo, &run, &|t| ctx.engine(t), &mut [&mut cc1, &mut fix1]);
+    let (mut cc2, mut fix2) = (CrossCheckReport::default(), FixReport::default());
+    replay(&repo, &run, &|t| ctx.engine(t), &mut [&mut fix2, &mut cc2]);
+    for (both_cc, both_fix) in [(&cc1, &fix1), (&cc2, &fix2)] {
+        assert_eq!(both_cc, &cc);
+        assert_eq!(both_fix, &fix);
+    }
+}
+
+#[test]
 fn elif_zero_arm_is_if_zero_on_both_sides() {
     // A commit that edits only the body of an `#elif 0` arm, which is dead
     // in every configuration: the classifier reads the arm's own literal
@@ -329,6 +371,10 @@ fn elif_zero_arm_is_if_zero_on_both_sides() {
     assert_eq!(r.dynamic, "change under #if 0");
     assert!(r.agrees, "{r:?}");
     assert!(matches!(&r.remedy, Remedy::Unfixable { .. }));
-    assert!(report.disagreements.is_empty(), "{:?}", report.disagreements);
+    assert!(
+        report.disagreements.is_empty(),
+        "{:?}",
+        report.disagreements
+    );
     assert!(report.is_clean(), "clean run expected: {report:?}");
 }

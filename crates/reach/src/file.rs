@@ -14,7 +14,10 @@
 //! `#endif` the condition of the arm open after it, because the
 //! preprocessor reads them whenever that region is active, regardless of
 //! which arm wins. That matches what the compiler "sees" and is the
-//! property the cross-check needs.
+//! property the cross-check needs. A line in no logical line (a lone `\`
+//! spliced onto the next one) gets the condition of the arm open before
+//! it: a token the mutation engine places just before that line sits in
+//! that arm.
 
 use crate::cond::{parse_directive, CondExpr};
 use jmake_cpp::cond::{ArmId, ArmKind, BranchTree, LineSlot};
@@ -78,9 +81,8 @@ pub fn analyze_file(src: &str) -> FileAnalysis {
         arm_conds.push(at(&arm_conds, arm.parent).and(earlier.and(test)));
     }
     let line_cond = |line: u32| match tree.slot(line) {
-        LineSlot::Outside(_) => CondExpr::True,
         LineSlot::Opens(a) => at(&arm_conds, tree.arm(a).parent),
-        LineSlot::Closes(a) | LineSlot::Body(a) => at(&arm_conds, a),
+        LineSlot::Outside(a) | LineSlot::Closes(a) | LineSlot::Body(a) => at(&arm_conds, a),
     };
 
     let last = lls.last().map_or(0, |l| l.last_line as usize);
@@ -261,6 +263,20 @@ mod tests {
         assert!(!fa.balanced);
         let fa2 = analyze_file("#ifdef CONFIG_A\nint x;\n");
         assert!(!fa2.balanced);
+    }
+
+    #[test]
+    fn lone_splice_line_takes_the_open_arm() {
+        // Line 2 is a lone `\`: its logical line starts on line 3, so it
+        // belongs to no logical line, yet it sits inside the `#ifdef`.
+        let src = "#ifdef CONFIG_A\n\\\nint a;\n#endif\n\\\nint b;\n";
+        let fa = analyze_file(src);
+        let on = cfg(&[("A", Tristate::Y)]);
+        assert_eq!(fa.conds[1].eval(&on), Truth::True);
+        assert_eq!(fa.conds[1].eval(&cfg(&[])), Truth::False);
+        assert_eq!(fa.conds[1], fa.conds[2]);
+        // After the `#endif`, a lone `\` is unconditional again.
+        assert_eq!(fa.conds[4], CondExpr::True);
     }
 
     #[test]

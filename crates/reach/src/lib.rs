@@ -287,9 +287,9 @@ impl<'t> Reach<'t> {
     /// Solve `arch`'s allyesconfig and allmodconfig on `engine`, then
     /// register the arch's Kconfig model and both configurations as the
     /// `{arch}-allyes` and `{arch}-allmod` environments — the per-arch
-    /// analyzer the cross-check, the remediator, the coverage
-    /// configurations and `jmake-eval --reach` all build. Returns the
-    /// solved allyesconfig.
+    /// analyzer of `jmake_core::ArchView` (which the cross-check, the
+    /// remediator and the coverage configurations read), the portfolio
+    /// selector and `jmake-eval --reach`. Returns the solved allyesconfig.
     ///
     /// # Errors
     ///
@@ -376,22 +376,28 @@ impl<'t> Reach<'t> {
     /// This is the remediator's entry point: the condition's atoms are
     /// what a config delta must satisfy for the compiler to see the line.
     pub fn line_condition(&self, path: &str, line: u32) -> Option<CondExpr> {
-        let src = self.tree.get(path)?;
-        let fa = analyze_file(src);
-        if !fa.balanced {
-            return None;
-        }
-        let raw = fa.conds.get(line.checked_sub(1)? as usize)?;
+        let raw = self.raw_condition(path, line)?;
         let is_c = path.ends_with(".c");
-        let module_expr = if is_c {
-            self.module_expr(&self.chain_of(path))
-        } else {
-            None
-        };
-        Some(match &module_expr {
-            Some(m) => raw.substitute("MODULE", m),
-            None => raw.clone(),
+        let module_expr = is_c.then(|| self.module_expr(&self.chain_of(path)));
+        Some(match module_expr.flatten() {
+            Some(m) => raw.substitute("MODULE", &m),
+            None => raw,
         })
+    }
+
+    /// The raw `#if`-stack condition of 1-based `line` in `path`, before
+    /// [`Reach::line_condition`] substitutes `MODULE`; `None` in the same
+    /// cases.
+    pub fn raw_condition(&self, path: &str, line: u32) -> Option<CondExpr> {
+        let mut fa = analyze_file(self.tree.get(path)?);
+        let i = line.checked_sub(1)? as usize;
+        (fa.balanced && i < fa.conds.len()).then(|| fa.conds.swap_remove(i))
+    }
+
+    /// Whether the Kbuild guard chain opens `path`'s translation unit
+    /// under `cfg`.
+    pub fn gate_enabled(&self, path: &str, cfg: &Config) -> bool {
+        self.graph.gating_value(path, cfg).enabled()
     }
 
     /// End-to-end presence of `line` in `path` under a candidate
@@ -404,7 +410,7 @@ impl<'t> Reach<'t> {
         let Some(cond) = self.line_condition(path, line) else {
             return false;
         };
-        let gate_ok = !path.ends_with(".c") || self.graph.gating_value(path, cfg).enabled();
+        let gate_ok = !path.ends_with(".c") || self.gate_enabled(path, cfg);
         gate_ok && cond.eval(cfg) == Truth::True
     }
 

@@ -52,10 +52,10 @@ echo "==> benchmark smoke test (benchmark/ builds against the crates' current AP
 # fails here instead of on the next benchmark run.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo fmt --check (jmake-cpp, jmake-core, jmake-reach)"
+echo "==> cargo fmt --check (jmake-cpp, jmake-core, jmake-reach, jmake-fix, jmake-bench)"
 # The crates that are rustfmt-clean stay that way; the rest of the
 # workspace is not formatted yet, so the check is per crate.
-cargo fmt -p jmake-cpp -p jmake-core -p jmake-reach -- --check
+cargo fmt -p jmake-cpp -p jmake-core -p jmake-reach -p jmake-fix -p jmake-bench -- --check
 
 echo "==> cargo clippy --all-targets -- -D warnings (workspace)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone \
