@@ -190,11 +190,6 @@ pub fn render_cdf(title: &str, samples_us: &[u64], checkpoints_secs: &[f64]) -> 
     out
 }
 
-/// The full `(seconds, fraction)` series of a CDF, for plotting.
-pub fn cdf_series(samples_us: &[u64]) -> Vec<(f64, f64)> {
-    Cdf::new(samples_us).series()
-}
-
 /// Table I: the thresholds (paper values plus the scaled window minimum).
 pub fn render_table1(ctx: &EvalContext) -> String {
     let t = &ctx.thresholds;

@@ -3,8 +3,7 @@
 
 use crate::archsel::{ArchSelector, Target};
 use crate::classify::{classify, detect_both_branches};
-use crate::crosscheck::{line_shapes, token_region_line};
-use crate::mutation::{mutate, MutationPlan};
+use crate::mutation::{mutate, region_line, MutationPlan};
 use crate::replay::{class_arch, ArchView};
 use crate::report::{FileReport, FileStatus, PatchReport, UncoveredMutation};
 use crate::token::{MutationKind, MutationToken};
@@ -28,20 +27,11 @@ pub struct Options {
     /// Hard cap on candidate `.c` files actually compiled per header
     /// (the paper observed 1–12 compilations per header).
     pub max_header_candidates: usize,
-    /// Consider prepared `configs/` configurations (paper: on; +1% patch
-    /// success over allyesconfig alone).
-    pub use_defconfigs: bool,
     /// Additionally try allmodconfig — the paper's proposed extension for
     /// the `#ifdef MODULE` rows of Table IV.
     pub use_allmodconfig: bool,
     /// Directory prefixes whose files are ignored (paper §V.A).
     pub skip_dirs: Vec<String>,
-    /// Ablation: disable §III.E's changed-macro hints when ranking header
-    /// candidates (include evidence only).
-    pub use_header_hints: bool,
-    /// Ablation: one mutation per changed line instead of §III.B's
-    /// minimized placement.
-    pub naive_mutations: bool,
     /// Extension (§VII): for leftovers the standard configurations miss,
     /// try the configurations the static analyzer's reach witnesses name
     /// (an allmodconfig environment, or a minimized solver witness) — the
@@ -60,15 +50,12 @@ impl Default for Options {
             group_limit: 50,
             header_candidate_threshold: 100,
             max_header_candidates: 16,
-            use_defconfigs: true,
             use_allmodconfig: false,
             skip_dirs: vec![
                 "Documentation".to_string(),
                 "scripts".to_string(),
                 "tools".to_string(),
             ],
-            use_header_hints: true,
-            naive_mutations: false,
             use_coverage_configs: false,
             portfolio: Vec::new(),
         }
@@ -200,16 +187,12 @@ impl JMake {
             let changed = changed_lines(fp, new_len);
             let plan = {
                 let _span = engine.tracer().span(Stage::MutationPlan).with_file(&path);
-                if self.options.naive_mutations {
-                    crate::mutation::mutate_naive(&path, content, &changed)
-                } else {
-                    mutate(&path, content, &changed)
-                }
+                mutate(&path, content, &changed)
             };
             let candidates = if is_header {
                 Vec::new() // headers are compiled via candidate .c files
             } else {
-                self.filter_targets(selector.candidates(base, &path))
+                self.extend_targets(selector.candidates(base, &path))
             };
             let remaining: BTreeSet<MutationToken> = plan.mutations.iter().cloned().collect();
             works.push(Work {
@@ -234,11 +217,9 @@ impl JMake {
         works
     }
 
-    fn filter_targets(&self, targets: Vec<Target>) -> Vec<Target> {
-        let mut out: Vec<Target> = targets
-            .into_iter()
-            .filter(|t| self.options.use_defconfigs || !matches!(t.kind, ConfigKind::Defconfig(_)))
-            .collect();
+    /// `out` followed by the allmodconfig and portfolio targets the
+    /// options ask for.
+    fn extend_targets(&self, mut out: Vec<Target>) -> Vec<Target> {
         if self.options.use_allmodconfig {
             let arches: Vec<String> = out.iter().map(|t| t.arch.clone()).collect();
             for arch in arches {
@@ -368,13 +349,12 @@ impl JMake {
                 continue;
             };
             let path = works[i].path.clone();
-            let shapes = line_shapes(base.get(&path).unwrap_or(""));
             let tokens: Vec<MutationToken> = works[i].remaining.iter().cloned().collect();
             for tok in tokens {
                 if !works[i].remaining.contains(&tok) {
                     continue; // certified by an earlier witness's trial
                 }
-                let Some(region) = token_region_line(&shapes, tok.line) else {
+                let Some(region) = region_line(&works[i].plan.map.branches, tok.line) else {
                     continue;
                 };
                 let Some(ReachClass::ConditionallyReachable {
@@ -435,16 +415,8 @@ impl JMake {
             .map(|(i, _)| i)
             .collect();
         for idx in headers {
-            let (h_path, hints) = {
-                let w = &works[idx];
-                let hints = if self.options.use_header_hints {
-                    w.plan.changed_macros.clone()
-                } else {
-                    Vec::new()
-                };
-                (w.path.clone(), hints)
-            };
-            let all_candidates = header_candidates(base, &h_path, &hints);
+            let h_path = works[idx].path.clone();
+            let all_candidates = header_candidates(base, &h_path, &works[idx].plan.changed_macros);
             let over_threshold = all_candidates.len() > self.options.header_candidate_threshold;
             let candidates: Vec<String> = all_candidates
                 .into_iter()
@@ -460,7 +432,7 @@ impl JMake {
             // over the threshold only allyesconfig is considered.
             let mut order: Vec<Target> = Vec::new();
             for c in &candidates {
-                for t in self.filter_targets(selector.candidates(base, c)) {
+                for t in self.extend_targets(selector.candidates(base, c)) {
                     let t = if over_threshold && !matches!(t.kind, ConfigKind::AllYes) {
                         continue;
                     } else {

@@ -6,7 +6,7 @@
 //! seven reasons.
 
 use crate::token::{MutationKind, MutationToken};
-use jmake_cpp::cond::ArmKind;
+use jmake_cpp::cond::{Arm, ArmKind};
 use jmake_cpp::SourceMap;
 use jmake_kconfig::{DeadSymbols, KconfigModel};
 use std::collections::BTreeSet;
@@ -78,12 +78,15 @@ pub fn classify(
         return UncoveredReason::UnusedMacro;
     }
     let tree = &map.branches;
+    let chain = || tree.chain(tree.slot(token.line).arm());
+    // A literal-zero arm anywhere in the chain hides the line in every
+    // configuration, whatever the guards inside it test.
+    if chain().any(Arm::is_if_zero) {
+        return UncoveredReason::IfZero;
+    }
     // Inspect innermost-outward; the innermost decisive guard wins. Arm 0
     // is the group's own guard; a later arm is the `#else` of its opener.
-    for arm in tree.chain(tree.slot(token.line).arm()) {
-        if arm.is_if_zero() {
-            return UncoveredReason::IfZero;
-        }
+    for arm in chain() {
         let var = arm.operand.split_whitespace().next().unwrap_or("");
         match arm.kind {
             ArmKind::If => {
@@ -183,6 +186,22 @@ mod tests {
             classify(&ctx(2), &analyze(src), &m, &d, &a, true),
             UncoveredReason::IfZero
         );
+    }
+
+    #[test]
+    fn if_zero_wins_over_an_inner_guard() {
+        // TINY is declared but allyesconfig leaves it unset; the outer
+        // `#if 0` still hides the line in every configuration.
+        let (m, d, a) =
+            setup("config FULL\n\tbool \"f\"\nconfig TINY\n\tbool \"t\"\n\tdepends on !FULL\n");
+        for guard in ["#ifdef CONFIG_TINY", "#ifdef MODULE"] {
+            let src = format!("#if 0\n{guard}\nint x;\n#endif\n#endif\n");
+            assert_eq!(
+                classify(&ctx(3), &analyze(&src), &m, &d, &a, true),
+                UncoveredReason::IfZero,
+                "{guard}"
+            );
+        }
     }
 
     #[test]

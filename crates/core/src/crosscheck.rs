@@ -27,9 +27,8 @@
 //!
 //! Both rules are deliberately one-sided: every fuzzy case (conditional
 //! verdicts, files with build errors, headers that are only reached
-//! through other translation units, tokens parked on conditional
-//! directive lines whose insertion point belongs to a different region)
-//! is counted but never flagged. A clean report therefore means "no
+//! through other translation units, opener tokens in an arm no pristine
+//! line shares — see [`region_line`]) is counted but never flagged. A clean report therefore means "no
 //! provable disagreement", which is exactly the property CI can gate
 //! on; see `jmake-eval --cross-check`.
 //!
@@ -38,12 +37,13 @@
 //! wall-clock — byte-identical across worker counts and cache modes.
 
 use crate::driver::EvaluationRun;
+use crate::mutation::{branch_tree, region_line};
 use crate::replay::{json_objects, json_strings, replay, ArchView, Oracle, Replayed};
 use crate::report::{FileReport, FileStatus};
 use crate::token::MutationKind;
-use jmake_cpp::lines::logical_lines;
+use jmake_cpp::cond::BranchTree;
 use jmake_kbuild::{BuildEngine, ConfigCache};
-use jmake_reach::ReachClass;
+use jmake_reach::{FileReach, ReachClass};
 use jmake_trace::jsonl::escape;
 use jmake_vcs::Repo;
 use std::collections::BTreeMap;
@@ -167,8 +167,8 @@ impl Oracle for CrossCheckReport {
         for file in commit.files {
             self.files += 1;
             self.tokens += file.covered.len() + file.uncovered.len();
-            let shapes = line_shapes(commit.tree.get(&file.path).unwrap_or(""));
-            check_file(file, commit.commit, &commit.views, &shapes, self);
+            let tree = branch_tree(commit.tree.get(&file.path).unwrap_or(""));
+            check_file(file, commit.commit, &commit.views, &tree, self);
         }
     }
 
@@ -183,7 +183,7 @@ fn check_file(
     file: &FileReport,
     commit: &str,
     views: &BTreeMap<String, ArchView<'_>>,
-    shapes: &BTreeMap<u32, LineShape>,
+    tree: &BranchTree,
     out: &mut CrossCheckReport,
 ) {
     // Rule 1: a certified token on a statically-dead line.
@@ -194,7 +194,7 @@ fn check_file(
         let Some(view) = views.get(arch) else {
             continue;
         };
-        let Some(class) = token_class(view.classes.files.get(&file.path), shapes, tok.line) else {
+        let Some(class) = token_class(view.classes.files.get(&file.path), tree, tok.line) else {
             continue;
         };
         match class {
@@ -240,7 +240,7 @@ fn check_file(
             let Some(view) = views.get(arch) else {
                 continue;
             };
-            let Some(class) = token_class(view.classes.files.get(&file.path), shapes, tok.line)
+            let Some(class) = token_class(view.classes.files.get(&file.path), tree, tok.line)
             else {
                 continue;
             };
@@ -269,99 +269,15 @@ fn check_file(
     }
 }
 
-/// What a physical line is, for token-region attribution. Lines absent
-/// from the map are plain (token and analyzer agree on the region).
-///
-/// Public because the remediation pass (`jmake-fix`) attributes tokens
-/// to regions with exactly the same rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LineShape {
-    /// `#if`/`#ifdef`/`#ifndef`/`#elif`/`#else`: the mutation engine
-    /// places the token *after* the directive, inside the branch it
-    /// opens. `end` is the last physical line of the (possibly spliced)
-    /// logical directive; `multi` flags splices.
-    Opens { end: u32, multi: bool },
-    /// `#endif`: a token keyed here sits in the region the directive
-    /// closes, which no pristine line unambiguously carries.
-    Closer,
-    /// `#if`/`#ifdef`/`#ifndef` specifically — safe as the *neighbor*
-    /// of a branch token, because the analyzer attributes an opener to
-    /// its enclosing region, which is exactly the branch the token
-    /// certifies. (`#elif`/`#else`/`#endif` neighbors are attributed
-    /// one region out and are not safe.)
-    OpensFresh { end: u32, multi: bool },
-}
-
-/// Map physical lines to their [`LineShape`].
-pub fn line_shapes(src: &str) -> BTreeMap<u32, LineShape> {
-    let mut shapes = BTreeMap::new();
-    for ll in logical_lines(src) {
-        let Some((name, _)) = ll.directive() else {
-            continue;
-        };
-        let multi = ll.first_line != ll.last_line;
-        let shape = match name {
-            "if" | "ifdef" | "ifndef" => LineShape::OpensFresh {
-                end: ll.last_line,
-                multi,
-            },
-            "elif" | "else" => LineShape::Opens {
-                end: ll.last_line,
-                multi,
-            },
-            "endif" => LineShape::Closer,
-            _ => continue,
-        };
-        for phys in ll.first_line..=ll.last_line {
-            shapes.insert(phys, shape);
-        }
-    }
-    shapes
-}
-
-/// The static class of the *region a mutation token actually sits in*.
-///
-/// A `Context` token recorded at line `L` physically lands:
-///
-/// - on a fresh line just before `L` when `L` is a plain line — same
-///   region as `L`, so `class(L)` is the answer;
-/// - just *after* the directive when `L` is a conditional opener or
-///   branch switch ([`mutation`](crate::mutation) certifies the branch
-///   the directive opens) — the region of the first line inside the
-///   branch. That class is only read off the pristine file when the
-///   next line is a plain line or a fresh opener (both attributed to
-///   exactly that region by the analyzer); spliced directives,
-///   `#endif`s, and `#elif`/`#else` neighbors are ambiguous and yield
-///   `None` (the token is counted but exempt from both rules).
-///
-/// `Define` tokens live on their `#define`/continuation line and take
-/// the plain-line path.
-pub fn token_class<'a>(
-    fr: Option<&'a jmake_reach::FileReach>,
-    shapes: &BTreeMap<u32, LineShape>,
+/// The static class of the region a token recorded at `line` sits in,
+/// read at [`region_line`]; `None` when no pristine line shares the
+/// token's arm (the token is counted but exempt from both rules).
+fn token_class<'a>(
+    fr: Option<&'a FileReach>,
+    tree: &BranchTree,
     line: u32,
 ) -> Option<&'a ReachClass> {
-    fr?.class(token_region_line(shapes, line)?)
-}
-
-/// The pristine-file line whose region a token recorded at `line`
-/// actually certifies, per the attribution rules of [`token_class`].
-/// `None` for ambiguous sites (`#endif` keys, spliced directives,
-/// `#elif`/`#else` neighbors).
-pub fn token_region_line(shapes: &BTreeMap<u32, LineShape>, line: u32) -> Option<u32> {
-    match shapes.get(&line) {
-        None => Some(line),
-        Some(LineShape::Closer) => None,
-        Some(LineShape::Opens { multi: true, .. })
-        | Some(LineShape::OpensFresh { multi: true, .. }) => None,
-        Some(LineShape::Opens { end, .. }) | Some(LineShape::OpensFresh { end, .. }) => {
-            let candidate = end + 1;
-            match shapes.get(&candidate) {
-                None | Some(LineShape::OpensFresh { multi: false, .. }) => Some(candidate),
-                _ => None,
-            }
-        }
-    }
+    fr?.class(region_line(tree, line)?)
 }
 
 #[cfg(test)]
@@ -547,36 +463,34 @@ mod tests {
     }
 
     #[test]
-    fn line_shapes_classify_directives() {
-        let shapes = line_shapes(
-            "int a;\n#if defined(X) && \\\n    defined(Y)\nint b;\n#else\nint c;\n#endif\n",
+    fn spliced_guard_edit_is_read_in_its_dead_arm() {
+        // The commit edits the continuation line of a spliced `#if` that
+        // no configuration enables. The token lands after the whole
+        // directive, in the dead arm, so the file preprocesses cleanly and
+        // the static side reads the token at the arm's first line.
+        let block = |operand: &str| {
+            format!(
+                "int crc_base;\n#if defined(CONFIG_NOWHERE) && \\\n    {operand}\nint hidden;\n#endif\n"
+            )
+        };
+        let (repo, commits) = crc_commit(
+            &block("defined(CONFIG_CRC)"),
+            &block("defined(CONFIG_CRC) && 1"),
         );
-        assert!(!shapes.contains_key(&1), "plain line");
-        assert_eq!(
-            shapes.get(&2),
-            Some(&LineShape::OpensFresh {
-                end: 3,
-                multi: true
-            }),
-            "spliced opener marks both physical lines"
-        );
-        assert_eq!(shapes.get(&3), shapes.get(&2));
-        assert!(!shapes.contains_key(&4));
-        assert_eq!(
-            shapes.get(&5),
-            Some(&LineShape::Opens {
-                end: 5,
-                multi: false
-            })
-        );
-        assert_eq!(shapes.get(&7), Some(&LineShape::Closer));
+        let run = run_on(&repo, &commits);
+        let report = run.results[0].report().expect("checked");
+        assert!(report.files[0].errors.is_empty(), "{report}");
+        let cc = cross_check(&repo, &run);
+        assert!(cc.is_clean(), "{}", cc.to_json());
+        assert_eq!(cc.tokens, 1, "{cc:?}");
+        assert_eq!(cc.dead_agreed, 1, "{cc:?}");
     }
 
     #[test]
     fn token_class_maps_opener_tokens_into_the_branch() {
         use jmake_reach::FileReach;
         let src = "int a;\n#ifdef CONFIG_X\nint b;\n#endif\nint c;\n";
-        let shapes = line_shapes(src);
+        let tree = branch_tree(src);
         let fr = FileReach {
             path: "f.c".to_string(),
             classes: vec![
@@ -585,20 +499,24 @@ mod tests {
                 ReachClass::Dead {
                     proof: "p".to_string(),
                 }, // 3 (branch)
-                ReachClass::AllyesReachable, // 4 (#endif → enclosing)
+                ReachClass::AllyesReachable, // 4 (#endif → the arm it returns to)
                 ReachClass::AllyesReachable, // 5
             ],
         };
         // A token on the #ifdef line certifies the branch: line 3's class.
-        assert!(token_class(Some(&fr), &shapes, 2).is_some_and(ReachClass::is_dead));
+        assert!(token_class(Some(&fr), &tree, 2).is_some_and(ReachClass::is_dead));
         // Plain lines map to themselves.
         assert_eq!(
-            token_class(Some(&fr), &shapes, 1),
+            token_class(Some(&fr), &tree, 1),
             Some(&ReachClass::AllyesReachable)
         );
-        // #endif tokens are ambiguous.
-        assert_eq!(token_class(Some(&fr), &shapes, 4), None);
+        // An #endif token lands after the #endif, in the region it returns
+        // to: the #endif line's own class.
+        assert_eq!(
+            token_class(Some(&fr), &tree, 4),
+            Some(&ReachClass::AllyesReachable)
+        );
         // Missing file report → no verdict.
-        assert_eq!(token_class(None, &shapes, 1), None);
+        assert_eq!(token_class(None, &tree, 1), None);
     }
 }

@@ -67,14 +67,11 @@ pub use archsel::{ArchSelector, Target};
 pub use check::{JMake, Options};
 pub use classify::UncoveredReason;
 pub use covsel::{select_portfolio, Portfolio, PortfolioMember};
-pub use crosscheck::{
-    cross_check, line_shapes, token_class, token_region_line, CrossCheckReport, Discrepancy,
-    DiscrepancyKind, LineShape,
-};
+pub use crosscheck::{cross_check, CrossCheckReport, Discrepancy, DiscrepancyKind};
 pub use driver::{
     run_evaluation, DriverOptions, DriverStats, EvaluationRun, PatchOutcome, PatchResult,
 };
-pub use mutation::{mutate, mutate_naive, MutationPlan};
+pub use mutation::{branch_tree, mutate, region_line, MutationPlan};
 pub use precheck::{precheck, PrecheckKind, PrecheckWarning};
 pub use replay::{
     arches_used, class_arch, json_objects, json_strings, replay, ArchView, Oracle, Replayed,

@@ -11,9 +11,17 @@
 //!    section (the stretch since the last `#if`/`#ifdef`/`#ifndef`/
 //!    `#elif`/`#else`), inserted as a line of its own before the first
 //!    changed line, or after the closing `*/` when the changed line starts
-//!    inside a comment that ends on it.
+//!    inside a comment that ends on it. A token never splits a directive:
+//!    on a conditional directive it goes after the whole directive, and on
+//!    a later physical line of any other directive, before it.
+//!
+//! This module is the one place that decides where a token lands and,
+//! through [`region_line`], which pristine line has the token's presence
+//! condition; the static oracles read that function (DESIGN.md §23).
 
 use crate::token::{MutationKind, MutationToken};
+use jmake_cpp::cond::{BranchTree, LineSlot};
+use jmake_cpp::lines::logical_lines;
 use jmake_cpp::{analyze, SourceMap};
 use jmake_diff::{ChangedLine, ChangedLines};
 use std::collections::BTreeMap;
@@ -135,48 +143,9 @@ pub fn mutate(file: &str, content: &str, changed: &ChangedLines) -> MutationPlan
     }
 
     // Plain-code mutations (paper Fig. 3), one per conditional section.
-    for first_line in section_first_change.values() {
-        let token = MutationToken::new(MutationKind::Context, file, *first_line);
-        let Some(info) = map.line(*first_line) else {
-            // Defensive: every entry was looked up successfully above, but
-            // a panic here would take down the whole patch (and, before
-            // the driver's catch_unwind, the whole run). If the map ever
-            // disagrees — e.g. an append-heavy patch whose diff positions
-            // outrun the analyzed snapshot — certify the file tail
-            // instead of crashing.
-            insertions.push(Insertion::AtEof {
-                text: token.render(),
-            });
-            plan.mutations.push(token);
-            continue;
-        };
-        if info.is_conditional {
-            // The changed line is itself a section boundary: certify the
-            // section it opens by placing the mutation right after it.
-            if *first_line >= total_lines {
-                insertions.push(Insertion::AtEof {
-                    text: token.render(),
-                });
-            } else {
-                insertions.push(Insertion::NewLineBefore {
-                    line: *first_line + 1,
-                    text: token.render(),
-                });
-            }
-        } else if let Some(col) = info.comment_close_col {
-            // Changed line starts mid-comment; the comment closes here:
-            // the mutation goes after the `*/`.
-            insertions.push(Insertion::MidLine {
-                line: *first_line,
-                col,
-                text: format!(" {} ", token.render()),
-            });
-        } else {
-            insertions.push(Insertion::NewLineBefore {
-                line: *first_line,
-                text: token.render(),
-            });
-        }
+    for &first_line in section_first_change.values() {
+        let token = MutationToken::new(MutationKind::Context, file, first_line);
+        insertions.push(context_insertion(&map, first_line, token.render()));
         plan.mutations.push(token);
     }
 
@@ -204,65 +173,105 @@ pub fn mutate(file: &str, content: &str, changed: &ChangedLines) -> MutationPlan
     plan
 }
 
-/// Ablation variant: one mutation per changed non-comment line, with no
-/// per-macro or per-section minimization. Used by the
-/// `ablation_mutation_density` bench to quantify what §III.B's placement
-/// rules save (the paper: 82% of `.c` instances need only one mutation).
-pub fn mutate_naive(file: &str, content: &str, changed: &ChangedLines) -> MutationPlan {
-    let map = analyze(content);
-    let mut plan = MutationPlan::default();
-    let mut insertions: Vec<Insertion> = Vec::new();
-    for pos in &changed.positions {
-        let line = match pos {
-            ChangedLine::Line(l) => *l,
-            ChangedLine::Eof => {
-                let token = MutationToken::new(MutationKind::Context, file, map.len() as u32);
-                insertions.push(Insertion::AtEof {
-                    text: token.render(),
-                });
-                plan.mutations.push(token);
-                continue;
-            }
+/// Where the `Context` token of a section whose first changed line is
+/// `line` lands (DESIGN.md §23). It sits in the arm
+/// `map.branches.slot(line).arm()` names, and never between two physical
+/// lines of one directive:
+///
+/// - on any line of a conditional directive, after the directive's last
+///   physical line: in the arm an opener opens, or the arm an `#endif`
+///   returns to;
+/// - on a later physical line of any other directive, before the
+///   directive's first;
+/// - on any other line, before it, or after the `*/` when the line starts
+///   in a comment that closes on it.
+fn context_insertion(map: &SourceMap, line: u32, text: String) -> Insertion {
+    let Some(info) = map.line(line) else {
+        // Defensive: every entry was looked up successfully above, but a
+        // panic here would take down the whole patch (and, before the
+        // driver's catch_unwind, the whole run). If the map ever disagrees
+        // — e.g. an append-heavy patch whose diff positions outrun the
+        // analyzed snapshot — certify the file tail instead of crashing.
+        return Insertion::AtEof { text };
+    };
+    if let LineSlot::Opens(_) | LineSlot::Closes(_) = map.branches.slot(line) {
+        let after = directive_end(&map.branches, line) + 1;
+        return if after > map.len() as u32 {
+            Insertion::AtEof { text }
+        } else {
+            Insertion::NewLineBefore { line: after, text }
         };
-        let Some(info) = map.line(line) else {
-            continue;
-        };
-        if info.comment_only || (info.starts_in_comment && info.comment_close_col.is_none()) {
-            plan.comment_lines.push(line);
-            continue;
-        }
-        if let Some(def) = map.macro_def_at(line) {
-            if !plan.changed_macros.contains(&def.name) {
-                plan.changed_macros.push(def.name.clone());
-            }
-            let token = MutationToken::new(MutationKind::Define, file, line);
-            if line == def.define_line {
-                insertions.push(Insertion::AtLineEnd {
-                    line,
-                    text: format!(" {}", token.render()),
-                    before_continuation: info.ends_with_continuation,
-                });
-            } else {
-                insertions.push(Insertion::NewLineBefore {
-                    line,
-                    text: format!("{} \\", token.render()),
-                });
-            }
-            plan.mutations.push(token);
-        } else if !info.is_conditional && !info.is_directive {
-            let token = MutationToken::new(MutationKind::Context, file, line);
-            insertions.push(Insertion::NewLineBefore {
-                line,
-                text: token.render(),
-            });
-            plan.mutations.push(token);
-        }
     }
-    plan.mutations.sort();
-    plan.mutations.dedup();
-    plan.mutated = apply_insertions(content, insertions);
-    plan.map = map;
-    plan
+    let first = directive_start(map, line);
+    if first < line {
+        return Insertion::NewLineBefore { line: first, text };
+    }
+    match info.comment_close_col {
+        Some(col) => Insertion::MidLine {
+            line,
+            col,
+            text: format!(" {text} "),
+        },
+        None => Insertion::NewLineBefore { line, text },
+    }
+}
+
+/// The last physical line of the conditional directive on `line`, whose
+/// slot is `Opens` or `Closes`: every physical line of a logical line
+/// shares its slot, and no two directives in a row open the same arm or
+/// return to the same one.
+fn directive_end(tree: &BranchTree, line: u32) -> u32 {
+    let slot = tree.slot(line);
+    (line + 1..)
+        .take_while(|&l| tree.slot(l) == slot)
+        .last()
+        .unwrap_or(line)
+}
+
+/// The first physical line of the directive that `line` continues:
+/// `line` itself unless it is a directive line after a directive line
+/// ending in `\`. A line that starts in a comment is never stepped onto,
+/// since a token inserted before it would sit in the comment.
+fn directive_start(map: &SourceMap, line: u32) -> u32 {
+    let continued = |l: u32| {
+        map.line(l)
+            .is_some_and(|i| i.is_directive && i.ends_with_continuation && !i.starts_in_comment)
+    };
+    if !map.line(line).is_some_and(|i| i.is_directive) {
+        return line;
+    }
+    (1..line)
+        .rev()
+        .take_while(|&l| continued(l))
+        .last()
+        .unwrap_or(line)
+}
+
+/// The pristine line whose presence condition a token recorded at `line`
+/// carries (DESIGN.md §23): `line` itself, except on a conditional opener,
+/// whose token sits in the arm it opens. There it is the first line after
+/// the directive when that line is in the arm, and `None` when it is not
+/// (an empty arm, or an `#elif`/`#else` right after). An `#endif`'s token
+/// sits in the arm the `#endif` returns to, the arm reach reads the
+/// `#endif` line in.
+pub fn region_line(tree: &BranchTree, line: u32) -> Option<u32> {
+    let LineSlot::Opens(arm) = tree.slot(line) else {
+        return Some(line);
+    };
+    let next = directive_end(tree, line) + 1;
+    let in_arm = match tree.slot(next) {
+        LineSlot::Body(a) | LineSlot::Outside(a) => a == Some(arm),
+        // A fresh opener nested in the arm, which reach reads in the arm.
+        LineSlot::Opens(inner) => tree.arm(inner).parent == Some(arm),
+        LineSlot::Closes(_) => false,
+    };
+    in_arm.then_some(next)
+}
+
+/// The branch tree [`region_line`] reads, for a caller holding only the
+/// file's text.
+pub fn branch_tree(src: &str) -> BranchTree {
+    BranchTree::build(&logical_lines(src))
 }
 
 /// Apply insertions bottom-up so line numbers stay valid.
@@ -527,10 +536,74 @@ mod tests {
             .position(|l| l.contains(MUTATION_GLYPH))
             .expect("mutation placed");
         assert!(lines[glyph_at + 1..].contains(&"int tail;"), "{lines:?}");
+    }
 
-        // And the naive variant survives the same patch.
-        let naive = mutate_naive("f.c", new, &changed);
-        assert!(!naive.is_trivial());
+    /// The mutated lines of `plan`, and the index of its one token line.
+    fn token_line(plan: &MutationPlan) -> (Vec<&str>, usize) {
+        let lines: Vec<&str> = plan.mutated.lines().collect();
+        let at = lines.iter().position(|l| l.starts_with(MUTATION_GLYPH));
+        let at = at.expect("one token line");
+        (lines, at)
+    }
+
+    #[test]
+    fn changed_spliced_conditional_keeps_its_logical_line_whole() {
+        let src = "int a;\n#if defined(CONFIG_A) || \\\n    defined(CONFIG_B)\nint b;\n\
+                   #elif defined(CONFIG_C) && \\\n    defined(CONFIG_D)\nint c;\n#endif\n";
+        let pristine: Vec<&str> = src.lines().collect();
+        // (changed line, the directive's last physical line)
+        for (changed_line, last) in [(2, 3), (3, 3), (5, 6), (6, 6)] {
+            let plan = mutate("f.c", src, &changed(&[changed_line]));
+            let (lines, at) = token_line(&plan);
+            // The token follows the directive's last physical line, and
+            // the directive's lines are untouched.
+            assert_eq!(at, last, "line {changed_line}: {lines:?}");
+            assert_eq!(lines[..at], pristine[..at]);
+            assert_eq!(lines[at + 1..], pristine[at..]);
+            assert_eq!(plan.mutations[0].line, changed_line);
+        }
+    }
+
+    #[test]
+    fn changed_endif_token_goes_after_it() {
+        let src = "int a;\n#ifdef CONFIG_OFF\nint b;\n#endif /* CONFIG_OFF */\nint c;\n";
+        let plan = mutate("f.c", src, &changed(&[4]));
+        let (lines, at) = token_line(&plan);
+        assert_eq!(lines[at - 1], "#endif /* CONFIG_OFF */");
+        assert_eq!(lines[at + 1], "int c;");
+        // At the end of the file, the token is appended.
+        let plan = mutate("f.c", "#ifdef X\nint b;\n#endif\n", &changed(&[3]));
+        let (lines, at) = token_line(&plan);
+        assert_eq!((at, lines[at - 1]), (3, "#endif"));
+    }
+
+    #[test]
+    fn continued_directive_token_goes_before_it() {
+        let src = "int a;\n#include \\\n  \"x.h\"\nint b;\n";
+        let plan = mutate("f.c", src, &changed(&[3]));
+        let (lines, at) = token_line(&plan);
+        assert_eq!(at, 1, "{lines:?}");
+        assert_eq!(lines[at + 1], "#include \\");
+        assert_eq!(plan.mutations[0].line, 3);
+    }
+
+    #[test]
+    fn region_line_reads_an_opener_token_in_the_arm_it_opens() {
+        let src = "int a;\n#ifdef X\nint b;\n#endif\n#if A && \\\n  B\n#ifdef Y\n#endif\n#endif\n\
+                   #ifdef Z\n#else\nint c;\n#endif\n";
+        let tree = branch_tree(src);
+        // Plain lines and `#endif`s are read where they are.
+        assert_eq!(region_line(&tree, 1), Some(1));
+        assert_eq!(region_line(&tree, 4), Some(4));
+        // An opener's token is read at the first line of its arm, after a
+        // splice, and at a nested opener.
+        assert_eq!(region_line(&tree, 2), Some(3));
+        assert_eq!(region_line(&tree, 5), Some(7));
+        assert_eq!(region_line(&tree, 6), Some(7));
+        // An empty arm, or an `#else` right after: no pristine line.
+        assert_eq!(region_line(&tree, 7), None);
+        assert_eq!(region_line(&tree, 10), None);
+        assert_eq!(region_line(&tree, 11), Some(12));
     }
 
     #[test]

@@ -529,7 +529,7 @@ fn header_over_candidate_threshold_uses_allyes_only() {
 }
 
 #[test]
-fn defconfigs_off_tries_no_defconfig_target() {
+fn defconfig_target_reaches_an_ifndef_branch() {
     // allyesconfig sets E1000; only the arm defconfig picked for PL330
     // leaves it unset and so reaches the `#ifndef` branch.
     let (tree, patch) = edit(
@@ -537,27 +537,14 @@ fn defconfigs_off_tries_no_defconfig_target() {
         "drivers/dma/pl330.c",
         "#include <asm/dma.h>\n#ifndef CONFIG_E1000\nint pl330_alone;\n#endif\nint pl330_probe(void)\n{\nreturn DMA_BASE;\n}\n",
     );
-    let run = |use_defconfigs| {
-        let mut engine = BuildEngine::new(tree.clone());
-        let jmake = JMake::with_options(Options {
-            use_defconfigs,
-            ..Options::default()
-        });
-        jmake.check_patch(&mut engine, &patch, "t")
-    };
-    let on = run(true);
-    assert!(on.is_success(), "{on}");
-    let tried = &on.files[0].targets_tried;
+    let report = check(tree, &patch);
+    assert!(report.is_success(), "{report}");
+    let tried = &report.files[0].targets_tried;
     assert!(tried.iter().any(|t| t.contains("/defconfig:")), "{tried:?}");
-    let off = run(false);
-    assert!(!off.is_success(), "{off}");
-    let tried = &off.files[0].targets_tried;
-    assert!(!tried.is_empty(), "{off}");
-    assert!(tried.iter().all(|t| !t.contains("defconfig:")), "{tried:?}");
 }
 
 #[test]
-fn header_hints_off_ranks_by_include_evidence_alone() {
+fn header_hints_rank_a_file_that_only_names_the_macro() {
     // kernel/wrap.c reaches regs.h only through wrap.h: it names the
     // changed macro but has no `#include` line for the header itself.
     let mut tree = mini_kernel();
@@ -569,43 +556,54 @@ fn header_hints_off_ranks_by_include_evidence_alone() {
         "#include <linux/wrap.h>\nint wrap(void)\n{\nreturn 1 << REG_SHIFT;\n}\n",
     );
     let (tree, patch) = edit(tree, "include/linux/regs.h", "#define REG_SHIFT 3\n");
-    let run = |use_header_hints| {
-        let mut engine = BuildEngine::new(tree.clone());
-        let jmake = JMake::with_options(Options {
-            use_header_hints,
-            ..Options::default()
-        });
-        jmake.check_patch(&mut engine, &patch, "t")
-    };
-    let on = run(true);
-    assert!(on.is_success(), "{on}");
-    assert_eq!(on.files[0].header_candidates_used, 1);
-    let off = run(false);
-    assert!(!off.is_success(), "{off}");
-    assert_eq!(off.files[0].header_candidates_used, 0);
+    let report = check(tree, &patch);
+    assert!(report.is_success(), "{report}");
+    assert_eq!(report.files[0].header_candidates_used, 1);
+}
+
+/// `kernel/sched.c` ending in `tail`, and the patch turning `old` into
+/// `new` there.
+fn sched_tail_edit(old: &str, new: &str) -> (SourceTree, Patch) {
+    let sched = |tail: &str| format!("int sched_tick(void)\n{{\nreturn 0;\n}}\n{tail}");
+    let mut tree = mini_kernel();
+    tree.insert("kernel/sched.c", sched(old));
+    edit(tree, "kernel/sched.c", &sched(new))
+}
+
+/// Every token of the report's one file was certified by
+/// `x86_64/allyesconfig`, and the file carries no error.
+fn certified_by_allyes(report: &PatchReport) {
+    assert!(report.is_success(), "{report}");
+    let f = &report.files[0];
+    assert!(f.errors.is_empty(), "{report}");
+    assert!(!f.covered.is_empty(), "{report}");
     assert!(
-        off.files[0]
-            .errors
-            .iter()
-            .any(|e| e.contains("no .c file found that could exercise include/linux/regs.h")),
-        "{off}"
+        f.covered.iter().all(|(_, d)| d == "x86_64/allyesconfig"),
+        "{report}"
     );
 }
 
 #[test]
-fn naive_mutation_option_still_certifies() {
-    let (tree, patch) = edit(
-        mini_kernel(),
-        "kernel/sched.c",
-        "int sched_tick(void)\n{\nreturn 42;\n}\n",
+fn spliced_if_continuation_edit_is_certified() {
+    // The token lands after the whole `#if`, in the arm allyesconfig
+    // enables; placed before the changed line, it would break the `#if`.
+    let guard = |second: &str| {
+        format!("#if defined(CONFIG_NET) || \\\n    {second}\nint sched_net;\n#endif\n")
+    };
+    let (tree, patch) = sched_tail_edit(
+        &guard("defined(CONFIG_X86_64)"),
+        &guard("defined(CONFIG_X86_64) || defined(CONFIG_ARM)"),
     );
-    let mut engine = BuildEngine::new(tree);
-    let jmake = JMake::with_options(Options {
-        naive_mutations: true,
-        ..Options::default()
-    });
-    let report = jmake.check_patch(&mut engine, &patch, "t");
-    assert!(report.is_success(), "{report}");
+    certified_by_allyes(&check(tree, &patch));
+}
+
+#[test]
+fn endif_only_edit_is_certified_where_the_endif_returns() {
+    // TINY depends on !NET, so allyesconfig leaves the arm off; the token
+    // lands after the `#endif`, in the region the compiler reads it in.
+    let block = |endif: &str| format!("#ifdef CONFIG_TINY\nint sched_tiny;\n{endif}\nint after;\n");
+    let (tree, patch) = sched_tail_edit(&block("#endif"), &block("#endif /* CONFIG_TINY */"));
+    certified_by_allyes(&check(tree, &patch));
 }
 
 #[test]

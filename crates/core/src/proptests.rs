@@ -1,7 +1,7 @@
 //! Property tests for the mutation engine, token machinery, precheck and
 //! the readers of the conditional branch tree.
 
-use crate::mutation::{mutate, mutate_naive};
+use crate::mutation::{mutate, region_line};
 use crate::precheck::{locate, precheck};
 use crate::token::MutationToken;
 use jmake_cpp::cond::{ArmKind, BranchTree};
@@ -11,7 +11,8 @@ use jmake_diff::{diff_to_patch, ChangedLine, ChangedLines, DiffOptions};
 use proptest::prelude::*;
 
 /// Generator for C-shaped sources: declarations, macros (with and without
-/// continuations), conditionals, comments.
+/// continuations), conditionals (a `\`-spliced `#if` and a commented
+/// `#endif` among them), comments.
 fn c_source() -> impl Strategy<Value = String> {
     let line = prop_oneof![
         "[a-z]{1,6}".prop_map(|v| format!("int {v};")),
@@ -21,8 +22,11 @@ fn c_source() -> impl Strategy<Value = String> {
         // backslash can never splice an unrelated following line.
         "[A-Z]{1,5}".prop_map(|n| format!("#define {n} \\\n\t(1 + \\\n\t 2)")),
         "[A-Z]{1,5}".prop_map(|n| format!("#ifdef CONFIG_{n}")),
+        // A spliced conditional is one generation unit too.
+        "[A-Z]{1,5}".prop_map(|n| format!("#if defined(CONFIG_{n}) || \\\n    defined(MODULE)")),
         Just("#else".to_string()),
         Just("#endif".to_string()),
+        "[A-Z]{1,5}".prop_map(|n| format!("#endif /* CONFIG_{n} */")),
         Just("/* a block comment */".to_string()),
         Just("// line comment".to_string()),
         Just("/* open".to_string()),
@@ -33,9 +37,9 @@ fn c_source() -> impl Strategy<Value = String> {
         let mut out = Vec::new();
         let mut depth = 0;
         for l in ls {
-            if l.starts_with("#ifdef") {
+            if l.starts_with("#if") {
                 depth += 1;
-            } else if l == "#endif" {
+            } else if l.starts_with("#endif") {
                 if depth == 0 {
                     continue;
                 }
@@ -60,6 +64,17 @@ fn c_source() -> impl Strategy<Value = String> {
 /// the branch tree and its readers have to survive. Kept separate from
 /// [`c_source`] so hardening it never weakens the mutation properties.
 fn conditional_soup() -> impl Strategy<Value = String> {
+    soup(prop::bool::ANY)
+}
+
+/// [`conditional_soup`] with every stray directive dropped and every open
+/// group closed.
+fn balanced_soup() -> impl Strategy<Value = String> {
+    soup(Just(true))
+}
+
+/// The soup generator; `balance` decides whether [`balanced`] runs.
+fn soup(balance: impl Strategy<Value = bool>) -> impl Strategy<Value = String> {
     let line = prop_oneof![
         "[a-z]{1,6}".prop_map(|v| format!("int {v};")),
         Just(String::new()),
@@ -87,7 +102,7 @@ fn conditional_soup() -> impl Strategy<Value = String> {
     ];
     (
         prop::collection::vec(line, 1..30),
-        prop::bool::ANY,
+        balance,
         prop::bool::ANY,
         0usize..3,
     )
@@ -157,31 +172,19 @@ proptest! {
         }
     }
 
-    /// Token counts: minimized placement never exceeds the naive one, and
-    /// both never exceed the number of changed lines (+1 for EOF).
+    /// Token counts: the minimized placement never exceeds the naive one,
+    /// a token per changed non-comment line, plus one for EOF.
     #[test]
     fn minimized_plan_is_no_larger_than_naive(src in c_source()) {
         let lines = src.lines().count();
         let changed: ChangedLines = (1..=lines as u32).map(ChangedLine::Line).collect();
         let minimized = mutate("p.c", &src, &changed);
-        let naive = mutate_naive("p.c", &src, &changed);
-        // The naive variant skips directive lines entirely, while the
-        // minimized placement certifies the section a changed conditional
-        // opens — so the bound allows one extra token per conditional.
-        let conditionals = src
-            .lines()
-            .filter(|l| {
-                let t = l.trim_start();
-                t.starts_with("#if") || t.starts_with("#else") || t.starts_with("#elif")
-            })
-            .count();
+        let naive = lines - minimized.comment_lines.len();
         prop_assert!(
-            minimized.mutations.len() <= naive.mutations.len() + conditionals + 2,
-            "minimized {} vs naive {} (+{conditionals} conditionals)",
-            minimized.mutations.len(),
-            naive.mutations.len()
+            minimized.mutations.len() <= naive + 1,
+            "minimized {} vs naive {naive}",
+            minimized.mutations.len()
         );
-        prop_assert!(minimized.mutations.len() <= lines + 1);
     }
 
     /// Tokens are unique and render/scan round-trips.
@@ -314,15 +317,139 @@ proptest! {
         prop_assert_eq!(new.balanced, old.balanced, "balanced of:\n{}", src);
         prop_assert_eq!(new.guard, old.guard, "guard of:\n{}", src);
     }
+
+    /// (d) The mutation engine never splits or moves a directive: every
+    /// mutated file has the original's arms, kinds and operands included,
+    /// and the original's balance.
+    #[test]
+    fn mutated_arms_equivalent_to_pristine(
+        src in conditional_soup(),
+        changed in prop::collection::btree_set(1u32..40, 0..12),
+    ) {
+        let changed: ChangedLines = changed.into_iter().map(ChangedLine::Line).collect();
+        let plan = mutate("soup.c", &src, &changed);
+        let before = BranchTree::build(&logical_lines(&src));
+        let after = BranchTree::build(&logical_lines(&plan.mutated));
+        prop_assert_eq!(after.arms(), before.arms(), "mutated:\n{}", plan.mutated);
+        prop_assert_eq!(after.balanced(), before.balanced(), "mutated:\n{}", plan.mutated);
+    }
+
+    /// (e) On balanced files, the region function names the line the old
+    /// `line_shapes` inversion named wherever that gave one; where it gave
+    /// up, so does the region function, except on an `#endif` and around a
+    /// spliced conditional directive, which it now reads.
+    #[test]
+    fn region_line_equivalent_to_line_shapes(src in balanced_soup()) {
+        use reference::LineShape::{Closer, Opens, OpensFresh};
+        let tree = BranchTree::build(&logical_lines(&src));
+        let shapes = reference::line_shapes(&src);
+        let spliced = |l: u32| {
+            matches!(
+                shapes.get(&l),
+                Some(Opens { multi: true, .. } | OpensFresh { multi: true, .. })
+            )
+        };
+        for line in 1..=src.lines().count() as u32 + 1 {
+            let old = reference::token_region_line(&shapes, line);
+            let new = region_line(&tree, line);
+            let newly_read = match shapes.get(&line) {
+                Some(Closer) => true,
+                Some(Opens { end, .. } | OpensFresh { end, .. }) => spliced(line) || spliced(end + 1),
+                None => false,
+            };
+            prop_assert!(
+                new == old || (old.is_none() && newly_read),
+                "line {}: old {:?}, new {:?} in:\n{}",
+                line,
+                old,
+                new,
+                src
+            );
+        }
+    }
 }
 
-/// The directive-stack walks the branch tree replaced, kept verbatim as
-/// references for the equivalence properties above.
+/// The directive-stack walks the branch tree replaced, and the placement
+/// inversion the region function replaced, kept verbatim as references
+/// for the equivalence properties above.
 mod reference {
     use jmake_cpp::cond::{is_literal_zero, Arm, ArmKind, BranchTree};
     use jmake_cpp::lines::{logical_lines, LogicalLine};
     use jmake_reach::cond::{parse_directive, parse_if_expr, CondExpr};
     use jmake_reach::{FileAnalysis, IncludeRef};
+    use std::collections::BTreeMap;
+
+    // ---- the oracles' `line_shapes` inversion of the placement ----
+
+    /// What a physical line is, for token-region attribution. Lines absent
+    /// from the map are plain (token and analyzer agree on the region).
+    ///
+    /// Public because the remediation pass (`jmake-fix`) attributes tokens
+    /// to regions with exactly the same rules.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum LineShape {
+        /// `#if`/`#ifdef`/`#ifndef`/`#elif`/`#else`: the mutation engine
+        /// places the token *after* the directive, inside the branch it
+        /// opens. `end` is the last physical line of the (possibly spliced)
+        /// logical directive; `multi` flags splices.
+        Opens { end: u32, multi: bool },
+        /// `#endif`: a token keyed here sits in the region the directive
+        /// closes, which no pristine line unambiguously carries.
+        Closer,
+        /// `#if`/`#ifdef`/`#ifndef` specifically — safe as the *neighbor*
+        /// of a branch token, because the analyzer attributes an opener to
+        /// its enclosing region, which is exactly the branch the token
+        /// certifies. (`#elif`/`#else`/`#endif` neighbors are attributed
+        /// one region out and are not safe.)
+        OpensFresh { end: u32, multi: bool },
+    }
+
+    /// Map physical lines to their [`LineShape`].
+    pub fn line_shapes(src: &str) -> BTreeMap<u32, LineShape> {
+        let mut shapes = BTreeMap::new();
+        for ll in logical_lines(src) {
+            let Some((name, _)) = ll.directive() else {
+                continue;
+            };
+            let multi = ll.first_line != ll.last_line;
+            let shape = match name {
+                "if" | "ifdef" | "ifndef" => LineShape::OpensFresh {
+                    end: ll.last_line,
+                    multi,
+                },
+                "elif" | "else" => LineShape::Opens {
+                    end: ll.last_line,
+                    multi,
+                },
+                "endif" => LineShape::Closer,
+                _ => continue,
+            };
+            for phys in ll.first_line..=ll.last_line {
+                shapes.insert(phys, shape);
+            }
+        }
+        shapes
+    }
+
+    /// The pristine-file line whose region a token recorded at `line`
+    /// actually certifies, per the attribution rules of [`token_class`].
+    /// `None` for ambiguous sites (`#endif` keys, spliced directives,
+    /// `#elif`/`#else` neighbors).
+    pub fn token_region_line(shapes: &BTreeMap<u32, LineShape>, line: u32) -> Option<u32> {
+        match shapes.get(&line) {
+            None => Some(line),
+            Some(LineShape::Closer) => None,
+            Some(LineShape::Opens { multi: true, .. })
+            | Some(LineShape::OpensFresh { multi: true, .. }) => None,
+            Some(LineShape::Opens { end, .. }) | Some(LineShape::OpensFresh { end, .. }) => {
+                let candidate = end + 1;
+                match shapes.get(&candidate) {
+                    None | Some(LineShape::OpensFresh { multi: false, .. }) => Some(candidate),
+                    _ => None,
+                }
+            }
+        }
+    }
 
     // ---- the classifier's `guard_stack` ----
 

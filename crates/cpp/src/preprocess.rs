@@ -228,18 +228,6 @@ impl<R: IncludeResolver> Preprocessor<R> {
         self.predefined.define(MacroDef::object(name, body));
     }
 
-    /// Predefine a function-like macro (e.g. the kernel's
-    /// `IS_ENABLED(option)`).
-    pub fn define_function(&mut self, name: &str, params: Vec<String>, body: &str) {
-        self.predefined
-            .define(MacroDef::function(name, params, body));
-    }
-
-    /// Remove a predefined macro (like `-U name`).
-    pub fn undefine(&mut self, name: &str) {
-        self.predefined.undef(name);
-    }
-
     /// Access the resolver.
     pub fn resolver(&self) -> &R {
         &self.resolver

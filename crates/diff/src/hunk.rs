@@ -33,11 +33,6 @@ impl DiffLine {
         matches!(self, DiffLine::Removed(_))
     }
 
-    /// True for [`DiffLine::Context`].
-    pub fn is_context(&self) -> bool {
-        matches!(self, DiffLine::Context(_))
-    }
-
     /// The unified-diff annotation character: ` `, `+`, or `-`.
     pub fn sigil(&self) -> char {
         match self {

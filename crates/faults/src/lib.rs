@@ -444,11 +444,6 @@ impl Faults {
     /// returns a disabled handle (so `--faults transient:0` is genuinely
     /// free, not just quiet).
     pub fn new(spec: FaultSpec, seed: u64) -> Faults {
-        Faults::with_policy(spec, seed, RetryPolicy::default())
-    }
-
-    /// Like [`Faults::new`] with an explicit [`RetryPolicy`].
-    pub fn with_policy(spec: FaultSpec, seed: u64, policy: RetryPolicy) -> Faults {
         if spec.is_empty() {
             return Faults::disabled();
         }
@@ -457,7 +452,7 @@ impl Faults {
                 spec,
                 seed,
                 salt: 0,
-                policy,
+                policy: RetryPolicy::default(),
                 stats: Arc::new(FaultStats::default()),
             })),
         }
@@ -484,15 +479,6 @@ impl Faults {
     /// True when a non-empty spec is loaded.
     pub fn is_enabled(&self) -> bool {
         self.plan.is_some()
-    }
-
-    /// The recovery policy (default policy when disabled, so call sites
-    /// never need to branch).
-    pub fn policy(&self) -> RetryPolicy {
-        match &self.plan {
-            None => RetryPolicy::default(),
-            Some(p) => p.policy,
-        }
     }
 
     /// The shared counters, if enabled.
@@ -652,7 +638,10 @@ mod tests {
         assert_eq!(s.rate(FaultKind::Corrupt), 0.1);
         assert_eq!(s.rate(FaultKind::Hang), 0.05);
         assert_eq!(s.rate(FaultKind::Latency), 1.0);
-        assert_eq!(s.to_string(), "transient:0.2,latency:1,corrupt:0.1,hang:0.05");
+        assert_eq!(
+            s.to_string(),
+            "transient:0.2,latency:1,corrupt:0.1,hang:0.05"
+        );
     }
 
     #[test]
@@ -704,7 +693,10 @@ mod tests {
 
     #[test]
     fn observed_rate_tracks_configured_rate() {
-        let f = Faults::new(FaultSpec::default().with_rate(FaultKind::Transient, 0.3), 1234);
+        let f = Faults::new(
+            FaultSpec::default().with_rate(FaultKind::Transient, 0.3),
+            1234,
+        );
         let n = 4000;
         let mut hits = 0;
         for i in 0..n {
@@ -730,7 +722,10 @@ mod tests {
             f.decide(FaultSite::CacheLookup, "k", 0),
             Some(FaultKind::Corrupt)
         );
-        assert_eq!(f.decide(FaultSite::MakeI, "k", 0), Some(FaultKind::Transient));
+        assert_eq!(
+            f.decide(FaultSite::MakeI, "k", 0),
+            Some(FaultKind::Transient)
+        );
         // MakeI admits no corruption even at rate 1.0.
         let corrupt_only = Faults::new(FaultSpec::default().with_rate(FaultKind::Corrupt, 1.0), 5);
         assert_eq!(corrupt_only.decide(FaultSite::MakeI, "k", 0), None);

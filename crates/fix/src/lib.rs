@@ -41,9 +41,9 @@
 #![deny(missing_docs)]
 
 use jmake_core::{
-    class_arch, json_objects, json_strings, line_shapes, mutate, replay, token_class,
-    token_region_line, ArchView, EvaluationRun, FileReport, LineShape, MutationKind, MutationToken,
-    Oracle, Replayed, UncoveredMutation, UncoveredReason,
+    branch_tree, class_arch, json_objects, json_strings, mutate, region_line, replay, ArchView,
+    EvaluationRun, FileReport, MutationKind, MutationToken, Oracle, Replayed, UncoveredMutation,
+    UncoveredReason,
 };
 use jmake_diff::{ChangedLine, ChangedLines};
 use jmake_kbuild::{BuildEngine, ConfigCache, ConfigKind, ObjectCache, PreprocCache, SourceTree};
@@ -386,7 +386,7 @@ impl Oracle for FixReport {
         self.files += files.len();
         for file in files.iter().filter(|f| !f.uncovered.is_empty()) {
             let arch = class_arch(&file.targets_tried);
-            let shapes = line_shapes(commit.tree.get(&file.path).unwrap_or(""));
+            let tree = branch_tree(commit.tree.get(&file.path).unwrap_or(""));
             for unc in &file.uncovered {
                 self.missed += 1;
                 let (cause, remedy) = match &arch {
@@ -394,7 +394,8 @@ impl Oracle for FixReport {
                     Some(arch) => match commit.views.get_mut(arch) {
                         None => unfixable(format!("architecture {arch} could not be replayed")),
                         Some(view) => {
-                            let (cause, plan) = static_cause(file, &unc.token, &shapes, arch, view);
+                            let region = region_line(&tree, unc.token.line);
+                            let (cause, plan) = static_cause(file, &unc.token, region, arch, view);
                             let remedy = execute_plan(plan, file, &unc.token, arch, view, self);
                             (cause, remedy)
                         }
@@ -469,12 +470,13 @@ enum Plan {
     Nothing(String),
 }
 
-/// Root-cause one missed token from its presence condition, and decide
-/// what (if anything) the driver should try to verify.
+/// Root-cause one missed token from the presence condition of its
+/// `region` line ([`region_line`]), and decide what (if anything) the
+/// driver should try to verify.
 fn static_cause(
     file: &FileReport,
     token: &MutationToken,
-    shapes: &BTreeMap<u32, LineShape>,
+    region: Option<u32>,
     arch: &str,
     view: &ArchView<'_>,
 ) -> (StaticCause, Plan) {
@@ -487,10 +489,10 @@ fn static_cause(
             ),
         );
     }
-    let Some(region) = token_region_line(shapes, token.line) else {
+    let Some(region) = region else {
         return (
             StaticCause::Unclassified,
-            Plan::Nothing("ambiguous token region (directive splice or #endif)".to_string()),
+            Plan::Nothing("no pristine line shares the token's arm".to_string()),
         );
     };
     // Files owned by another architecture: the classifying environment
@@ -518,7 +520,11 @@ fn static_cause(
     let mut atoms = BTreeSet::new();
     raw.atoms(&mut atoms);
     let raw_mentions_module = atoms.contains("MODULE");
-    let class = token_class(view.classes.files.get(&file.path), shapes, token.line);
+    let class = view
+        .classes
+        .files
+        .get(&file.path)
+        .and_then(|f| f.class(region));
     match class {
         None => (
             StaticCause::Unclassified,

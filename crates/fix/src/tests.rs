@@ -203,6 +203,14 @@ fn if_zero_around_a_module_guard_stays_if_zero() {
     let r = remediation_for(&report, 3);
     assert_eq!(r.cause, "if-0");
     assert!(matches!(&r.remedy, Remedy::Unfixable { .. }));
+    // The classifier names the outer `#if 0` too, so the two sides agree.
+    assert_eq!(r.dynamic, "change under #if 0");
+    assert!(r.agrees, "{r:?}");
+    assert!(
+        report.disagreements.is_empty(),
+        "{:?}",
+        report.disagreements
+    );
 }
 
 #[test]
@@ -376,5 +384,29 @@ fn elif_zero_arm_is_if_zero_on_both_sides() {
         "{:?}",
         report.disagreements
     );
+    assert!(report.is_clean(), "clean run expected: {report:?}");
+}
+
+#[test]
+fn spliced_guard_edit_is_never_defined() {
+    // A commit that edits the continuation line of a spliced `#if` that
+    // no configuration enables: the token lands after the whole
+    // directive, in the dead arm, and the static side reads it there.
+    let mut tree = base_tree();
+    let guarded = |operand: &str| {
+        format!(
+            "int base;\n#if defined(CONFIG_NOWHERE) && \\\n    {operand}\nint hidden;\n#endif\n"
+        )
+    };
+    tree.insert("lib/t.c", guarded("defined(CONFIG_FULL)"));
+    let mut repo = Repo::new();
+    let base = repo.commit(&[], "seed", "seed", &tree);
+    tree.insert("lib/t.c", guarded("defined(CONFIG_FULL) && 1"));
+    let c1 = repo.commit(&[base], "janitor", "edit the spliced guard", &tree);
+    let run = run_on(&repo, &[c1], 1);
+    let report = remediate(&repo, &run);
+    let r = remediation_for(&report, 3);
+    assert_eq!(r.cause, "never-defined:NOWHERE");
+    assert!(matches!(&r.remedy, Remedy::Unfixable { .. }));
     assert!(report.is_clean(), "clean run expected: {report:?}");
 }

@@ -378,7 +378,6 @@ pub struct BuildEngine {
     config_cache: HashMap<ConfigKey, Arc<BuildConfig>>,
     warm: HashSet<ConfigKey>,
     bootstrap: BTreeSet<String>,
-    heavy: BTreeSet<String>,
     /// Cross-patch configuration cache plus this tree's fingerprint
     /// (computed once at construction); `None` runs fully per-engine.
     shared: Option<(Arc<ConfigCache>, u64)>,
@@ -409,10 +408,6 @@ impl BuildEngine {
     /// compilation of the entire kernel).
     pub fn new(tree: SourceTree) -> Self {
         let bootstrap = bootstrap_files_of(&tree);
-        let mut heavy = BTreeSet::new();
-        if tree.contains(HEAVY_FILE) {
-            heavy.insert(HEAVY_FILE.to_string());
-        }
         BuildEngine {
             base: tree,
             registry: ArchRegistry::new(),
@@ -421,7 +416,6 @@ impl BuildEngine {
             config_cache: HashMap::new(),
             warm: HashSet::new(),
             bootstrap,
-            heavy,
             shared: None,
             object: None,
             preproc: None,
@@ -471,11 +465,6 @@ impl BuildEngine {
     /// per make invocation above this layer, so only host time changes.
     pub fn set_preproc_cache(&mut self, cache: Arc<PreprocCache>) {
         self.preproc = Some(cache);
-    }
-
-    /// The attached preprocess cache, if any.
-    pub fn preproc_cache(&self) -> Option<&Arc<PreprocCache>> {
-        self.preproc.as_ref()
     }
 
     /// Attach a tracer; build-side stages will emit spans through it.
@@ -540,21 +529,6 @@ impl BuildEngine {
     /// The architecture registry.
     pub fn registry(&self) -> &ArchRegistry {
         &self.registry
-    }
-
-    /// Register an additional bootstrap file.
-    pub fn add_bootstrap_file(&mut self, path: impl Into<String>) {
-        self.bootstrap.insert(path.into());
-    }
-
-    /// Register an additional heavy file (whole-kernel compile trigger).
-    pub fn add_heavy_file(&mut self, path: impl Into<String>) {
-        self.heavy.insert(path.into());
-    }
-
-    /// The registered bootstrap files.
-    pub fn bootstrap_files(&self) -> impl Iterator<Item = &str> {
-        self.bootstrap.iter().map(String::as_str)
     }
 
     /// True when `path` is involved in the build system's own setup
@@ -867,7 +841,7 @@ impl BuildEngine {
         };
         let (text_len, result) = o_result(entry);
         *invocation_us += self.cost.o_base_us + text_len * self.cost.o_per_byte_us;
-        if self.heavy.contains(file) {
+        if file == HEAVY_FILE && self.base.contains(file) {
             // Compiling this file triggers compilation of the entire
             // kernel, whether or not JMake is used (paper §V.C): charge a
             // per-file base for every .c in the tree plus the whole tree's

@@ -170,17 +170,6 @@ impl Cdf {
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
-
-    /// Render `(seconds, fraction)` series points at the sample values —
-    /// the exact data behind a CDF plot.
-    pub fn series(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v as f64 / 1e6, (i + 1) as f64 / n as f64))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -274,15 +263,6 @@ mod tests {
                 "q={q}"
             );
         }
-    }
-
-    #[test]
-    fn cdf_series_is_monotone() {
-        let c = Cdf::new(&[5, 1, 3]);
-        let s = c.series();
-        assert_eq!(s.len(), 3);
-        assert!(s.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
-        assert!((s.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -72,14 +72,6 @@ impl Symbol {
         });
     }
 
-    /// The maximum value the symbol's type permits.
-    pub fn type_max(&self) -> Tristate {
-        match self.ty {
-            SymbolType::Tristate => Tristate::Y,
-            _ => Tristate::Y,
-        }
-    }
-
     /// True when the symbol can hold the value `m`.
     pub fn is_tristate(&self) -> bool {
         self.ty == SymbolType::Tristate

@@ -140,9 +140,7 @@ fn main() {
                     requests,
                     responses,
                     errors,
-                }) => println!(
-                    "requests={requests} responses={responses} errors={errors}"
-                ),
+                }) => println!("requests={requests} responses={responses} errors={errors}"),
                 Ok(Response::ShuttingDown) => eprintln!("jmake-serve: server is draining"),
                 Err(e) => {
                     eprintln!("jmake-serve: {}: {e}", path.display());

@@ -191,7 +191,9 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
         return Err("trailing content after request object".to_string());
     }
     match (shutdown, stats) {
-        (true, _) if saw_eval_field => Err("shutdown request cannot carry evaluation fields".into()),
+        (true, _) if saw_eval_field => {
+            Err("shutdown request cannot carry evaluation fields".into())
+        }
         (_, true) if saw_eval_field => Err("stats request cannot carry evaluation fields".into()),
         (true, true) => Err("request cannot be both stats and shutdown".into()),
         (true, false) => Ok(Request::Shutdown),

@@ -106,7 +106,10 @@ impl Client {
             .and_then(|()| writer.flush())
             .is_err()
         {
-            eprintln!("jmake-serve: client {}: response dropped (disconnected)", self.id);
+            eprintln!(
+                "jmake-serve: client {}: response dropped (disconnected)",
+                self.id
+            );
         }
     }
 }
@@ -381,8 +384,8 @@ fn serve_client(
             });
             break;
         }
-        let line = std::str::from_utf8(&buf)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
@@ -449,7 +452,10 @@ pub fn request(socket: &std::path::Path, request: &Request) -> io::Result<Respon
         ));
     }
     protocol::decode_response(&line).map_err(|e| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("malformed response: {e}"))
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("malformed response: {e}"),
+        )
     })
 }
 
@@ -459,7 +465,10 @@ mod tests {
     use std::time::Duration;
 
     fn temp_socket(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("jmake-serve-test-{tag}-{}.sock", std::process::id()))
+        std::env::temp_dir().join(format!(
+            "jmake-serve-test-{tag}-{}.sock",
+            std::process::id()
+        ))
     }
 
     fn wait_for_socket(path: &std::path::Path) {
@@ -609,11 +618,15 @@ mod tests {
         // One byte over the cap and no newline: an unbounded line reader
         // would wait for more input forever.
         let mut stream = UnixStream::connect(&socket).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
-        reader.read_line(&mut line).expect("an answer, not a timeout");
+        reader
+            .read_line(&mut line)
+            .expect("an answer, not a timeout");
         match protocol::decode_response(&line).unwrap() {
             Response::Error { id: 0, error } => {
                 assert!(error.contains(&MAX_REQUEST_LINE.to_string()), "{error}");
@@ -626,7 +639,10 @@ mod tests {
 
         // Other clients are still served.
         let resp = request(&socket, &Request::Stats).unwrap();
-        assert!(matches!(resp, Response::Stats { requests: 1, .. }), "{resp:?}");
+        assert!(
+            matches!(resp, Response::Stats { requests: 1, .. }),
+            "{resp:?}"
+        );
         let resp = request(&socket, &Request::Shutdown).unwrap();
         assert_eq!(resp, Response::ShuttingDown);
         server.join().unwrap().unwrap();

@@ -21,7 +21,11 @@ pub fn escape(value: &str) -> String {
 pub fn to_json_line(record: &SpanRecord) -> String {
     let mut out = String::with_capacity(96);
     out.push('{');
-    push_str_field(&mut out, "stage", record.stage.map(Stage::name).unwrap_or(""));
+    push_str_field(
+        &mut out,
+        "stage",
+        record.stage.map(Stage::name).unwrap_or(""),
+    );
     if let Some(patch) = &record.patch {
         push_str_field(&mut out, "patch", patch);
     }
@@ -363,9 +367,11 @@ mod tests {
         assert!(parse_line(r#"{"stage":"warp","host_us":1,"virtual_us":0}"#)
             .unwrap_err()
             .contains("unknown stage"));
-        assert!(parse_line(r#"{"stage":"check","bogus":"x","host_us":1,"virtual_us":0}"#)
-            .unwrap_err()
-            .contains("unknown field"));
+        assert!(
+            parse_line(r#"{"stage":"check","bogus":"x","host_us":1,"virtual_us":0}"#)
+                .unwrap_err()
+                .contains("unknown field")
+        );
         assert!(parse_line(r#"{"host_us":1,"virtual_us":0}"#)
             .unwrap_err()
             .contains("stage"));
@@ -446,10 +452,9 @@ mod tests {
         assert!(err.contains("lone high surrogate"), "{err}");
 
         // High surrogate followed by an escaped non-surrogate.
-        let err = parse_line(
-            r#"{"stage":"show","patch":"\ud83d\u0041","host_us":1,"virtual_us":0}"#,
-        )
-        .unwrap_err();
+        let err =
+            parse_line(r#"{"stage":"show","patch":"\ud83d\u0041","host_us":1,"virtual_us":0}"#)
+                .unwrap_err();
         assert!(err.contains("mismatched surrogate pair"), "{err}");
 
         // Two high surrogates in a row.
@@ -481,6 +486,9 @@ mod tests {
         let line = to_json_line(&record);
         assert!(line.contains("\\u0001"));
         assert!(line.contains("\\n"));
-        assert_eq!(parse_line(&line).unwrap().file.as_deref(), Some("a\u{1}b\nc"));
+        assert_eq!(
+            parse_line(&line).unwrap().file.as_deref(),
+            Some("a\u{1}b\nc")
+        );
     }
 }

@@ -164,7 +164,12 @@ impl Metrics {
 mod tests {
     use super::*;
 
-    fn record(stage: Stage, host_us: u64, virtual_us: u64, cache: Option<CacheOutcome>) -> SpanRecord {
+    fn record(
+        stage: Stage,
+        host_us: u64,
+        virtual_us: u64,
+        cache: Option<CacheOutcome>,
+    ) -> SpanRecord {
         SpanRecord {
             stage: Some(stage),
             host_us,

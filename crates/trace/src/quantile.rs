@@ -56,9 +56,11 @@ mod tests {
             for i in 0..=100 {
                 let q = i as f64 / 100.0;
                 let v = ceil_nearest_rank(&sorted, q);
-                let frac =
-                    sorted.partition_point(|&s| s <= v) as f64 / sorted.len() as f64;
-                assert!(frac >= q, "fraction_at(quantile({q})) = {frac} over {sorted:?}");
+                let frac = sorted.partition_point(|&s| s <= v) as f64 / sorted.len() as f64;
+                assert!(
+                    frac >= q,
+                    "fraction_at(quantile({q})) = {frac} over {sorted:?}"
+                );
             }
         }
     }

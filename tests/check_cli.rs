@@ -43,7 +43,33 @@ const PLAIN: &str = "--- a/lib/t.c\n\
 #ifdef CONFIG_FULL\n \
 int full_path;\n";
 
-/// A fresh tree (and the two patches) under a per-test directory.
+/// `s.c` guards one arm on a `\`-spliced `#if` that allyesconfig enables.
+const S_C: &str = "int spliced_base;\n\
+#if defined(CONFIG_FULL) || \\\n    defined(CONFIG_TINY)\n\
+int either_path;\n\
+#endif\n";
+
+/// Edits the continuation line of `s.c`'s spliced `#if`.
+const SPLICED: &str = "--- a/lib/s.c\n\
++++ b/lib/s.c\n\
+@@ -1,5 +1,5 @@\n \
+int spliced_base;\n \
+#if defined(CONFIG_FULL) || \\\n\
+-    defined(CONFIG_TINY)\n\
++    defined(CONFIG_TINY) || defined(CONFIG_NONE)\n \
+int either_path;\n \
+#endif\n";
+
+/// Edits only the `#endif` that closes `t.c`'s `#else` arm.
+const ENDIF: &str = "--- a/lib/t.c\n\
++++ b/lib/t.c\n\
+@@ -6,3 +6,3 @@\n \
+#else\n \
+int neither_path;\n\
+-#endif\n\
++#endif /* CONFIG_FULL */\n";
+
+/// A fresh tree (and the patches) under a per-test directory.
 fn tree(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jmake-check-cli-{test}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -55,10 +81,13 @@ fn tree(test: &str) -> PathBuf {
         ),
         ("tree/arch/x86_64/Kconfig", "config X86_64\n\tdef_bool y\n"),
         ("tree/Makefile", "obj-y += lib/\n"),
-        ("tree/lib/Makefile", "obj-y += t.o\n"),
+        ("tree/lib/Makefile", "obj-y += t.o s.o\n"),
         ("tree/lib/t.c", T_C),
+        ("tree/lib/s.c", S_C),
         ("two-arms.diff", TWO_ARMS),
         ("plain.diff", PLAIN),
+        ("spliced.diff", SPLICED),
+        ("endif.diff", ENDIF),
     ];
     for (path, text) in files {
         let path = dir.join(path);
@@ -126,6 +155,37 @@ fn two_arm_edit_is_reported_under_both_ifdef_and_else() {
     assert!(
         json.contains("change under both #ifdef and #else"),
         "the #elif and #else changes must be upgraded together: {json}"
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn spliced_if_continuation_edit_is_certified() {
+    let dir = tree("spliced");
+    let out = jmake_check(
+        &dir,
+        &["--tree", "tree", "--patch", "spliced.diff", "--json"],
+    );
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{json}\n{}", stderr(&out));
+    assert!(
+        json.contains("\"covered\":[{\"line\":3,\"via\":\"x86_64/allyesconfig\"}]"),
+        "{json}"
+    );
+    assert!(json.contains("\"errors\":[]"), "{json}");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn endif_only_edit_over_an_off_arm_is_certified() {
+    let dir = tree("endif");
+    let out = jmake_check(&dir, &["--tree", "tree", "--patch", "endif.diff"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        stderr(&out)
     );
     std::fs::remove_dir_all(dir).unwrap();
 }

@@ -33,7 +33,10 @@ fn disabled_tracer_is_bit_identical_to_traced_run() {
         let off = run_with(workers, Tracer::disabled());
         let on_tracer = Tracer::in_memory();
         let on = run_with(workers, on_tracer.clone());
-        assert_eq!(off.results, on.results, "reports differ (workers={workers})");
+        assert_eq!(
+            off.results, on.results,
+            "reports differ (workers={workers})"
+        );
         assert_eq!(
             off.samples, on.samples,
             "Fig. 4 samples differ (workers={workers})"
@@ -155,17 +158,11 @@ fn jsonl_sink_round_trips_every_span() {
     // Every line is a span, and spans reconcile with the open/close
     // balance.
     assert_eq!(records.len() as u64, balance.closed);
-    let commits: std::collections::BTreeSet<String> = run
-        .results
-        .iter()
-        .map(|r| r.commit.to_string())
-        .collect();
+    let commits: std::collections::BTreeSet<String> =
+        run.results.iter().map(|r| r.commit.to_string()).collect();
     for r in &records {
         let stage = r.stage.expect("stage present");
-        assert!(
-            Stage::ALL.contains(&stage),
-            "undocumented stage {stage:?}"
-        );
+        assert!(Stage::ALL.contains(&stage), "undocumented stage {stage:?}");
         let patch = r.patch.as_deref().expect("span carries its patch id");
         assert!(commits.contains(patch), "unknown patch id {patch}");
         if stage == Stage::BuildO {
